@@ -201,8 +201,13 @@ def discrete_forces(state: LatticeState, params: ChainParams):
     sphi = np.sin(state.phi)
     b_th = -gth + m * r * R * sphi * (pd**2 + 2 * td * pd)
     b_ph = -gph - m * r * R * sphi * td**2
-    m11, m12, m22 = mass_matrix(state.phi, params)
-    if m * r**2 == 0:
+    return _mass_solve(state.phi, b_th, b_ph, params)
+
+
+def _mass_solve(phi, b_th, b_ph, params: ChainParams):
+    """Solve M(phi) qdd = (b_th, b_ph) pointwise; qdd_phi = 0 when m r^2 = 0."""
+    m11, m12, m22 = mass_matrix(phi, params)
+    if params.m * params.r**2 == 0:
         return b_th / m11, np.zeros_like(b_ph)
     det = m11 * m22 - m12 * m12  # = m r^2 R^2 (M + m sin^2 phi) > 0
     return (m22 * b_th - m12 * b_ph) / det, (m11 * b_ph - m12 * b_th) / det

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stencils import derivative
-from .params import ChainParams
+from ._stencils import IntegrationError, derivative, rk4_step
+from .chain import _mass_solve
+from .params import ChainParams, _kink
 
 
-class PDEInstabilityError(RuntimeError):
-    pass
+class PDEInstabilityError(IntegrationError):
+    """Raised when the fields blow up or stop being finite."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def _sources(Theta, Phi, Theta_t, Phi_t, Theta_x, Phi_x, Theta_xx, Phi_xx,
     S2 = (Ks * r * r * Phi_xx + Ks * r2a * Theta_xx - params.h_spec.dh(Phi)
           - r * R * (m * Theta_t**2 - Ks * Theta_x**2) * s
           - g * m * r * np.sin(Phi + Theta))
-    return S1, S2, r2a, r2b
+    return S1, S2
 
 
 def pde_rhs(grid: FieldGrid, params: ChainParams):
@@ -92,16 +93,9 @@ def pde_rhs(grid: FieldGrid, params: ChainParams):
     Phi_x = derivative(grid.Phi, dx, 1)
     Theta_xx = derivative(grid.Theta, dx, 2)
     Phi_xx = derivative(grid.Phi, dx, 2)
-    S1, S2, r2a, r2b = _sources(grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t,
-                                Theta_x, Phi_x, Theta_xx, Phi_xx, params)
-    M, m, R, r = params.M, params.m, params.R, params.r
-    m11 = M * R**2 + m * r2b
-    m12 = m * r2a
-    m22 = m * r * r
-    if m22 == 0:
-        return S1 / m11, np.zeros_like(S2)
-    det = m11 * m22 - m12 * m12
-    return (m22 * S1 - m12 * S2) / det, (m11 * S2 - m12 * S1) / det
+    S1, S2 = _sources(grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t,
+                      Theta_x, Phi_x, Theta_xx, Phi_xx, params)
+    return _mass_solve(grid.Phi, S1, S2, params)
 
 
 def max_wave_speed(params: ChainParams):
@@ -129,24 +123,21 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
     def rhs(y, t):
         Theta, Phi, Theta_t, Phi_t = y
         acc = pde_rhs(FieldGrid(grid.x, Theta, Phi, Theta_t, Phi_t, t), params)
-        out = [Theta_t.copy(), Phi_t.copy(), acc[0], acc[1]]
+        out = (Theta_t.copy(), Phi_t.copy(), acc[0], acc[1])
         for a in out:  # clamp boundary nodes
             a[0] = a[-1] = 0.0
         return out
 
-    y = [grid.Theta.copy(), grid.Phi.copy(), grid.Theta_t.copy(), grid.Phi_t.copy()]
-    t = grid.t
+    y = (grid.Theta.copy(), grid.Phi.copy(), grid.Theta_t.copy(), grid.Phi_t.copy())
     snaps = [grid]
     for i in range(n_steps):
-        k1 = rhs(y, t)
-        k2 = rhs([a + 0.5 * dt * b for a, b in zip(y, k1)], t + 0.5 * dt)
-        k3 = rhs([a + 0.5 * dt * b for a, b in zip(y, k2)], t + 0.5 * dt)
-        k4 = rhs([a + dt * b for a, b in zip(y, k3)], t + dt)
-        y = [a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        try:
+            y = rk4_step(rhs, y, grid.t + i * dt, dt)
+        except IntegrationError as exc:
+            raise PDEInstabilityError("non-finite fields", exc.t) from exc
         t = grid.t + (i + 1) * dt
         if max(np.max(np.abs(y[0])), np.max(np.abs(y[1]))) > 1e6:
-            raise PDEInstabilityError(f"fields blew up at t = {t}")
+            raise PDEInstabilityError("fields blew up", t)
         if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
             snaps.append(FieldGrid(grid.x, *[a.copy() for a in y], t=t))
     return snaps
@@ -191,11 +182,8 @@ def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
     x = np.asarray(x, dtype=float)
     if center is None:
         center = 0.5 * (x[0] + x[-1])
-    u = k * (x - center)
-    e = np.exp(-np.abs(u))
-    half = 4.0 * np.arctan(e)  # mirrored form: tail-exact, no overflow
-    Theta = index * np.where(u <= 0.0, half, 2.0 * np.pi - half)
-    sech = 2.0 * e / (1.0 + e * e)
+    base, sech = _kink(k * (x - center))
+    Theta = index * base
     Theta_t = index * (-v) * 2.0 * k * sech
     z = np.zeros_like(x)
     return FieldGrid(x, Theta, z, Theta_t, z.copy(), 0.0)

@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stencils import IntegrationError, rk4_step  # noqa: F401 (re-exported)
 from .chain import LatticeState, discrete_forces, kinetic_energy, potential_energy
-from .params import ChainParams
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the state stops being finite; carries the failing time."""
-
-    def __init__(self, message, t):
-        super().__init__(f"{message} (t = {t!r})")
-        self.t = t
+from .params import ChainParams, _kink
 
 
 @dataclass(frozen=True)
@@ -35,30 +28,17 @@ def total_energy(state: LatticeState, params: ChainParams):
     return kinetic_energy(state, params) + potential_energy(state, params)
 
 
-def _rhs(theta, phi, theta_dot, phi_dot, t, params):
-    acc = discrete_forces(
-        LatticeState(theta, phi, theta_dot, phi_dot, t), params)
-    return theta_dot, phi_dot, acc[0], acc[1]
-
-
 def step(state: LatticeState, dt, params: ChainParams) -> LatticeState:
     """One classic RK4 step on (q, q_dot). Deterministic."""
     if not dt > 0:
         raise ValueError("dt must be positive")
+
+    def rhs(y, t):
+        acc = discrete_forces(LatticeState(*y, t), params)
+        return y[2], y[3], acc[0], acc[1]
+
     y = (state.theta, state.phi, state.theta_dot, state.phi_dot)
-    t = state.t
-
-    k1 = _rhs(*y, t, params)
-    k2 = _rhs(*(a + 0.5 * dt * b for a, b in zip(y, k1)), t + 0.5 * dt, params)
-    k3 = _rhs(*(a + 0.5 * dt * b for a, b in zip(y, k2)), t + 0.5 * dt, params)
-    k4 = _rhs(*(a + dt * b for a, b in zip(y, k3)), t + dt, params)
-
-    out = [a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    new = LatticeState(*out, t=t + dt)
-    if not all(np.all(np.isfinite(a)) for a in out):
-        raise IntegrationError("non-finite state after step", new.t)
-    return new
+    return LatticeState(*rk4_step(rhs, y, state.t, dt), t=state.t + dt)
 
 
 def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
@@ -93,11 +73,8 @@ def moving_kink_state(params: ChainParams, k, v, n_sites, center=None,
     x = params.delta * np.arange(n_sites)
     if center is None:
         center = x[-1] / 2.0
-    u = k * (x - center)
-    e = np.exp(-np.abs(u))
-    half = 4.0 * np.arctan(e)  # mirrored form: tail-exact, no overflow
-    theta = index * np.where(u <= 0.0, half, 2.0 * np.pi - half)
-    sech = 2.0 * e / (1.0 + e * e)
+    base, sech = _kink(k * (x - center))
+    theta = index * base
     theta_dot = index * (-v) * 2.0 * k * sech
     zeros = np.zeros(n_sites)
     return LatticeState(theta, zeros, theta_dot, zeros, 0.0)

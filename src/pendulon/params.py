@@ -1,4 +1,5 @@
-"""Physical parameters of the chain and the confining-potential families."""
+"""Physical parameters of the chain, the confining-potential families, and
+the unit kink profile every layer seeds from."""
 from __future__ import annotations
 
 import dataclasses
@@ -150,3 +151,12 @@ class ChainParams:
         """Raise unless the configuration supports full 2-angle dynamics."""
         if self.R == 0:
             raise ValueError("R = 0: dynamics not defined for this operation")
+
+
+def _kink(u):
+    """(4 arctan(exp(u)), sech(u)) of the unit sine-Gordon kink, via the
+    mirrored form 4 arctan(exp(-|u|)): tails stay exact and nothing
+    overflows, where composing arctan(exp(u)) saturates."""
+    e = np.exp(-np.abs(u))
+    half = 4.0 * np.arctan(e)
+    return np.where(u <= 0.0, half, 2.0 * np.pi - half), 2.0 * e / (1.0 + e * e)

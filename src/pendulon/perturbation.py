@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ._stencils import derivative, derivative_matrix
-from .params import ChainParams, ConfiningPotential
+from .params import ChainParams, ConfiningPotential, _kink
 from .travelwave import (TWParams, TWProfile, kink_profile, solve_tw_bvp,
                          tw_residual)
 
@@ -99,13 +99,8 @@ def sg_kink(z, params: ExpansionParams) -> KinkArrays:
     """
     k = kink_parameter(params)
     u = k * np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(u))
-    sech = 2.0 * e / (1.0 + e * e)
+    theta0, sech = _kink(u)
     tanh = np.tanh(u)
-    # mirrored arctan keeps the exponentially small tails of theta0 exact;
-    # arcsin(tanh u) would saturate once tanh rounds to +-1
-    half = 4.0 * np.arctan(e)
-    theta0 = np.where(u <= 0.0, half, 2.0 * np.pi - half)
     return KinkArrays(theta0,
                       2.0 * k * sech,
                       -2.0 * k * k * sech * tanh,

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ._stencils import derivative, derivative_matrix
-from .params import ChainParams
+from .params import ChainParams, _kink
 
 
 class TWSolveError(RuntimeError):
@@ -157,11 +157,8 @@ def kink_profile(z, k, v, params: ChainParams, pi_shift=False,
     """
     z = np.asarray(z, dtype=float)
     u = k * z
-    e = np.exp(-np.abs(u))
-    sech = 2.0 * e / (1.0 + e * e)
+    base, sech = _kink(u)
     tanh = np.tanh(u)
-    half = 4.0 * np.arctan(e)  # mirrored form: tail-exact, no overflow
-    base = np.where(u <= 0.0, half, 2.0 * np.pi - half)
     theta = index * base - (np.pi if pi_shift else 0.0)
     theta_z = index * 2.0 * k * sech
     zeros = np.zeros_like(z)

@@ -64,6 +64,17 @@ def test_instability_detected():
         evolve(grid, 1.0, 1e-4, p)
 
 
+def test_nan_is_detected():
+    p = _single_angle_chain()
+    x = np.linspace(0, 20, 101)
+    kink = kink_field_grid(p, 1.0, 0.2, x)
+    Theta = kink.Theta.copy()
+    Theta[50] = np.nan
+    grid = FieldGrid(x, Theta, kink.Phi, kink.Theta_t, kink.Phi_t, 0.0)
+    with pytest.raises(PDEInstabilityError, match="non-finite"):
+        evolve(grid, 0.01, 1e-3, p)
+
+
 def test_snapshot_list_contract():
     p = _single_angle_chain()
     x = np.linspace(0, 20, 201)

@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pendulon.params import ConfiningPotential
+from pendulon.continuum import kink_field_grid
+from pendulon.lattice import moving_kink_state
+from pendulon.params import ChainParams, ConfiningPotential
 from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
                                    build_perturbative, coefficient_B,
                                    compose_series, kink_grid, kink_parameter,
@@ -14,7 +16,7 @@ from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
                                    order2_phi, project_zero_mode,
                                    residual_scaling, sg_kink, taylor_extract,
                                    export_scaling_csv)
-from pendulon.travelwave import tw_residual
+from pendulon.travelwave import kink_profile, tw_residual
 from pendulon._stencils import derivative
 
 
@@ -44,6 +46,20 @@ def test_sg_kink_self_consistency(exp_params):
                          - kin.theta0_z)) < 1e-6
     assert np.max(np.abs(derivative(kin.theta0_z, dz, 1)
                          - kin.theta0_zz)) < 1e-6
+    # the lattice, PDE and travelling-wave kinks share sg_kink's formula
+    chain = ChainParams(M=1.0, m=0.0, R=1.0, r=0.0, kappa_t=0.0,
+                        kappa_s=1.0, g=1.0, delta=dz)
+    x = chain.delta * np.arange(z.size)
+    center = x[-1] / 2.0
+    kin = sg_kink(x - center, p)
+    lat = moving_kink_state(chain, k, 0.3, z.size, center=center)
+    pde = kink_field_grid(chain, k, 0.3, x, center=center)
+    tw = kink_profile(x - center, k, 0.3, chain)
+    for theta in (lat.theta, pde.Theta, tw.theta):
+        assert np.array_equal(theta, kin.theta0)
+    assert np.array_equal(tw.theta_z, kin.theta0_z)
+    assert np.array_equal(tw.theta_zz, kin.theta0_zz)
+    assert np.array_equal(lat.theta_dot, pde.Theta_t)
 
 
 def test_sg_kink_tails_keep_relative_accuracy(exp_params):
