@@ -2,7 +2,7 @@
 
 Layers, from discrete to asymptotic:
 
-- ``chain`` / ``lattice``: per-site mechanics and symplectic time stepping
+- ``chain`` / ``lattice``: per-site mechanics and RK4 time stepping
   of the discrete chain.
 - ``continuum``: the two-field long-wavelength PDE and its integrator.
 - ``travelwave``: co-moving reduction to a second-order ODE system and a

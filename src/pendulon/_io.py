@@ -1,0 +1,38 @@
+"""Artifact writers shared by the layers and the CLI: schema-tagged CSV and
+key-sorted JSON."""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+
+def write_csv(path, schema, header, rows):
+    """Write `# schema: <schema>`, the header, then each row as it comes.
+
+    A row is a tuple of Python numbers or strings, written with %s, which is
+    repr for floats, so reading a file back gives the values bit for bit.
+    Convert numpy scalars first (tolist or float): their str is not repr.
+    """
+    line = ",".join(["%s"] * len(header.split(","))) + "\n"
+    with open(path, "w") as f:
+        f.write(f"# schema: {schema}\n{header}\n")
+        f.writelines(line % row for row in rows)
+
+
+def _py(obj):
+    """Coerce numpy scalars/arrays to plain Python for json.dump."""
+    if isinstance(obj, dict):
+        return {k: _py(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_py(x) for x in obj]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    return int(obj) if isinstance(obj, (np.integer, int)) else obj
+
+
+def write_json(payload, path):
+    """Indented, key-sorted JSON of payload (numpy values made plain)."""
+    with open(path, "w") as f:
+        json.dump(_py(payload), f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -1,5 +1,6 @@
 """Numerical kernels shared by the layers: fourth-order finite-difference
-stencils on uniform grids and the classic RK4 step.
+stencils on uniform grids, the bordered matrix that both boundary-value
+solvers factor, and the classic RK4 step.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -70,6 +71,50 @@ def derivative_matrix(n, h, deriv):
                           + [w for _, w in right]) / h**deriv
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def bordered_matrix(D1, D2, blocks, fixed, column, row):
+    """CSC matrix of the bordered collocation system [[J, column], [row, 0]].
+
+    J couples m fields on the n nodes of D2 = derivative_matrix(n, h, 2),
+    interleaved: unknown m j + b is field b at node j. Block (a, b) of J is
+    (c0 I + c1 D1) + c2 D2 for blocks[a][b] = (c0, c1, c2), each a length-n
+    array or a scalar; D1 may be None when every c1 is 0. The rows in `fixed`
+    become unit rows (Dirichlet conditions), `column` is zeroed there, and
+    exact zeros are dropped, so the arrays equal those of the same sum of
+    sparse products.
+    """
+    n, m = D2.shape[0], len(blocks)
+    w = np.diff(D2.indptr).max()
+    # each row of I, D1 and D2 lies in the w columns from first[i] on
+    first = np.minimum(D2.indices[D2.indptr[:-1]], n - w)
+    I, W1, W2 = np.zeros((3, n, w))
+    I[np.arange(n), np.arange(n) - first] = 1.0
+    for W, D in ((W1, D1), (W2, D2)):
+        if D is not None:
+            node = np.repeat(np.arange(n), np.diff(D.indptr))
+            W[node, D.indices - first[node]] = D.data
+    core = np.zeros((n, m, w, m))  # row (node i, field a), entry (slot, b)
+    for a, block_row in enumerate(blocks):
+        for b, coeffs in enumerate(block_row):
+            c0, c1, c2 = (np.reshape(c, (-1, 1)) for c in coeffs)
+            core[:, a, :, b] = (c0 * I + c1 * W1) + c2 * W2
+    cols = m * (first[:, None, None, None] + np.arange(w)[:, None]) + np.arange(m)
+    data = np.column_stack([core.reshape(m * n, m * w), column])
+    indices = np.column_stack([
+        np.broadcast_to(cols, core.shape).reshape(m * n, m * w),
+        np.full(m * n, m * n)])
+    i, a = np.divmod(fixed, m)
+    data[fixed] = 0.0
+    data[fixed, m * (i - first[i]) + a] = 1.0
+
+    counts = np.append(np.count_nonzero(data, axis=1), np.count_nonzero(row))
+    data = np.append(data, row)
+    keep = data != 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix(
+        (data[keep], np.append(indices, np.arange(m * n))[keep], indptr),
+        shape=(m * n + 1, m * n + 1)).tocsc()
 
 
 def derivative(f, h, deriv):

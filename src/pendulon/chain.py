@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ChainParams
+from .params import ChainParams, _inertia
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,7 @@ def mass_matrix(phi, params: ChainParams):
     r^2 beta = r^2 + R^2 + 2 r R cos phi so that r = 0 stays finite.
     """
     M, m, R, r = params.M, params.m, params.R, params.r
-    c = np.cos(phi)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    r2a, r2b = _inertia(phi, r, R)
     return M * R**2 + m * r2b, m * r2a, np.full_like(np.asarray(phi, float), m * r**2)
 
 

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 config/validation failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +19,7 @@ import numpy as np
 from . import lagrangian_orders as lagexp
 from . import lattice as lattice_mod
 from . import continuum, perturbation, reductions, travelwave
+from ._io import write_csv, write_json
 from .config import (ConfigError, chain_from_config, expansion_from_config,
                      load_config, parse_bool, parse_floats, read_section)
 from .lattice import IntegrationError
@@ -27,29 +27,8 @@ from .continuum import PDEInstabilityError
 from .travelwave import TWParams, TWSolveError
 
 
-def _py(obj):
-    """Coerce numpy scalars/arrays to plain Python for json.dump."""
-    if isinstance(obj, np.ndarray):
-        return [_py(x) for x in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(x) for x in obj]
-    return obj
-
-
 def _rel_l2(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
-
-
-def _write_json(payload, path):
-    with open(path, "w") as f:
-        json.dump(_py(payload), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +54,10 @@ def cmd_simulate_lattice(cp, args, out_dir, dry):
                                           index=lat.get("index", 1))
     report = lattice_mod.simulate(state, integ["t_end"], integ["dt"], params,
                                   snapshot_every=integ.get("snapshot_every", 1))
-    outputs = []
-    for name, writer in (("lattice-trajectory.csv",
-                          lambda p: lattice_mod.export_trajectory_csv(report, p)),
-                         ("lattice-energy.csv",
-                          lambda p: lattice_mod.export_energy_csv(report, p))):
-        writer(os.path.join(out_dir, name))
-        outputs.append(name)
-    return lattice_mod.summary_dict(report, params), outputs
+    outputs = ["lattice-trajectory.csv", "lattice-energy.csv"]
+    lattice_mod.export_trajectory_csv(report, os.path.join(out_dir, outputs[0]))
+    lattice_mod.export_energy_csv(report, os.path.join(out_dir, outputs[1]))
+    return lattice_mod.summary_dict(report), outputs
 
 
 def cmd_simulate_pde(cp, args, out_dir, dry):
@@ -109,20 +84,14 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
     energies = np.array([continuum.energy_total(s, params) for s in snaps])
     drift = np.max(np.abs(energies - energies[0])) / (abs(energies[0]) + 1e-300)
 
-    def charge(s):
-        try:
-            return continuum.topological_charge(s)
-        except ValueError:
-            return None
-
     results = {
         "t_final": snaps[-1].t,
         "n_snapshots": len(snaps),
         "energy_initial": energies[0],
         "energy_final": energies[-1],
         "max_energy_drift": drift,
-        "charge_initial": charge(snaps[0]),
-        "charge_final": charge(snaps[-1]),
+        "charge_initial": continuum._charge_or_none(snaps[0]),
+        "charge_final": continuum._charge_or_none(snaps[-1]),
     }
     return results, outputs
 
@@ -134,10 +103,12 @@ def cmd_solve_tw(cp, args, out_dir, dry):
                         "index": int},
                        required=("v", "k"))
     dom = read_section(cp, "domain", {"half_width": float, "n_points": int})
+    k = sec["k"]
+    if k == 0 and "half_width" not in dom:
+        raise ValueError("[tw] k = 0 needs an explicit [domain] half_width")
     if dry:
         return None, None
-    k = sec["k"]
-    half = dom.get("half_width", 20.0 / k)
+    half = dom["half_width"] if "half_width" in dom else 20.0 / k
     z = np.linspace(-half, half, dom.get("n_points", 2001))
     guess = travelwave.kink_profile(z, k, sec["v"], params,
                                     pi_shift=sec.get("pi_shift", False),
@@ -177,12 +148,10 @@ def cmd_build_perturbative(cp, args, out_dir, dry):
     prof = perturbation.compose_series(sol, eps, order)
     chain = exp.to_chain_params(eps=eps)
     outputs = ["perturbative-orders.csv", "tw-profile.csv"]
-    path = os.path.join(out_dir, outputs[0])
-    with open(path, "w") as f:
-        f.write("# schema: perturbative-orders v1\n")
-        f.write("z,theta0,theta1,phi1,phi2\n")
-        for row in zip(sol.z, sol.theta0, sol.theta1, sol.phi1, sol.phi2):
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_csv(os.path.join(out_dir, outputs[0]), "perturbative-orders v1",
+              "z,theta0,theta1,phi1,phi2",
+              zip(sol.z.tolist(), sol.theta0.tolist(), sol.theta1.tolist(),
+                  sol.phi1.tolist(), sol.phi2.tolist()))
     travelwave.export_profile_csv(prof, chain, os.path.join(out_dir, outputs[1]))
     res1, res2 = travelwave.tw_residual(prof, chain)
     results = {
@@ -244,7 +213,7 @@ def cmd_verify_expansion(cp, args, out_dir, dry):
         "phi1_rel_l2": _rel_l2(phi1_ext, sol.phi1),
         "phi2_rel_l2": _rel_l2(phi2_ext, sol.phi2),
     }
-    _write_json(report, os.path.join(out_dir, outputs[1]))
+    write_json(report, os.path.join(out_dir, outputs[1]))
     return report, outputs
 
 
@@ -321,7 +290,7 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
         "slaving": slaving,
     }
     outputs = ["verify-lagrangian.json"]
-    _write_json(report, os.path.join(out_dir, outputs[0]))
+    write_json(report, os.path.join(out_dir, outputs[0]))
     return report, outputs
 
 
@@ -382,7 +351,7 @@ def main(argv=None) -> int:
         "results": results,
         "outputs": outputs,
     }
-    _write_json(summary, os.path.join(out_dir, "summary.json"))
+    write_json(summary, os.path.join(out_dir, "summary.json"))
     for name in outputs + ["summary.json"]:
         print(f"wrote {os.path.join(out_dir, name)}")
     return 0

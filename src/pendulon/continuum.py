@@ -20,12 +20,14 @@ where K_s = kappa_s delta^2, K_t = kappa_t delta^2. Spatial derivatives are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from ._io import write_csv
 from ._stencils import IntegrationError, derivative, rk4_step
 from .chain import _mass_solve
-from .params import ChainParams, _kink
+from .params import ChainParams, _inertia, _kink
 
 
 class PDEInstabilityError(IntegrationError):
@@ -55,22 +57,24 @@ class FieldGrid:
         for name, a in zip(("x", "Theta", "Phi", "Theta_t", "Phi_t"), arrays):
             object.__setattr__(self, name, a)
 
+    def _with_fields(self, Theta, Phi, Theta_t, Phi_t, t):
+        """This grid with new fields; skips the checks of x (RK4 stages)."""
+        new = object.__new__(FieldGrid)
+        new.__dict__.update(x=self.x, Theta=Theta, Phi=Phi, Theta_t=Theta_t,
+                            Phi_t=Phi_t, t=t)
+        return new
+
     @property
     def dx(self):
         return float(self.x[1] - self.x[0])
-
-    @property
-    def n(self):
-        return self.x.shape[0]
 
 
 def _sources(Theta, Phi, Theta_t, Phi_t, Theta_x, Phi_x, Theta_xx, Phi_xx,
              params: ChainParams):
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     Ks, Kt = params.Ks, params.Kt
-    c, s = np.cos(Phi), np.sin(Phi)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    s = np.sin(Phi)
+    r2a, r2b = _inertia(Phi, r, R)
     S1 = ((Kt + Ks * r2b) * Theta_xx + Ks * r2a * Phi_xx
           + r * R * (m * Phi_t * (Phi_t + 2 * Theta_t)
                      - Ks * Phi_x * (Phi_x + 2 * Theta_x)) * s
@@ -111,6 +115,8 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
     """RK4 method-of-lines evolution with clamped (Dirichlet) end nodes."""
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
+    if snapshot_every is not None and snapshot_every < 1:
+        raise ValueError("snapshot_every must be a positive integer")
     cmax = max_wave_speed(params)
     if dt > 0.5 * grid.dx / cmax:
         raise ValueError(
@@ -122,7 +128,7 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
 
     def rhs(y, t):
         Theta, Phi, Theta_t, Phi_t = y
-        acc = pde_rhs(FieldGrid(grid.x, Theta, Phi, Theta_t, Phi_t, t), params)
+        acc = pde_rhs(grid._with_fields(Theta, Phi, Theta_t, Phi_t, t), params)
         out = (Theta_t.copy(), Phi_t.copy(), acc[0], acc[1])
         for a in out:  # clamp boundary nodes
             a[0] = a[-1] = 0.0
@@ -139,7 +145,7 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
         if max(np.max(np.abs(y[0])), np.max(np.abs(y[1]))) > 1e6:
             raise PDEInstabilityError("fields blew up", t)
         if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            snaps.append(FieldGrid(grid.x, *[a.copy() for a in y], t=t))
+            snaps.append(grid._with_fields(*[a.copy() for a in y], t=t))
     return snaps
 
 
@@ -150,9 +156,7 @@ def energy_density(grid: FieldGrid, params: ChainParams):
     dx = grid.dx
     Theta_x = derivative(grid.Theta, dx, 1)
     Phi_x = derivative(grid.Phi, dx, 1)
-    c = np.cos(grid.Phi)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    r2a, r2b = _inertia(grid.Phi, r, R)
     T = (0.5 * (M * R**2 + m * r2b) * grid.Theta_t**2
          + 0.5 * m * r * r * grid.Phi_t**2 + m * r2a * grid.Theta_t * grid.Phi_t)
     U_grad = (0.5 * Kt * Theta_x**2
@@ -177,6 +181,15 @@ def topological_charge(grid: FieldGrid):
     return int(n)
 
 
+def _charge_or_none(grid: FieldGrid):
+    """topological_charge, or None when the boundary data carries no clean
+    winding number."""
+    try:
+        return topological_charge(grid)
+    except ValueError:
+        return None
+
+
 def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
     """Travelling-kink initial data sampled on grid x."""
     x = np.asarray(x, dtype=float)
@@ -190,23 +203,14 @@ def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
 
 
 def export_fields_csv(snaps, path):
-    with open(path, "w") as f:
-        f.write("# schema: pde-fields v1\n")
-        f.write("t,x,Theta,Phi,Theta_t,Phi_t\n")
-        for g in snaps:
-            for j in range(g.n):
-                f.write(f"{float(g.t)!r},{float(g.x[j])!r},"
-                        f"{float(g.Theta[j])!r},{float(g.Phi[j])!r},"
-                        f"{float(g.Theta_t[j])!r},{float(g.Phi_t[j])!r}\n")
+    write_csv(path, "pde-fields v1", "t,x,Theta,Phi,Theta_t,Phi_t",
+              (row for g in snaps
+               for row in zip(repeat(float(g.t)), g.x.tolist(),
+                              g.Theta.tolist(), g.Phi.tolist(),
+                              g.Theta_t.tolist(), g.Phi_t.tolist())))
 
 
 def export_energy_csv(snaps, params: ChainParams, path):
-    with open(path, "w") as f:
-        f.write("# schema: pde-energy v1\n")
-        f.write("t,E,N\n")
-        for g in snaps:
-            try:
-                q = str(topological_charge(g))
-            except ValueError:
-                q = ""  # boundary data carries no clean winding number
-            f.write(f"{float(g.t)!r},{float(energy_total(g, params))!r},{q}\n")
+    write_csv(path, "pde-energy v1", "t,E,N",
+              ((float(g.t), energy_total(g, params), "" if q is None else q)
+               for g, q in zip(snaps, map(_charge_or_none, snaps))))

@@ -6,11 +6,12 @@ monitored instead of structurally eliminated.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from ._stencils import IntegrationError, rk4_step  # noqa: F401 (re-exported)
 from .chain import LatticeState, discrete_forces, kinetic_energy, potential_energy
 from .params import ChainParams, _kink
@@ -49,6 +50,8 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
     """
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be a positive integer")
     n_steps = max(1, int(round(t_end / dt)))
     state = initial
     e0 = total_energy(state, params)
@@ -95,43 +98,26 @@ def kink_center(state: LatticeState, params: ChainParams, level=np.pi):
 
 def export_trajectory_csv(report: SimulationReport, path):
     """CSV of all snapshots, one row per (t, site)."""
-    with open(path, "w") as f:
-        f.write("# schema: lattice-trajectory v1\n")
-        f.write("t,site,theta,phi,theta_dot,phi_dot\n")
-        for st in report.trajectory:
-            for i in range(st.n_sites):
-                f.write(f"{float(st.t)!r},{i},{float(st.theta[i])!r},"
-                        f"{float(st.phi[i])!r},{float(st.theta_dot[i])!r},"
-                        f"{float(st.phi_dot[i])!r}\n")
+    write_csv(path, "lattice-trajectory v1",
+              "t,site,theta,phi,theta_dot,phi_dot",
+              (row for st in report.trajectory
+               for row in zip(repeat(float(st.t)), range(st.n_sites),
+                              st.theta.tolist(), st.phi.tolist(),
+                              st.theta_dot.tolist(), st.phi_dot.tolist())))
 
 
 def export_energy_csv(report: SimulationReport, path):
-    with open(path, "w") as f:
-        f.write("# schema: lattice-energy v1\n")
-        f.write("t,E\n")
-        for t, e in report.energy_series:
-            f.write(f"{float(t)!r},{float(e)!r}\n")
+    write_csv(path, "lattice-energy v1", "t,E",
+              map(tuple, report.energy_series.tolist()))
 
 
-def summary_dict(report: SimulationReport, params: ChainParams):
+def summary_dict(report: SimulationReport):
     return {
         "max_energy_drift": report.max_energy_drift,
         "n_snapshots": len(report.trajectory),
         "t_final": report.trajectory[-1].t,
-        "params": {
-            "M": params.M, "m": params.m, "R": params.R, "r": params.r,
-            "kappa_t": params.kappa_t, "kappa_s": params.kappa_s,
-            "g": params.g, "delta": params.delta,
-            "topology": params.topology,
-            "confinement": {
-                "family": params.h_spec.family, "phi0": params.h_spec.phi0,
-                "c2": params.h_spec.c2, "b": params.h_spec.b,
-            },
-        },
     }
 
 
-def write_summary_json(report: SimulationReport, params: ChainParams, path):
-    with open(path, "w") as f:
-        json.dump(summary_dict(report, params), f, indent=2, sort_keys=True)
-        f.write("\n")
+def write_summary_json(report: SimulationReport, path):
+    write_json(summary_dict(report), path)

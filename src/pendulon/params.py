@@ -126,20 +126,6 @@ class ChainParams:
             raise ValueError("topology must be 'open' or 'periodic'")
 
     @property
-    def lam(self):
-        """Aspect ratio r/R."""
-        if self.R == 0:
-            raise ValueError("lambda undefined at R = 0")
-        return self.r / self.R
-
-    @property
-    def rho(self):
-        """Mass ratio M/m."""
-        if self.m == 0:
-            raise ValueError("rho undefined at m = 0")
-        return self.M / self.m
-
-    @property
     def Ks(self):
         return self.kappa_s * self.delta**2
 
@@ -160,3 +146,10 @@ def _kink(u):
     e = np.exp(-np.abs(u))
     half = 4.0 * np.arctan(e)
     return np.where(u <= 0.0, half, 2.0 * np.pi - half), 2.0 * e / (1.0 + e * e)
+
+
+def _inertia(phi, r, R):
+    """(r^2 alpha, r^2 beta) = (r (r + R cos phi), r^2 + R^2 + 2 r R cos phi),
+    the phi-dependent inertia products of the chain; finite at r = 0."""
+    c = np.cos(phi)
+    return r * (r + R * c), r * r + R * R + 2 * r * R * c

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._stencils import derivative, derivative_matrix
+from ._io import write_csv
+from ._stencils import bordered_matrix, derivative, derivative_matrix
 from .params import ChainParams, ConfiningPotential, _kink
 from .travelwave import (TWParams, TWProfile, kink_profile, solve_tw_bvp,
                          tw_residual)
@@ -141,7 +141,8 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
         theta1(+-z_max) = 0,  <theta1, theta0'> = 0.
 
     The homogeneous operator annihilates the translation mode theta0', so the
-    system is solved in bordered form; the constraint picks the member of the
+    system is solved in bordered form, assembled in one pass by
+    _stencils.bordered_matrix; the constraint picks the member of the
     solution family orthogonal to that mode. The forcing is odd while the mode
     is even, hence the solvability integral vanishes and is checked, not
     assumed.
@@ -162,20 +163,13 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
     if abs(overlap) > 1e-8 * scale:
         raise RuntimeError("solvability integral unexpectedly nonzero")
 
-    L = (derivative_matrix(n, dz, 2)
-         - sp.diags(k * k * kin.cos_theta0)).tolil()
     rhs = f.copy()
-    for row in (0, n - 1):
-        L.rows[row] = [row]
-        L.data[row] = [1.0]
-        rhs[row] = 0.0
-
-    mode = kin.theta0_z.copy()
-    mode[0] = mode[-1] = 0.0
-    w = np.full(n, dz)
+    rhs[0] = rhs[-1] = 0.0
+    w = np.full(n, dz)  # trapezoid weights of <., theta0'>
     w[0] = w[-1] = 0.5 * dz
-    A = sp.bmat([[L.tocsr(), mode[:, None]],
-                 [(w * kin.theta0_z)[None, :], None]], format="csc")
+    A = bordered_matrix(None, derivative_matrix(n, dz, 2),
+                        [[(-(k * k * kin.cos_theta0), 0.0, 1.0)]], [0, n - 1],
+                        kin.theta0_z, w * kin.theta0_z)
     sol = splu(A).solve(np.concatenate([rhs, [0.0]]))
     return sol[:n]
 
@@ -395,9 +389,6 @@ def residual_scaling(params: ExpansionParams, eps_list, order: int,
 
 
 def export_scaling_csv(study: ScalingStudy, path) -> None:
-    with open(path, "w") as f:
-        f.write("# schema: residual-scaling v1\n")
-        f.write("eps,res_eq1_L2,res_eq2_L2\n")
-        for j in range(study.eps.size):
-            f.write(f"{float(study.eps[j])!r},{float(study.res1_l2[j])!r},"
-                    f"{float(study.res2_l2[j])!r}\n")
+    write_csv(path, "residual-scaling v1", "eps,res_eq1_L2,res_eq2_L2",
+              zip(study.eps.tolist(), study.res1_l2.tolist(),
+                  study.res2_l2.tolist()))

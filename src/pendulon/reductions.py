@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._io import write_csv
 from ._stencils import derivative
 from .params import ChainParams
 from .travelwave import (TWParams, TWProfile, TWSolveError, kink_profile,
@@ -133,9 +134,6 @@ class StiffReport:
     v_star: float
     cells: tuple
 
-    def at_speed(self, v: float):
-        return [c for c in self.cells if c.v == v]
-
 
 def stiff_limit_experiment(params: ChainParams,
                            stiffness_ladder: Optional[Sequence[float]] = None,
@@ -185,9 +183,7 @@ def stiff_limit_experiment(params: ChainParams,
 
 
 def export_stiff_csv(report: StiffReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("# schema: stiff-limit v1\n")
-        f.write("h2,v,converged,max_abs_phi,residual\n")
-        for c in report.cells:
-            f.write(f"{float(c.h2)!r},{float(c.v)!r},{int(c.converged)},"
-                    f"{float(c.max_abs_phi)!r},{float(c.residual)!r}\n")
+    write_csv(path, "stiff-limit v1", "h2,v,converged,max_abs_phi,residual",
+              ((float(c.h2), float(c.v), int(c.converged),
+                float(c.max_abs_phi), float(c.residual))
+               for c in report.cells))

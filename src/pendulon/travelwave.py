@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._stencils import derivative, derivative_matrix
-from .params import ChainParams, _kink
+from ._io import write_csv
+from ._stencils import bordered_matrix, derivative, derivative_matrix
+from .params import ChainParams, _inertia, _kink
 
 
 class TWSolveError(RuntimeError):
@@ -73,9 +73,8 @@ class TWProfile:
 def _residual_core(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
                    params: ChainParams):
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    c, s = np.cos(phi), np.sin(phi)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    s = np.sin(phi)
+    r2a, r2b = _inertia(phi, r, R)
     res1 = (mu * r2a * phi_zz
             + (params.Kt - M * R**2 * v**2 + mu * r2b) * theta_zz
             - mu * r * R * phi_z * (phi_z + 2 * theta_z) * s
@@ -110,9 +109,7 @@ def tw_residual(profile: TWProfile, params: ChainParams):
 def _density_raw(theta, phi, theta_z, phi_z, v, mu, M, m, R, r, Kt, g, h_spec):
     """Lagrangian density from bare coefficient values (callers may pass
     algebraic continuations that no valid ChainParams represents)."""
-    c = np.cos(phi)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    r2a, r2b = _inertia(phi, r, R)
     C_theta = M * R**2 * v**2 - Kt - mu * r2b
     return (0.5 * C_theta * theta_z**2 - 0.5 * mu * r * r * phi_z**2
             - mu * r2a * theta_z * phi_z
@@ -139,9 +136,7 @@ def tw_first_integral(profile: TWProfile, params: ChainParams):
     thz, phz = profile.theta_z, profile.phi_z
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     mu, v = profile.tw.mu, profile.tw.v
-    c = np.cos(ph)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    r2a, r2b = _inertia(ph, r, R)
     C_theta = M * R**2 * v**2 - params.Kt - mu * r2b
     return (0.5 * C_theta * thz**2 - 0.5 * mu * r * r * phz**2
             - mu * r2a * thz * phz
@@ -174,8 +169,7 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
     """Pointwise d(res)/d(field, field', field'') coefficients."""
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     c, s = np.cos(phi), np.sin(phi)
-    r2a = r * (r + R * c)
-    r2b = r * r + R * R + 2 * r * R * c
+    r2a, r2b = _inertia(phi, r, R)
     d_r2a = -r * R * s
     d_r2b = -2 * r * R * s
 
@@ -206,6 +200,8 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
     Dirichlet values are taken from the ends of the guess (so 0 -> 2 pi N and
     pi-shifted connections are both supported); the translation zero mode is
     removed by a bordered pinning row theta(z_mid) = mean of the end values.
+    Each iteration assembles the bordered Jacobian in one pass, straight into
+    CSC arrays (_stencils.bordered_matrix), and factors it with splu.
     Raises TWSolveError on non-convergence, with the final residual attached.
     """
     params.require_dynamic()
@@ -221,6 +217,8 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
     ph_l, ph_r = guess.phi[0], guess.phi[-1]
     mid = n // 2
     pin_target = 0.5 * (th_l + th_r)
+    pin_row = np.zeros(2 * n)
+    pin_row[2 * mid] = 1.0
 
     theta = guess.theta.copy()
     phi = guess.phi.copy()
@@ -252,40 +250,13 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
         if best < tol:
             break
         jb = _jacobian_blocks(theta, phi, tz, pz, tzz, pzz, tw.mu, tw.v, params)
-        eye = sp.identity(n, format="csr")
-
-        def block(c0, c1, c2):
-            return (sp.diags(c0) @ eye + sp.diags(c1) @ D1 + sp.diags(c2) @ D2)
-
-        J11 = block(jb["r1_t0"], jb["r1_t1"], jb["r1_t2"])
-        J12 = block(jb["r1_p0"], jb["r1_p1"], jb["r1_p2"])
-        J21 = block(jb["r2_t0"], jb["r2_t1"], jb["r2_t2"])
-        J22 = block(jb["r2_p0"], jb["r2_p1"], jb["r2_p2"])
-
-        # interleave fields: unknown vector is (theta_0, phi_0, theta_1, ...)
-        perm = np.empty(2 * n, dtype=int)
-        perm[0:2 * n:2] = np.arange(n)
-        perm[1:2 * n:2] = np.arange(n) + n
-        J = sp.bmat([[J11, J12], [J21, J22]], format="csr")
-        P = sp.csr_matrix((np.ones(2 * n), (np.arange(2 * n), perm)),
-                          shape=(2 * n, 2 * n))
-        J = P @ J @ P.T
-
-        J = J.tolil()
-        for row, col in ((0, 0), (1, 1), (2 * n - 2, 2 * n - 2), (2 * n - 1, 2 * n - 1)):
-            J.rows[row] = [col]
-            J.data[row] = [1.0]
-        J = J.tocsr()
-
-        # border: pin row theta(mid); column is the translation direction
-        tangent = np.zeros(2 * n)
-        tangent[0:2 * n:2] = tz
-        tangent[1:2 * n:2] = pz
-        tangent[[0, 1, 2 * n - 2, 2 * n - 1]] = 0.0
-        pin_row = np.zeros(2 * n)
-        pin_row[2 * mid] = 1.0
-        A = sp.bmat([[J, tangent[:, None]], [pin_row[None, :], None]],
-                    format="csc")
+        # block (equation, field) is jb["r<equation>_<t|p><derivative>"];
+        # the unknowns interleave theta and phi, the four end rows are the
+        # Dirichlet conditions, the border column is the translation mode
+        blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
+                  for eq in "12"]
+        A = bordered_matrix(D1, D2, blocks, [0, 1, 2 * n - 2, 2 * n - 1],
+                            np.column_stack([tz, pz]).ravel(), pin_row)
         try:
             lu = splu(A)
         except RuntimeError as exc:
@@ -318,11 +289,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
 def export_profile_csv(profile: TWProfile, params: ChainParams, path):
     res1, res2 = tw_residual(profile, params)
     E = tw_first_integral(profile, params)
-    with open(path, "w") as f:
-        f.write("# schema: tw-profile v1\n")
-        f.write("z,theta,phi,theta_z,phi_z,res1,res2,E_tw\n")
-        for j in range(profile.z.shape[0]):
-            row = (profile.z[j], profile.theta[j], profile.phi[j],
-                   profile.theta_z[j], profile.phi_z[j], res1[j], res2[j],
-                   E[j])
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
+    columns = (profile.z, profile.theta, profile.phi, profile.theta_z,
+               profile.phi_z, res1, res2, E)
+    write_csv(path, "tw-profile v1", "z,theta,phi,theta_z,phi_z,res1,res2,E_tw",
+              zip(*(c.tolist() for c in columns)))

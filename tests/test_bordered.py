@@ -1,0 +1,153 @@
+"""The bordered matrices that solve_tw_bvp and order1_theta factor, caught at
+their splu call, against the sparse-algebra pipeline they were built with
+before: diags products, bmat, an interleaving permutation and LIL row
+patching, kept here as the reference. Equality is bit for bit in the CSC
+indptr, indices and data."""
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
+
+from pendulon import perturbation, travelwave
+from pendulon._stencils import derivative_matrix
+from pendulon.params import ChainParams, ConfiningPotential
+from pendulon.perturbation import (ExpansionParams, kink_grid,
+                                   kink_parameter, order1_theta, sg_kink)
+from pendulon.travelwave import (TWParams, TWProfile, _jacobian_blocks,
+                                 kink_profile, solve_tw_bvp)
+
+CHAIN = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
+                    kappa_s=0.985, g=1.0, delta=1.0,
+                    h_spec=ConfiningPotential(family="quadratic", c2=2.0))
+
+
+def _reference_newton_matrix(D1, D2, jb, tz, pz, mid):
+    n = D2.shape[0]
+    eye = sp.identity(n, format="csr")
+
+    def block(c0, c1, c2):
+        return (sp.diags(c0) @ eye + sp.diags(c1) @ D1 + sp.diags(c2) @ D2)
+
+    J11 = block(jb["r1_t0"], jb["r1_t1"], jb["r1_t2"])
+    J12 = block(jb["r1_p0"], jb["r1_p1"], jb["r1_p2"])
+    J21 = block(jb["r2_t0"], jb["r2_t1"], jb["r2_t2"])
+    J22 = block(jb["r2_p0"], jb["r2_p1"], jb["r2_p2"])
+    perm = np.empty(2 * n, dtype=int)
+    perm[0:2 * n:2] = np.arange(n)
+    perm[1:2 * n:2] = np.arange(n) + n
+    J = sp.bmat([[J11, J12], [J21, J22]], format="csr")
+    P = sp.csr_matrix((np.ones(2 * n), (np.arange(2 * n), perm)),
+                      shape=(2 * n, 2 * n))
+    J = (P @ J @ P.T).tolil()
+    for row in (0, 1, 2 * n - 2, 2 * n - 1):
+        J.rows[row] = [row]
+        J.data[row] = [1.0]
+    tangent = np.zeros(2 * n)
+    tangent[0:2 * n:2] = tz
+    tangent[1:2 * n:2] = pz
+    tangent[[0, 1, 2 * n - 2, 2 * n - 1]] = 0.0
+    pin_row = np.zeros(2 * n)
+    pin_row[2 * mid] = 1.0
+    return sp.bmat([[J.tocsr(), tangent[:, None]], [pin_row[None, :], None]],
+                   format="csc")
+
+
+def _reference_order1_matrix(D2, k, kin, dz):
+    n = D2.shape[0]
+    L = (D2 - sp.diags(k * k * kin.cos_theta0)).tolil()
+    for row in (0, n - 1):
+        L.rows[row] = [row]
+        L.data[row] = [1.0]
+    mode = kin.theta0_z.copy()
+    mode[0] = mode[-1] = 0.0
+    w = np.full(n, dz)
+    w[0] = w[-1] = 0.5 * dz
+    return sp.bmat([[L.tocsr(), mode[:, None]],
+                    [(w * kin.theta0_z)[None, :], None]], format="csc")
+
+
+def _assert_same_csc(got, ref):
+    assert got.format == "csc" and got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+    assert got.has_sorted_indices
+
+
+class _Factored(Exception):
+    """Carries the matrix a solver handed to splu out of the solver."""
+
+
+def _matrix_factored_by(module, solve):
+    """The first matrix `solve()` passes to `module.splu`."""
+    def capture(A):
+        raise _Factored(A)
+
+    with mock.patch.object(module, "splu", capture):
+        with pytest.raises(_Factored) as caught:
+            solve()
+    return caught.value.args[0]
+
+
+def _fields(rng, n, zero_fraction):
+    """Normal samples with a share of exact zeros, which the assembly must drop
+    where they cancel a term."""
+    f = rng.normal(0.0, 0.5, n)
+    f[rng.random(n) < zero_fraction] = 0.0
+    return f
+
+
+def _newton_case(theta, phi, v, half_width=8.0):
+    n = theta.shape[0]
+    z = np.linspace(-half_width, half_width, n)
+    guess = TWProfile(z, theta, phi, np.zeros(n), np.zeros(n),
+                      TWParams.for_speed(v, CHAIN))
+    # tol = 0 makes the solver factor even when the guess solves the system
+    got = _matrix_factored_by(
+        travelwave, lambda: solve_tw_bvp(guess, CHAIN, guess.tw, tol=0.0))
+    D1, D2 = derivative_matrix(n, guess.dz, 1), derivative_matrix(n, guess.dz, 2)
+    tz, pz = D1 @ theta, D1 @ phi
+    jb = _jacobian_blocks(theta, phi, tz, pz, D2 @ theta, D2 @ phi,
+                          guess.tw.mu, guess.tw.v, CHAIN)
+    _assert_same_csc(got, _reference_newton_matrix(D1, D2, jb, tz, pz, n // 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(6, 300), seed=st.integers(0, 2**32 - 1),
+       v=st.floats(-6.0, 6.0), flat_phi=st.booleans(),
+       zeros=st.floats(0.0, 1.0))
+def test_newton_matrix_matches_sparse_pipeline(n, seed, v, flat_phi, zeros):
+    """Over drawn grids, fields and speeds; mu = K_s - m v^2 takes both signs.
+    The kink guess has phi = 0, which zeroes whole Jacobian blocks."""
+    assume(TWParams.for_speed(v, CHAIN).mu != 0)
+    rng = np.random.default_rng(seed)
+    phi = np.zeros(n) if flat_phi else _fields(rng, n, zeros)
+    _newton_case(_fields(rng, n, zeros), phi, v)
+
+
+def test_newton_matrix_on_a_kink_guess():
+    """The solver's first matrix on the README chain and grid."""
+    z = np.linspace(-20.0, 20.0, 2001)
+    guess = kink_profile(z, 1.05, 0.305, CHAIN, with_curvature=False)
+    _newton_case(guess.theta, guess.phi, 0.305, half_width=20.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 400), A=st.floats(0.5, 2.0), Mhat=st.floats(0.5, 2.0),
+       Khat=st.floats(0.5, 2.0), v0=st.floats(0.0, 0.4),
+       r1=st.floats(-1.0, 1.0), k1=st.floats(-1.0, 1.0),
+       v1=st.floats(-1.0, 1.0))
+def test_order1_matrix_matches_sparse_pipeline(n, A, Mhat, Khat, v0, r1, k1,
+                                               v1):
+    params = ExpansionParams(A=A, Mhat=Mhat, Khat=Khat, g=1.0, v0=v0, r1=r1,
+                             k1=k1, v1=v1)
+    z = kink_grid(params, n=n, half_width=35.0)
+    got = _matrix_factored_by(perturbation,
+                              lambda: order1_theta(params, z))
+    dz = float(z[1] - z[0])
+    ref = _reference_order1_matrix(derivative_matrix(n, dz, 2),
+                                   kink_parameter(params),
+                                   sg_kink(z, params), dz)
+    _assert_same_csc(got, ref)

@@ -204,3 +204,16 @@ def test_confinement_counts_toward_potential(rng):
     st = LatticeState(np.zeros(4), phi, np.zeros(4), np.zeros(4), 0.0)
     assert potential_energy(st, base) == pytest.approx(
         np.sum(0.5 * 3.0 * phi**2), rel=1e-12)
+
+
+@pytest.mark.parametrize("r, R", [(0.04, 0.96), (0.5, 1.1), (0.0, 1.0),
+                                  (1e-8, 3.0)])
+def test_inertia_helper_matches_inline_products(rng, r, R):
+    """_inertia reproduces the r^2 alpha / r^2 beta expressions each layer
+    used to write out, bit for bit, for arrays and scalars."""
+    from pendulon.params import _inertia
+    for phi in (rng.uniform(-10.0, 10.0, 257), 0.3, np.float64(-2.5)):
+        c = np.cos(phi)
+        r2a, r2b = _inertia(phi, r, R)
+        assert np.array_equal(r2a, r * (r + R * c))
+        assert np.array_equal(r2b, r * r + R * R + 2 * r * R * c)

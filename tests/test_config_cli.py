@@ -207,6 +207,27 @@ def test_dry_run_still_validates(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, sections", [
+    ("simulate-lattice", "\n[lattice]\nn_sites = 20\nk = 1.0\nv = 0.4\n"),
+    ("simulate-pde", "\n[domain]\nx_min = 0\nx_max = 30\nn_points = 101\n"
+                     "\n[pde]\nk = 1.0\nv = 0.4\n"),
+])
+def test_zero_snapshot_every_is_exit_1(tmp_path, capsys, command, sections):
+    cfg = _write(tmp_path, "snap.ini",
+                 CHAIN_INI + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+                 "snapshot_every = 0\n" + sections)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "snapshot_every" in capsys.readouterr().err
+
+
+def test_solve_tw_zero_k_without_half_width_is_exit_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "tw.ini", CHAIN_INI + "\n[tw]\nv = 0.305\nk = 0\n")
+    rc = cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "[tw] k" in capsys.readouterr().err
+
+
 def test_simulate_lattice_and_pde_artifacts(tmp_path):
     body = """\
 [chain]

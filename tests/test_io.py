@@ -1,0 +1,177 @@
+"""Artifact writers: every CSV exporter against the per-row f-string writer it
+replaced, kept here as the reference, byte for byte on small random reports."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pendulon import continuum, lattice, perturbation, reductions, travelwave
+from pendulon._io import write_csv
+from pendulon.chain import LatticeState
+from pendulon.params import ChainParams, ConfiningPotential
+
+CHAIN = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
+                    kappa_s=0.985, g=1.0, delta=1.0,
+                    h_spec=ConfiningPotential(family="quadratic", c2=2.0))
+
+
+def _values(rng, n):
+    """Floats over many magnitudes, with exact zeros and negative zeros."""
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v[rng.random(n) < 0.1] = 0.0
+    v[rng.random(n) < 0.1] = -0.0
+    return v
+
+
+def _reference_rows(path, schema, header, rows):
+    with open(path, "w") as f:
+        f.write(f"# schema: {schema}\n")
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _reference_trajectory(report, path):
+    with open(path, "w") as f:
+        f.write("# schema: lattice-trajectory v1\n")
+        f.write("t,site,theta,phi,theta_dot,phi_dot\n")
+        for s in report.trajectory:
+            for i in range(s.n_sites):
+                f.write(f"{float(s.t)!r},{i},{float(s.theta[i])!r},"
+                        f"{float(s.phi[i])!r},{float(s.theta_dot[i])!r},"
+                        f"{float(s.phi_dot[i])!r}\n")
+
+
+def _reference_lattice_energy(report, path):
+    with open(path, "w") as f:
+        f.write("# schema: lattice-energy v1\n")
+        f.write("t,E\n")
+        for t, e in report.energy_series:
+            f.write(f"{float(t)!r},{float(e)!r}\n")
+
+
+def _reference_fields(snaps, path):
+    with open(path, "w") as f:
+        f.write("# schema: pde-fields v1\n")
+        f.write("t,x,Theta,Phi,Theta_t,Phi_t\n")
+        for g in snaps:
+            for j in range(len(g.x)):
+                f.write(f"{float(g.t)!r},{float(g.x[j])!r},"
+                        f"{float(g.Theta[j])!r},{float(g.Phi[j])!r},"
+                        f"{float(g.Theta_t[j])!r},{float(g.Phi_t[j])!r}\n")
+
+
+def _reference_pde_energy(snaps, params, path):
+    with open(path, "w") as f:
+        f.write("# schema: pde-energy v1\n")
+        f.write("t,E,N\n")
+        for g in snaps:
+            try:
+                q = str(continuum.topological_charge(g))
+            except ValueError:
+                q = ""
+            f.write(f"{float(g.t)!r},"
+                    f"{float(continuum.energy_total(g, params))!r},{q}\n")
+
+
+def _reference_stiff(report, path):
+    with open(path, "w") as f:
+        f.write("# schema: stiff-limit v1\n")
+        f.write("h2,v,converged,max_abs_phi,residual\n")
+        for c in report.cells:
+            f.write(f"{float(c.h2)!r},{float(c.v)!r},{int(c.converged)},"
+                    f"{float(c.max_abs_phi)!r},{float(c.residual)!r}\n")
+
+
+def _same_bytes(tmp_path, write_new, write_old):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_new(new)
+    write_old(old)
+    assert new.read_bytes() == old.read_bytes()
+
+
+SEEDS = settings(max_examples=25, deadline=None)
+
+
+@SEEDS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       snaps=st.integers(1, 4))
+def test_lattice_csvs_match_reference(tmp_path_factory, seed, n, snaps):
+    rng = np.random.default_rng(seed)
+    traj = [LatticeState(*(_values(rng, n) for _ in range(4)),
+                         t=float(_values(rng, 1)[0]))
+            for _ in range(snaps)]
+    report = lattice.SimulationReport(traj, _values(rng, 2 * snaps).reshape(-1, 2),
+                                      0.0)
+    tmp = tmp_path_factory.mktemp("lat")
+    _same_bytes(tmp, lambda p: lattice.export_trajectory_csv(report, p),
+                lambda p: _reference_trajectory(report, p))
+    _same_bytes(tmp, lambda p: lattice.export_energy_csv(report, p),
+                lambda p: _reference_lattice_energy(report, p))
+
+
+@SEEDS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 12),
+       snaps=st.integers(1, 4))
+def test_pde_fields_csv_matches_reference(tmp_path_factory, seed, n, snaps):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-1.0, 1.0, n) * 10.0 ** rng.integers(-5, 5)
+    grids = [continuum.FieldGrid(x, *(_values(rng, n) for _ in range(4)),
+                                 t=float(_values(rng, 1)[0]))
+             for _ in range(snaps)]
+    _same_bytes(tmp_path_factory.mktemp("pde"),
+                lambda p: continuum.export_fields_csv(grids, p),
+                lambda p: _reference_fields(grids, p))
+
+
+def test_pde_energy_csv_matches_reference_with_blank_charge(tmp_path):
+    x = np.linspace(0.0, 30.0, 61)
+    kink = continuum.kink_field_grid(CHAIN, 1.0, 0.3, x)
+    ragged = continuum.FieldGrid(x, np.linspace(0, np.pi, 61), kink.Phi,
+                                 kink.Theta_t, kink.Phi_t, 0.25)
+    snaps = [kink, ragged]
+    _same_bytes(tmp_path, lambda p: continuum.export_energy_csv(snaps, CHAIN, p),
+                lambda p: _reference_pde_energy(snaps, CHAIN, p))
+    assert (tmp_path / "new.csv").read_text().splitlines()[-1].endswith(",")
+
+
+@pytest.mark.parametrize("n", [6, 41])
+def test_tw_profile_csv_matches_reference(tmp_path, n):
+    z = np.linspace(-8.0, 8.0, n)
+    prof = travelwave.kink_profile(z, 1.05, 0.305, CHAIN, with_curvature=False)
+    res1, res2 = travelwave.tw_residual(prof, CHAIN)
+    E = travelwave.tw_first_integral(prof, CHAIN)
+    rows = zip(prof.z, prof.theta, prof.phi, prof.theta_z, prof.phi_z,
+               res1, res2, E)
+    _same_bytes(tmp_path,
+                lambda p: travelwave.export_profile_csv(prof, CHAIN, p),
+                lambda p: _reference_rows(
+                    p, "tw-profile v1",
+                    "z,theta,phi,theta_z,phi_z,res1,res2,E_tw", rows))
+
+
+@SEEDS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8))
+def test_small_csvs_match_reference(tmp_path_factory, seed, n):
+    rng = np.random.default_rng(seed)
+    tmp = tmp_path_factory.mktemp("small")
+    study = perturbation.ScalingStudy(*(_values(rng, n) for _ in range(3)),
+                                      0.0, 0.0)
+    _same_bytes(tmp, lambda p: perturbation.export_scaling_csv(study, p),
+                lambda p: _reference_rows(
+                    p, "residual-scaling v1", "eps,res_eq1_L2,res_eq2_L2",
+                    zip(study.eps, study.res1_l2, study.res2_l2)))
+    # integer stiffnesses must still print as floats
+    cells = tuple(reductions.StiffCell(int(h2), *_values(rng, 1).tolist(),
+                                       bool(ok), *_values(rng, 2).tolist())
+                  for h2, ok in zip(rng.integers(1, 10**6, n),
+                                    rng.integers(0, 2, n)))
+    report = reductions.StiffReport(v_star=2.0, cells=cells)
+    _same_bytes(tmp, lambda p: reductions.export_stiff_csv(report, p),
+                lambda p: _reference_stiff(report, p))
+    cols = [_values(rng, n) for _ in range(5)]
+    _same_bytes(tmp, lambda p: write_csv(p, "perturbative-orders v1",
+                                         "z,theta0,theta1,phi1,phi2",
+                                         zip(*(c.tolist() for c in cols))),
+                lambda p: _reference_rows(p, "perturbative-orders v1",
+                                          "z,theta0,theta1,phi1,phi2",
+                                          zip(*cols)))

@@ -99,7 +99,7 @@ def test_exports_and_reproducibility(tmp_path, generic_chain, rng):
     lattice.export_energy_csv(rep, e)
     assert e.read_text().splitlines()[0] == "# schema: lattice-energy v1"
     s = tmp_path / "summary.json"
-    lattice.write_summary_json(rep, generic_chain, s)
+    lattice.write_summary_json(rep, s)
     text = s.read_text()
     assert text.endswith("\n")
     assert "max_energy_drift" in text
