@@ -7,6 +7,10 @@ boundary fall back to biased stencils of the same order. Weights are generated
 from the Vandermonde system rather than hardcoded tables. The sparse operator
 of derivative_matrix is the only stencil implementation: derivative applies
 it, so both agree bit for bit.
+
+derivative builds its operator on each call and is meant for one-off use.
+Code that differentiates on the same grid many times keeps the operator
+instead: continuum.FieldGrid builds D1 and D2 once per grid.
 """
 from __future__ import annotations
 

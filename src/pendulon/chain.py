@@ -144,30 +144,35 @@ def discrete_lagrangian(state: LatticeState, params: ChainParams):
 
 
 def _potential_gradient(state: LatticeState, params: ChainParams):
-    """(dU/dtheta_i, dU/dphi_i) for the full potential, analytically."""
+    """(dU/dtheta_i, dU/dphi_i) for the full potential, analytically.
+
+    One sin/cos pass per site; the bond terms index the per-site values.
+    """
     th, ph = state.theta, state.phi
-    n = state.n_sites
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    sth, cth = np.sin(th), np.cos(th)
+    stp, ctp = np.sin(th + ph), np.cos(th + ph)
+    x = R * cth + r * ctp  # tip_position, per site
+    y = R * sth + r * stp
 
-    gth = g * (M * R * np.sin(th) + m * (R * np.sin(th) + r * np.sin(ph + th)))
-    gph = g * m * r * np.sin(ph + th) + params.h_spec.dh(ph)
+    gth = g * (M * R * sth + m * (R * sth + r * stp))
+    gph = g * m * r * stp + params.h_spec.dh(ph)
 
-    i, j = _bond_pairs(n, params.topology)
+    # i and j each hold distinct sites, so a[i] += v equals np.add.at
+    i, j = _bond_pairs(state.n_sites, params.topology)
     # torsional bonds
     s = params.kappa_t * np.sin(th[j] - th[i])
-    np.add.at(gth, i, -s)
-    np.add.at(gth, j, s)
+    gth[i] -= s
+    gth[j] += s
     # stacking bonds, via the Cartesian chain rule:
     # dU/dq = -kappa_s (tip_j - tip_i) . d tip_i/dq  (and + for site j)
-    xi, yi = tip_position(th[i], ph[i], params)
-    xj, yj = tip_position(th[j], ph[j], params)
-    dx, dy = xj - xi, yj - yi
+    dx, dy = x[j] - x[i], y[j] - y[i]
     ks = params.kappa_s
     # d tip/d theta = (-y, x); d tip/d phi = (-r sin(th+ph), r cos(th+ph))
-    np.add.at(gth, i, -ks * (dx * (-yi) + dy * xi))
-    np.add.at(gth, j, ks * (dx * (-yj) + dy * xj))
-    np.add.at(gph, i, -ks * r * (-dx * np.sin(th[i] + ph[i]) + dy * np.cos(th[i] + ph[i])))
-    np.add.at(gph, j, ks * r * (-dx * np.sin(th[j] + ph[j]) + dy * np.cos(th[j] + ph[j])))
+    gth[i] -= ks * (dx * -y[i] + dy * x[i])
+    gth[j] += ks * (dx * -y[j] + dy * x[j])
+    gph[i] -= ks * r * (-dx * stp[i] + dy * ctp[i])
+    gph[j] += ks * r * (-dx * stp[j] + dy * ctp[j])
     return gth, gph
 
 

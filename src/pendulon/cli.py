@@ -21,7 +21,8 @@ from . import lattice as lattice_mod
 from . import continuum, perturbation, reductions, travelwave
 from ._io import write_csv, write_json
 from .config import (ConfigError, chain_from_config, expansion_from_config,
-                     load_config, parse_bool, parse_floats, read_section)
+                     load_config, parse_bool, parse_floats,
+                     parse_positive_float, parse_positive_int, read_section)
 from .lattice import IntegrationError
 from .continuum import PDEInstabilityError
 from .travelwave import TWParams, TWSolveError
@@ -35,7 +36,9 @@ def _rel_l2(a, b):
 # commands: each does all config parsing first, bails before compute on dry run
 # ---------------------------------------------------------------------------
 
-_INTEGRATION_SCHEMA = {"dt": float, "t_end": float, "snapshot_every": int}
+_INTEGRATION_SCHEMA = {"dt": parse_positive_float,
+                       "t_end": parse_positive_float,
+                       "snapshot_every": parse_positive_int}
 
 
 def cmd_simulate_lattice(cp, args, out_dir, dry):
@@ -70,12 +73,13 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
                        required=("k", "v"))
     integ = read_section(cp, "integration", _INTEGRATION_SCHEMA,
                          required=("dt", "t_end"))
-    if dry:
-        return None, None
     x = np.linspace(dom["x_min"], dom["x_max"], dom["n_points"])
     grid = continuum.kink_field_grid(params, pde["k"], pde["v"], x,
                                      center=pde.get("center"),
                                      index=pde.get("index", 1))
+    continuum.check_time_step(integ["dt"], grid.dx, params)
+    if dry:
+        return None, None
     snaps = continuum.evolve(grid, integ["t_end"], integ["dt"], params,
                              snapshot_every=integ.get("snapshot_every"))
     outputs = ["pde-fields.csv", "pde-energy.csv"]

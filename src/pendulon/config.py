@@ -7,6 +7,7 @@ config typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
+import math
 
 from .params import ChainParams, ConfiningPotential
 from .perturbation import ExpansionParams
@@ -23,6 +24,20 @@ def parse_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def parse_positive_int(raw: str) -> int:
+    val = int(raw)
+    if val < 1:
+        raise ValueError(f"not a positive integer: {raw!r}")
+    return val
+
+
+def parse_positive_float(raw: str) -> float:
+    val = float(raw)
+    if not 0 < val < math.inf:  # also rejects nan
+        raise ValueError(f"not a positive finite number: {raw!r}")
+    return val
 
 
 def parse_floats(raw: str):

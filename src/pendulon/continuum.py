@@ -16,6 +16,10 @@ with the same 2x2 kinetic matrix as the discrete chain and source terms
 where K_s = kappa_s delta^2, K_t = kappa_t delta^2. Spatial derivatives are
 4th-order finite differences; evolve() clamps the two boundary nodes
 (Dirichlet far-field values).
+
+Each FieldGrid owns its stencil operators D1, D2, built once per grid; the
+grids derived from it by _with_fields (the RK4 stages and the snapshots of
+evolve) share them.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ from itertools import repeat
 import numpy as np
 
 from ._io import write_csv
-from ._stencils import IntegrationError, derivative, rk4_step
+from ._stencils import derivative  # noqa: F401 (re-exported)
+from ._stencils import IntegrationError, derivative_matrix, rk4_step
 from .chain import _mass_solve
 from .params import ChainParams, _inertia, _kink
 
@@ -36,6 +41,14 @@ class PDEInstabilityError(IntegrationError):
 
 @dataclass(frozen=True)
 class FieldGrid:
+    """Fields Theta, Phi and their time derivatives on a uniform grid x.
+
+    Construction checks x and builds the grid's stencil operators
+    D1 = d/dx and D2 = d^2/dx^2 once. They are private attributes, not
+    dataclass fields, so == and repr ignore them; _with_fields hands the
+    same two matrices to every grid it derives.
+    """
+
     x: np.ndarray
     Theta: np.ndarray
     Phi: np.ndarray
@@ -54,14 +67,17 @@ class FieldGrid:
         dx = np.diff(arrays[0])
         if np.any(np.abs(dx - dx[0]) > 1e-12 * abs(dx[0])):
             raise ValueError("grid must be uniform")
+        object.__setattr__(self, "_D", (derivative_matrix(n, dx[0], 1),
+                                        derivative_matrix(n, dx[0], 2)))
         for name, a in zip(("x", "Theta", "Phi", "Theta_t", "Phi_t"), arrays):
             object.__setattr__(self, name, a)
 
     def _with_fields(self, Theta, Phi, Theta_t, Phi_t, t):
-        """This grid with new fields; skips the checks of x (RK4 stages)."""
+        """This grid with new fields; skips the checks of x and shares its
+        operators (RK4 stages, snapshots)."""
         new = object.__new__(FieldGrid)
-        new.__dict__.update(x=self.x, Theta=Theta, Phi=Phi, Theta_t=Theta_t,
-                            Phi_t=Phi_t, t=t)
+        new.__dict__.update(self.__dict__, Theta=Theta, Phi=Phi,
+                            Theta_t=Theta_t, Phi_t=Phi_t, t=t)
         return new
 
     @property
@@ -92,11 +108,11 @@ def pde_rhs(grid: FieldGrid, params: ChainParams):
     reported as zero and Theta follows the single-field equation.
     """
     params.require_dynamic()
-    dx = grid.dx
-    Theta_x = derivative(grid.Theta, dx, 1)
-    Phi_x = derivative(grid.Phi, dx, 1)
-    Theta_xx = derivative(grid.Theta, dx, 2)
-    Phi_xx = derivative(grid.Phi, dx, 2)
+    D1, D2 = grid._D
+    Theta_x = D1 @ grid.Theta
+    Phi_x = D1 @ grid.Phi
+    Theta_xx = D2 @ grid.Theta
+    Phi_xx = D2 @ grid.Phi
     S1, S2 = _sources(grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t,
                       Theta_x, Phi_x, Theta_xx, Phi_xx, params)
     return _mass_solve(grid.Phi, S1, S2, params)
@@ -111,17 +127,22 @@ def max_wave_speed(params: ChainParams):
     return float(np.sqrt(c2))
 
 
+def check_time_step(dt, dx, params: ChainParams):
+    """Raise ValueError unless dt meets the RK4 stability bound
+    0.5 dx / c_max of evolve."""
+    bound = 0.5 * dx / max_wave_speed(params)
+    if dt > bound:
+        raise ValueError(
+            f"dt = {dt} violates the stability bound 0.5 dx / c_max = {bound}")
+
+
 def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None):
     """RK4 method-of-lines evolution with clamped (Dirichlet) end nodes."""
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
     if snapshot_every is not None and snapshot_every < 1:
         raise ValueError("snapshot_every must be a positive integer")
-    cmax = max_wave_speed(params)
-    if dt > 0.5 * grid.dx / cmax:
-        raise ValueError(
-            f"dt = {dt} violates the stability bound 0.5 dx / c_max = "
-            f"{0.5 * grid.dx / cmax}")
+    check_time_step(dt, grid.dx, params)
     n_steps = max(1, int(round(t_end / dt)))
     if snapshot_every is None:
         snapshot_every = n_steps
@@ -153,9 +174,9 @@ def energy_density(grid: FieldGrid, params: ChainParams):
     """H = T + U_t + U_s + U_p + U_c per unit length."""
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     Ks, Kt = params.Ks, params.Kt
-    dx = grid.dx
-    Theta_x = derivative(grid.Theta, dx, 1)
-    Phi_x = derivative(grid.Phi, dx, 1)
+    D1 = grid._D[0]
+    Theta_x = D1 @ grid.Theta
+    Phi_x = D1 @ grid.Phi
     r2a, r2b = _inertia(grid.Phi, r, R)
     T = (0.5 * (M * R**2 + m * r2b) * grid.Theta_t**2
          + 0.5 * m * r * r * grid.Phi_t**2 + m * r2a * grid.Theta_t * grid.Phi_t)

@@ -2,8 +2,10 @@
 identities, and force consistency with the discrete Lagrangian."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from pendulon.chain import (LatticeState, alpha_beta, discrete_forces,
+from pendulon.chain import (LatticeState, _bond_pairs, _potential_gradient,
+                            alpha_beta, discrete_forces,
                             discrete_lagrangian, kinetic_energy_site,
                             lagrangian_coordinate_gradient, mass_matrix,
                             potential_energy, stacking_potential,
@@ -217,3 +219,48 @@ def test_inertia_helper_matches_inline_products(rng, r, R):
         r2a, r2b = _inertia(phi, r, R)
         assert np.array_equal(r2a, r * (r + R * c))
         assert np.array_equal(r2b, r * r + R * R + 2 * r * R * c)
+
+
+def _reference_potential_gradient(state, params):
+    """The force kernel as first written: tip_position on the bond ends and
+    np.add.at accumulation. Kept as the reference for _potential_gradient."""
+    th, ph = state.theta, state.phi
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    gth = g * (M * R * np.sin(th) + m * (R * np.sin(th) + r * np.sin(ph + th)))
+    gph = g * m * r * np.sin(ph + th) + params.h_spec.dh(ph)
+    i, j = _bond_pairs(state.n_sites, params.topology)
+    s = params.kappa_t * np.sin(th[j] - th[i])
+    np.add.at(gth, i, -s)
+    np.add.at(gth, j, s)
+    xi, yi = tip_position(th[i], ph[i], params)
+    xj, yj = tip_position(th[j], ph[j], params)
+    dx, dy = xj - xi, yj - yi
+    ks = params.kappa_s
+    np.add.at(gth, i, -ks * (dx * (-yi) + dy * xi))
+    np.add.at(gth, j, ks * (dx * (-yj) + dy * xj))
+    np.add.at(gph, i, -ks * r * (-dx * np.sin(th[i] + ph[i])
+                                 + dy * np.cos(th[i] + ph[i])))
+    np.add.at(gph, j, ks * r * (-dx * np.sin(th[j] + ph[j])
+                                + dy * np.cos(th[j] + ph[j])))
+    return gth, gph
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=hst.integers(2, 300), topology=hst.sampled_from(["open", "periodic"]),
+       seed=hst.integers(0, 2**32 - 1), r=hst.floats(0.0, 2.0),
+       R=hst.floats(0.0, 2.0), kappa_t=hst.floats(0.0, 3.0),
+       kappa_s=hst.floats(0.0, 3.0), g=hst.floats(0.0, 2.0),
+       family=hst.sampled_from(["quadratic", "tangent-barrier"]))
+def test_potential_gradient_matches_reference_kernel(n, topology, seed, r, R,
+                                                     kappa_t, kappa_s, g,
+                                                     family):
+    """One trig pass per site and a[i] += v give the reference kernel's
+    arrays bit for bit."""
+    p = ChainParams(M=1.3, m=0.6, R=R, r=r, kappa_t=kappa_t, kappa_s=kappa_s,
+                    g=g, delta=0.8, topology=topology,
+                    h_spec=ConfiningPotential(family=family, c2=1.7, b=0.2))
+    state = _random_state(np.random.default_rng(seed), n, scale=3.0)
+    got = _potential_gradient(state, p)
+    ref = _reference_potential_gradient(state, p)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)

@@ -10,7 +10,8 @@ import pytest
 from pendulon import cli
 from pendulon.config import (ConfigError, chain_from_config,
                              expansion_from_config, load_config, parse_bool,
-                             parse_floats, read_section)
+                             parse_floats, parse_positive_float,
+                             parse_positive_int, read_section)
 
 CHAIN_INI = """\
 [chain]
@@ -78,6 +79,14 @@ def test_parse_helpers():
     assert parse_floats("1, 2.5,3") == [1.0, 2.5, 3.0]
     with pytest.raises(ValueError):
         parse_floats(" , ")
+    assert parse_positive_int(" 3") == 3
+    assert parse_positive_float("2.5e-3") == 2.5e-3
+    for bad in ("0", "-2", "1.5", "x"):
+        with pytest.raises(ValueError):
+            parse_positive_int(bad)
+    for bad in ("0", "-1e-9", "nan", "inf", "x"):
+        with pytest.raises(ValueError):
+            parse_positive_float(bad)
 
 
 def test_unknown_key_names_section_and_key(tmp_path):
@@ -219,6 +228,41 @@ def test_zero_snapshot_every_is_exit_1(tmp_path, capsys, command, sections):
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "snapshot_every" in capsys.readouterr().err
+
+
+_SIM_SECTIONS = {
+    "simulate-lattice": "\n[lattice]\nn_sites = 20\nk = 1.0\nv = 0.4\n",
+    "simulate-pde": "\n[domain]\nx_min = 0\nx_max = 30\nn_points = 101\n"
+                    "\n[pde]\nk = 1.0\nv = 0.4\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIM_SECTIONS))
+@pytest.mark.parametrize("integration, key", [
+    ("dt = 0.002\nt_end = 0.01\nsnapshot_every = 0\n", "snapshot_every"),
+    ("dt = 0\nt_end = 0.01\n", "'dt'"),
+    ("dt = 0.002\nt_end = -1\n", "t_end"),
+])
+def test_dry_run_rejects_bad_integration_values(tmp_path, capsys, command,
+                                                integration, key):
+    cfg = _write(tmp_path, "integ.ini", CHAIN_INI + "\n[integration]\n"
+                 + integration + _SIM_SECTIONS[command])
+    rc = cli.main([command, "--config", cfg, "--dry-run"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert key in captured.err and "config ok" not in captured.out
+
+
+def test_dry_run_rejects_unstable_pde_time_step(tmp_path, capsys):
+    # dx = 0.3 and c_max = 4.44 for this chain: the bound is dt <= 0.0338
+    cfg = _write(tmp_path, "cfl.ini", CHAIN_INI
+                 + "\n[integration]\ndt = 0.05\nt_end = 1.0\n"
+                 + _SIM_SECTIONS["simulate-pde"])
+    rc = cli.main(["simulate-pde", "--config", cfg, "--dry-run"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "dt = 0.05 violates the stability bound" in captured.err
+    assert "config ok" not in captured.out
 
 
 def test_solve_tw_zero_k_without_half_width_is_exit_1(tmp_path, capsys):

@@ -2,14 +2,16 @@
 agreement with the co-moving residual under the travelling substitution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pendulon import continuum
-from pendulon.continuum import (FieldGrid, PDEInstabilityError, energy_total,
-                                evolve, kink_field_grid, max_wave_speed,
-                                pde_rhs, topological_charge)
-from pendulon.params import ChainParams
+from pendulon.chain import _mass_solve
+from pendulon.continuum import (FieldGrid, PDEInstabilityError, _sources,
+                                energy_total, evolve, kink_field_grid,
+                                max_wave_speed, pde_rhs, topological_charge)
+from pendulon.params import ChainParams, _inertia
 from pendulon.travelwave import _residual_core
-from pendulon._stencils import derivative
+from pendulon._stencils import derivative, derivative_matrix
 
 
 def _single_angle_chain(delta=0.05):
@@ -141,3 +143,109 @@ def test_export_schemas(tmp_path):
     lines = f2.read_text().splitlines()
     assert lines[0] == "# schema: pde-energy v1"
     assert lines[2].endswith(",1")  # winding number column
+
+
+# ------------------------------------------------- per-grid operators ---
+
+def _reference_pde_rhs(grid, params):
+    """pde_rhs as it was before the grid owned its operators: four
+    derivative calls, each building its own operator."""
+    params.require_dynamic()
+    dx = grid.dx
+    Theta_x = derivative(grid.Theta, dx, 1)
+    Phi_x = derivative(grid.Phi, dx, 1)
+    Theta_xx = derivative(grid.Theta, dx, 2)
+    Phi_xx = derivative(grid.Phi, dx, 2)
+    S1, S2 = _sources(grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t,
+                      Theta_x, Phi_x, Theta_xx, Phi_xx, params)
+    return _mass_solve(grid.Phi, S1, S2, params)
+
+
+def _reference_energy_density(grid, params):
+    """energy_density as it was before the grid owned its operators."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    Ks, Kt = params.Ks, params.Kt
+    dx = grid.dx
+    Theta_x = derivative(grid.Theta, dx, 1)
+    Phi_x = derivative(grid.Phi, dx, 1)
+    r2a, r2b = _inertia(grid.Phi, r, R)
+    T = (0.5 * (M * R**2 + m * r2b) * grid.Theta_t**2
+         + 0.5 * m * r * r * grid.Phi_t**2 + m * r2a * grid.Theta_t * grid.Phi_t)
+    U_grad = (0.5 * Kt * Theta_x**2
+              + 0.5 * Ks * (r * r * Phi_x**2 + 2 * r2a * Theta_x * Phi_x
+                            + r2b * Theta_x**2))
+    U_p = g * ((M + m) * R * (1 - np.cos(grid.Theta))
+               + m * r * (1 - np.cos(grid.Phi + grid.Theta)))
+    U_c = params.h_spec.h(grid.Phi)
+    return T + U_grad + U_p + U_c
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(6, 400), x0=st.floats(-10.0, 10.0),
+       h=st.floats(1e-2, 2.0), seed=st.integers(0, 2**32 - 1),
+       single=st.booleans())
+def test_grid_operators_match_derivative_path(n, x0, h, seed, single):
+    """pde_rhs and energy_density through the grid's own operators equal the
+    old derivative-based formulas bit for bit."""
+    p = (_single_angle_chain() if single else
+         ChainParams(M=1.3, m=0.6, R=1.1, r=0.5, kappa_t=0.7, kappa_s=1.9,
+                     g=0.9, delta=0.8))
+    rng = np.random.default_rng(seed)
+    x = x0 + h * np.arange(n)
+    grid = FieldGrid(x, *rng.normal(0.0, 2.0, (4, n)), 0.0)
+    for a, b in zip(pde_rhs(grid, p), _reference_pde_rhs(grid, p)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(continuum.energy_density(grid, p),
+                          _reference_energy_density(grid, p))
+
+
+def test_evolve_shares_the_grid_operators(monkeypatch):
+    p = _single_angle_chain()
+    grid = kink_field_grid(p, 1.0, 0.2, np.linspace(0, 20, 101))
+    D1, D2 = grid._D
+    stages = []
+    real_rhs = continuum.pde_rhs
+
+    def recording_rhs(g, params):
+        stages.append(g)
+        return real_rhs(g, params)
+
+    monkeypatch.setattr(continuum, "pde_rhs", recording_rhs)
+    snaps = evolve(grid, 0.01, 1e-3, p, snapshot_every=2)
+    assert len(stages) == 4 * 10 and len(snaps) == 6
+    for g in stages + snaps:
+        assert g._D[0] is D1 and g._D[1] is D2
+        assert g.x is grid.x
+
+
+def test_evolve_builds_two_operators(monkeypatch):
+    calls = []
+    real = continuum.derivative_matrix
+
+    def counting(n, h, deriv):
+        calls.append((n, deriv))
+        return real(n, h, deriv)
+
+    monkeypatch.setattr(continuum, "derivative_matrix", counting)
+    p = _single_angle_chain()
+    grid = kink_field_grid(p, 1.0, 0.2, np.linspace(0, 20, 101))
+    snaps = evolve(grid, 0.01, 1e-3, p)
+    continuum.energy_total(snaps[-1], p)
+    assert calls == [(101, 1), (101, 2)]
+
+
+@pytest.mark.parametrize("x", [np.linspace(0, 20, 101),
+                               np.linspace(0, 30, 101),
+                               np.linspace(0, 20, 201)])
+def test_each_grid_builds_its_own_operators(x):
+    """A grid built from any x, even an equal one, gets fresh operators for
+    its own n and spacing; nothing is shared between unrelated grids."""
+    p = _single_angle_chain()
+    base = kink_field_grid(p, 1.0, 0.2, np.linspace(0, 20, 101))
+    grid = kink_field_grid(p, 1.0, 0.2, x)
+    h = float(x[1] - x[0])
+    for d, (mine, theirs) in enumerate(zip(grid._D, base._D), start=1):
+        assert mine is not theirs
+        ref = derivative_matrix(x.shape[0], h, d)
+        assert mine.shape == ref.shape
+        assert (mine != ref).nnz == 0
