@@ -33,7 +33,7 @@ eps_list = [0.01, 0.02, 0.05, 0.1]
 print("residual L2 norms of the truncated composition")
 print("order |", "  ".join(f"eps={e:<5}" for e in eps_list), "| slopes")
 for order in (0, 1, 2):
-    st = residual_scaling(p, eps_list, order, z=z)
+    st = residual_scaling(sol, eps_list, order)
     row1 = "  ".join(f"{r:.2e}" for r in st.res1_l2)
     print(f"  {order}   | {row1} | eq1 {st.slope1:.3f}, eq2 {st.slope2:.3f}")
 print()

@@ -1,6 +1,6 @@
-"""Numerical kernels shared by the layers: fourth-order finite-difference
-stencils on uniform grids, the bordered matrix that both boundary-value
-solvers factor, and the classic RK4 step.
+"""Numerical kernels shared by the layers: the uniform-grid check,
+fourth-order finite-difference stencils on uniform grids, the bordered matrix
+that both boundary-value solvers factor, and the classic RK4 step.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -50,6 +50,18 @@ _EDGE_OFFSETS = {
     1: [np.arange(0, 5), np.arange(-1, 4)],
     2: [np.arange(0, 6), np.arange(-1, 5)],
 }
+
+
+def uniform_spacing(x):
+    """Spacing of the grid x; ValueError unless the steps are nonzero and
+    agree to 8 ulps of max|x| (a nan fails too). That is the rounding linspace
+    leaves in the nodes however fine the grid; a tolerance relative to the
+    step would reject refined grids."""
+    x = np.asarray(x, dtype=float)
+    dx = np.diff(x)
+    if not np.ptp(dx) <= 8.0 * np.spacing(np.max(np.abs(x))) or dx[0] == 0:
+        raise ValueError("grid must be uniform with nonzero spacing")
+    return float(dx[0])
 
 
 def derivative_matrix(n, h, deriv):

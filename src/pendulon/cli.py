@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from . import continuum, perturbation, reductions, travelwave
 from ._io import write_csv, write_json
 from .config import (ConfigError, chain_from_config, expansion_from_config,
                      load_config, parse_bool, parse_floats,
-                     parse_positive_float, parse_positive_int, read_section)
+                     parse_int_at_least, parse_positive_float,
+                     parse_positive_int, read_section)
 from .lattice import IntegrationError
 from .continuum import PDEInstabilityError
 from .travelwave import TWParams, TWSolveError
@@ -84,8 +84,8 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
                              snapshot_every=integ.get("snapshot_every"))
     outputs = ["pde-fields.csv", "pde-energy.csv"]
     continuum.export_fields_csv(snaps, os.path.join(out_dir, outputs[0]))
-    continuum.export_energy_csv(snaps, params, os.path.join(out_dir, outputs[1]))
-    energies = np.array([continuum.energy_total(s, params) for s in snaps])
+    energies = np.array(continuum.export_energy_csv(
+        snaps, params, os.path.join(out_dir, outputs[1])))
     drift = np.max(np.abs(energies - energies[0])) / (abs(energies[0]) + 1e-300)
 
     results = {
@@ -170,42 +170,29 @@ def cmd_build_perturbative(cp, args, out_dir, dry):
     return results, outputs
 
 
-def _extract_worker(task):
-    exp, order, field, z, h_eps, n_points = task
-    return perturbation.taylor_extract(exp, order, field, z,
-                                       h_eps=h_eps, n_points=n_points)
-
-
 def cmd_verify_expansion(cp, args, out_dir, dry):
     exp = expansion_from_config(cp)
     ver = read_section(cp, "verify",
                        {"eps_list": parse_floats, "order": int,
-                        "h_eps": float, "extract_points": int,
-                        "n_points": int, "half_width_factor": float})
+                        "h_eps": parse_positive_float,
+                        "extract_points": parse_int_at_least(4),
+                        "n_points": parse_positive_int,
+                        "half_width_factor": float})
     if dry:
         return None, None
     z = perturbation.kink_grid(exp, n=ver.get("n_points", 4001),
                                half_width=ver.get("half_width_factor", 25.0))
     eps_list = ver.get("eps_list", [0.01, 0.02, 0.05, 0.1])
     order = ver.get("order", 1)
-    study = perturbation.residual_scaling(exp, eps_list, order, z=z)
+    sol = perturbation.build_perturbative(exp, z)
+    study = perturbation.residual_scaling(sol, eps_list, order)
     outputs = ["residual-scaling.csv", "verify-expansion.json"]
     perturbation.export_scaling_csv(study, os.path.join(out_dir, outputs[0]))
 
     h_eps = ver.get("h_eps", 0.02)
     n_ext = ver.get("extract_points", 6)
-    tasks = [(exp, 1, "theta", z, h_eps, n_ext),
-             (exp, 1, "phi", z, h_eps, n_ext),
-             (exp, 2, "phi", z, h_eps, max(n_ext, 4))]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            extracted = list(pool.map(_extract_worker, tasks))
-    else:
-        extracted = [_extract_worker(t) for t in tasks]
-    theta1_ext, phi1_ext, phi2_ext = extracted
-
-    sol = perturbation.build_perturbative(exp, z)
-    theta1_ext = perturbation.project_zero_mode(theta1_ext, z, exp)
+    ext = perturbation.taylor_extract(exp, z, h_eps=h_eps, n_points=n_ext)
+    theta1_ext = perturbation.project_zero_mode(ext.theta1, z, exp)
     report = {
         "order": order,
         "eps_list": list(eps_list),
@@ -214,8 +201,8 @@ def cmd_verify_expansion(cp, args, out_dir, dry):
         "h_eps": h_eps,
         "extract_points": n_ext,
         "theta1_rel_l2": _rel_l2(theta1_ext, sol.theta1),
-        "phi1_rel_l2": _rel_l2(phi1_ext, sol.phi1),
-        "phi2_rel_l2": _rel_l2(phi2_ext, sol.phi2),
+        "phi1_rel_l2": _rel_l2(ext.phi1, sol.phi1),
+        "phi2_rel_l2": _rel_l2(ext.phi2, sol.phi2),
     }
     write_json(report, os.path.join(out_dir, outputs[1]))
     return report, outputs
@@ -253,9 +240,10 @@ def cmd_speed_select(cp, args, out_dir, dry):
 def cmd_verify_lagrangian(cp, args, out_dir, dry):
     exp = expansion_from_config(cp)
     lag = read_section(cp, "lagrangian",
-                       {"n_samples": int, "seed": int, "n_points": int,
-                        "half_width": float, "h_eps": float,
-                        "taylor_points": int})
+                       {"n_samples": parse_positive_int, "seed": int,
+                        "n_points": parse_positive_int, "half_width": float,
+                        "h_eps": parse_positive_float,
+                        "taylor_points": parse_int_at_least(3)})
     if dry:
         return None, None
     n_samples = lag.get("n_samples", 100)
@@ -265,6 +253,7 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
     h_eps = lag.get("h_eps", 0.05)
     taylor_points = lag.get("taylor_points", 9)
 
+    # np.maximum, unlike max(), carries a nan through to the report
     oracle_max = [0.0, 0.0, 0.0]
     aux_max = [0.0, 0.0, 0.0]
     el_gap_max = 0.0
@@ -275,11 +264,17 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
                                                        n_points=taylor_points)
         for k in range(3):
             scale = np.max(np.abs(taylor[k])) + 1e-300
-            oracle_max[k] = max(oracle_max[k],
-                                float(np.max(np.abs(exact[k] - taylor[k])) / scale))
-            aux_max[k] = max(aux_max[k], lagexp.auxiliary_check(sample, k))
+            oracle_max[k] = np.maximum(
+                oracle_max[k], np.max(np.abs(exact[k] - taylor[k])) / scale)
+            aux_max[k] = np.maximum(aux_max[k],
+                                    lagexp.auxiliary_check(sample, k))
         e10, e21, _ = lagexp.el_identities(sample)
-        el_gap_max = max(el_gap_max, float(np.max(np.abs(e10 - e21))))
+        el_gap_max = np.maximum(el_gap_max, np.max(np.abs(e10 - e21)))
+    for name, val in (("oracle_rel_max", oracle_max),
+                      ("auxiliary_max", aux_max),
+                      ("el_identity_gap_max", el_gap_max)):
+        if not np.all(np.isfinite(val)):
+            raise RuntimeError(f"non-finite {name}: {np.ravel(val).tolist()}")
 
     slaving = lagexp.slaving_consistency(
         exp, perturbation.kink_grid(exp, n=2001, half_width=25.0))
@@ -319,7 +314,8 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--dry-run", action="store_true")
         if name == "speed-select":
             p.add_argument("--stiff", action="store_true",
@@ -343,7 +339,7 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     except (TWSolveError, IntegrationError, PDEInstabilityError,
-            RuntimeError) as exc:
+            RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     if args.dry_run:

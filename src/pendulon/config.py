@@ -26,11 +26,17 @@ def parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def parse_positive_int(raw: str) -> int:
-    val = int(raw)
-    if val < 1:
-        raise ValueError(f"not a positive integer: {raw!r}")
-    return val
+def parse_int_at_least(low: int):
+    """Parser for integers >= low, for keys that need a minimum count."""
+    def parse(raw: str) -> int:
+        val = int(raw)
+        if val < low:
+            raise ValueError(f"not an integer >= {low}: {raw!r}")
+        return val
+    return parse
+
+
+parse_positive_int = parse_int_at_least(1)
 
 
 def parse_positive_float(raw: str) -> float:

@@ -30,7 +30,8 @@ import numpy as np
 
 from ._io import write_csv
 from ._stencils import derivative  # noqa: F401 (re-exported)
-from ._stencils import IntegrationError, derivative_matrix, rk4_step
+from ._stencils import (IntegrationError, derivative_matrix, rk4_step,
+                        uniform_spacing)
 from .chain import _mass_solve
 from .params import ChainParams, _inertia, _kink
 
@@ -64,11 +65,9 @@ class FieldGrid:
             raise ValueError("grid too short")
         if any(a.shape != (n,) for a in arrays):
             raise ValueError("field arrays must match the grid length")
-        dx = np.diff(arrays[0])
-        if np.any(np.abs(dx - dx[0]) > 1e-12 * abs(dx[0])):
-            raise ValueError("grid must be uniform")
-        object.__setattr__(self, "_D", (derivative_matrix(n, dx[0], 1),
-                                        derivative_matrix(n, dx[0], 2)))
+        dx = uniform_spacing(arrays[0])
+        object.__setattr__(self, "_D", (derivative_matrix(n, dx, 1),
+                                        derivative_matrix(n, dx, 2)))
         for name, a in zip(("x", "Theta", "Phi", "Theta_t", "Phi_t"), arrays):
             object.__setattr__(self, name, a)
 
@@ -232,6 +231,9 @@ def export_fields_csv(snaps, path):
 
 
 def export_energy_csv(snaps, params: ChainParams, path):
+    """Write t, total energy and charge per snapshot; return the energies."""
+    energies = [energy_total(g, params) for g in snaps]
     write_csv(path, "pde-energy v1", "t,E,N",
-              ((float(g.t), energy_total(g, params), "" if q is None else q)
-               for g, q in zip(snaps, map(_charge_or_none, snaps))))
+              ((float(g.t), E, "" if q is None else q) for g, E, q
+               in zip(snaps, energies, map(_charge_or_none, snaps))))
+    return energies

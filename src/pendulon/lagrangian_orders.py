@@ -14,7 +14,8 @@ facts verified numerically in this module:
 
 Every formula here is cross-checked against an eps-Taylor extraction of the
 full density, which is the only defense against transcription slips in
-expressions this dense.
+expressions this dense. It shares its eps fit with perturbation.taylor_extract,
+and expansion_sample takes its fields from perturbation.build_perturbative.
 """
 from __future__ import annotations
 
@@ -23,11 +24,8 @@ from typing import Dict
 
 import numpy as np
 
-from ._stencils import derivative
-from .params import ConfiningPotential
-from .perturbation import (ExpansionParams, _forcing_coefficient,
-                           _phi1_coefficient, kink_parameter, order1_phi,
-                           order1_theta, order2_phi, sg_kink)
+from .perturbation import (ExpansionParams, _eps_fit, _theta1_zz,
+                           build_perturbative, sg_kink)
 from .travelwave import _density_raw
 
 
@@ -100,28 +98,21 @@ def smooth_sample(params: ExpansionParams, z, seed: int = 0,
 
 
 def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
-    """Sample populated with the actual expansion fields (phi0 = 0 branch,
-    kink at order 0, no order-2 outer correction)."""
-    z = np.asarray(z, dtype=float)
-    dz = float(z[1] - z[0])
-    kin = sg_kink(z, params)
-    k2 = kink_parameter(params) ** 2
-    theta1 = order1_theta(params, z)
-    theta1_zz = k2 * kin.cos_theta0 * theta1 \
-        + _forcing_coefficient(params) * kin.sin_theta0
-    phi1 = order1_phi(params, z)
-    phi2 = order2_phi(params, theta1, phi1, z)
-    zeros = np.zeros_like(z)
+    """Sample populated with the actual expansion fields of
+    build_perturbative (phi0 = 0 branch, kink at order 0, no order-2 outer
+    correction), with theta1'' in ODE form."""
+    sol = build_perturbative(params, z)
+    kin = sg_kink(sol.z, params)
+    zeros = np.zeros_like(sol.z)
     return ExpandedLagrangianSample(
-        z=z, params=params,
+        z=sol.z, params=params,
         theta0=kin.theta0, theta0_z=kin.theta0_z, theta0_zz=kin.theta0_zz,
-        theta1=theta1, theta1_z=derivative(theta1, dz, 1),
-        theta1_zz=theta1_zz,
+        theta1=sol.theta1, theta1_z=sol.theta1_z,
+        theta1_zz=_theta1_zz(params, kin, sol.theta1),
         theta2=zeros, theta2_z=zeros,
         phi0=zeros, phi0_z=zeros, phi0_zz=zeros,
-        phi1=phi1,
-        phi1_z=_phi1_coefficient(params) * kin.cos_theta0 * kin.theta0_z,
-        phi2=phi2, phi2_z=derivative(phi2, dz, 1))
+        phi1=sol.phi1, phi1_z=sol.phi1_z,
+        phi2=sol.phi2, phi2_z=sol.phi2_z)
 
 
 def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
@@ -200,6 +191,8 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
     and friends), which remain algebraically meaningful at eps < 0, so the
     stencil can be centered; truncation falls as h_eps^(n_points-2).
     """
+    if n_points < 3:
+        raise ValueError("need at least 3 eps samples")
     p = sample.params
     half = n_points // 2
     nodes = np.arange(n_points, dtype=float) - half
@@ -218,9 +211,7 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
         vals.append(_density_raw(theta, phi, theta_z, phi_z, v,
                                  Ks - m * v * v, p.Mhat - m, m, p.A - r, r,
                                  Kt, p.g, p.h_spec))
-    V = np.vander(nodes, n_points, increasing=True)
-    coeffs = np.linalg.solve(V, np.asarray(vals))
-    return coeffs[0], coeffs[1] / h_eps, coeffs[2] / h_eps**2
+    return _eps_fit(nodes, vals, h_eps, (0, 1, 2))
 
 
 def field_derivative(sample: ExpandedLagrangianSample, k: int,

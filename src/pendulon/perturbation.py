@@ -7,6 +7,10 @@ algebraic relation that slaves it to the kink fields, and this module builds
 those orders explicitly and verifies the structure against a brute-force
 extraction oracle that differentiates full BVP solutions in eps.
 
+build_perturbative builds the orders once per grid; compose_series and
+residual_scaling reuse them. The oracle taylor_extract gets theta1, phi1 and
+phi2 from one sweep of BVP solves over the eps samples.
+
 Series conventions: r = eps r1 + eps^2 r2, R = A - r, m = eps m1 + eps^2 m2,
 M = Mhat - m, K_t = eps k1 + eps^2 k2, K_s = Khat - K_t,
 v = v0 + eps v1 + eps^2 v2; the base state has r = m = 0 and phi identically
@@ -22,7 +26,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from ._io import write_csv
-from ._stencils import bordered_matrix, derivative, derivative_matrix
+from ._stencils import (bordered_matrix, derivative, derivative_matrix,
+                        uniform_spacing)
 from .params import ChainParams, ConfiningPotential, _kink
 from .travelwave import (TWParams, TWProfile, kink_profile, solve_tw_bvp,
                          tw_residual)
@@ -126,12 +131,11 @@ def _forcing_coefficient(params: ExpansionParams) -> float:
     return (W1 * k2 + p.Mhat * p.g * p.r1) / (p.A**2 * mu_hat(p))
 
 
-def _check_uniform(z):
-    z = np.asarray(z, dtype=float)
-    dz = np.diff(z)
-    if z.shape[0] < 8 or np.max(np.abs(dz - dz[0])) > 1e-12 * abs(dz[0]):
-        raise ValueError("need a uniform grid with at least 8 points")
-    return z, float(dz[0])
+def _theta1_zz(params: ExpansionParams, kin: KinkArrays, theta1):
+    """Curvature of theta1 in ODE form, k^2 cos(theta0) theta1 + C_f
+    sin(theta0): exact given theta1, with no differentiation of samples."""
+    return (kink_parameter(params) ** 2 * kin.cos_theta0 * theta1
+            + _forcing_coefficient(params) * kin.sin_theta0)
 
 
 def order1_theta(params: ExpansionParams, z) -> np.ndarray:
@@ -147,8 +151,11 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
     is even, hence the solvability integral vanishes and is checked, not
     assumed.
     """
-    z, dz = _check_uniform(z)
+    z = np.asarray(z, dtype=float)
+    dz = uniform_spacing(z)
     n = z.shape[0]
+    if n < 8:
+        raise ValueError("need a uniform grid with at least 8 points")
     k = kink_parameter(params)
     kin = sg_kink(z, params)
     Cf = _forcing_coefficient(params)
@@ -196,9 +203,7 @@ def _phi2(params: ExpansionParams, theta1, phi1, z, h2, h3) -> np.ndarray:
         raise ValueError("slaving requires h''(0) > 0")
     p = params
     kin = sg_kink(np.asarray(z, dtype=float), p)
-    k2 = kink_parameter(p) ** 2
-    # curvature of theta1 taken in ODE form: no differentiation of samples
-    theta1_zz = k2 * kin.cos_theta0 * theta1 + _forcing_coefficient(p) * kin.sin_theta0
+    theta1_zz = _theta1_zz(p, kin, theta1)
     mu1 = -(p.k1 + p.m1 * p.v0**2)
     num = (p.A * p.Khat * p.r1 * theta1_zz
            + p.A * (p.Khat * p.r2 + mu1 * p.r1) * kin.theta0_zz
@@ -242,7 +247,8 @@ def kink_grid(params: ExpansionParams, n: int = 4001,
 def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
     if z is None:
         z = kink_grid(params)
-    z, dz = _check_uniform(z)
+    z = np.asarray(z, dtype=float)
+    dz = uniform_spacing(z)
     kin = sg_kink(z, params)
     theta1 = order1_theta(params, z)
     phi1 = order1_phi(params, z)
@@ -272,22 +278,14 @@ def compose_series(sol: PerturbativeSolution, eps: float,
     p = sol.params
     z = sol.z
     kin = sg_kink(z, p)
-    k2 = sol.k**2
-
-    theta = kin.theta0.copy()
-    theta_z = kin.theta0_z.copy()
-    theta_zz = kin.theta0_zz.copy()
-    phi = np.zeros_like(z)
-    phi_z = np.zeros_like(z)
-    phi_zz = np.zeros_like(z)
+    theta, theta_z, theta_zz = kin.theta0, kin.theta0_z, kin.theta0_zz
+    phi, phi_z, phi_zz = np.zeros((3, z.shape[0]))
 
     if order >= 1:
-        Cf = _forcing_coefficient(p)
         c1 = _phi1_coefficient(p)
         theta = theta + eps * sol.theta1
         theta_z = theta_z + eps * sol.theta1_z
-        theta_zz = theta_zz + eps * (k2 * kin.cos_theta0 * sol.theta1
-                                     + Cf * kin.sin_theta0)
+        theta_zz = theta_zz + eps * _theta1_zz(p, kin, sol.theta1)
         phi = phi + eps * sol.phi1
         phi_z = phi_z + eps * sol.phi1_z
         phi_zz = phi_zz + eps * c1 * (kin.cos_theta0 * kin.theta0_zz
@@ -312,41 +310,54 @@ def project_zero_mode(f, z, params: ExpansionParams) -> np.ndarray:
     return f - (np.trapezoid(f * mode, z) / np.trapezoid(mode * mode, z)) * mode
 
 
-def taylor_extract(params: ExpansionParams, order: int, field: str, z,
-                   h_eps: float = 0.02, n_points: int = 6) -> np.ndarray:
-    """Coefficient of eps^order in the exact travelling-wave family, by
-    differencing full BVP solutions in eps.
+def _eps_fit(nodes, samples, h_eps, orders):
+    """Coefficients of eps^k, k in orders, of the polynomial through
+    samples[j] at eps = nodes[j] h_eps, per grid node: a Vandermonde solve in
+    eps / h_eps, warning when it is poorly conditioned."""
+    V = np.vander(nodes, len(nodes), increasing=True)
+    cond = np.linalg.cond(V)
+    if cond > 1e8:
+        warnings.warn(f"eps-extraction poorly conditioned (cond={cond:.2e})",
+                      RuntimeWarning, stacklevel=3)
+    coeffs = np.linalg.solve(V, np.asarray(samples))
+    return tuple(coeffs[k] / h_eps**k for k in orders)
 
-    Solves the nonlinear problem at eps = 0, h, ..., (n_points-1) h on one
-    shared grid, all pinned at the same midpoint value, then inverts the
-    normalized Vandermonde system per grid node. One-sided in eps because
-    eps < 0 reconstructs negative rod lengths.
+
+class TaylorCoefficients(NamedTuple):
+    theta1: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+
+
+def taylor_extract(params: ExpansionParams, z, h_eps: float = 0.02,
+                   n_points: int = 6) -> TaylorCoefficients:
+    """Coefficients theta1, phi1 and phi2 of the exact travelling-wave family,
+    by differencing full BVP solutions in eps.
+
+    Solves the nonlinear problem once at each of eps = 0, h, ...,
+    (n_points-1) h on one shared grid, all pinned at the same midpoint value,
+    then fits theta and phi separately per grid node. One-sided in eps
+    because eps < 0 reconstructs negative rod lengths.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if field not in ("theta", "phi"):
-        raise ValueError("field must be 'theta' or 'phi'")
-    if n_points < order + 2:
-        raise ValueError("not enough eps samples for requested order")
-    z, _ = _check_uniform(z)
+    if n_points < 4:
+        raise ValueError("need at least 4 eps samples")
+    z = np.asarray(z, dtype=float)
     k = kink_parameter(params)
 
-    samples = []
+    thetas, phis = [], []
     for j in range(n_points):
         e = j * h_eps
         chain = params.to_chain_params(eps=e)
         v = params.speed(e)
         guess = kink_profile(z, k, v, chain, with_curvature=False)
         solved = solve_tw_bvp(guess, chain, TWParams.for_speed(v, chain))
-        samples.append(solved.theta if field == "theta" else solved.phi)
+        thetas.append(solved.theta)
+        phis.append(solved.phi)
 
-    V = np.vander(np.arange(n_points, dtype=float), n_points, increasing=True)
-    cond = np.linalg.cond(V)
-    if cond > 1e8:
-        warnings.warn(f"eps-extraction poorly conditioned (cond={cond:.2e})",
-                      RuntimeWarning, stacklevel=2)
-    coeffs = np.linalg.solve(V, np.asarray(samples))
-    return coeffs[order] / h_eps**order
+    nodes = np.arange(n_points, dtype=float)
+    theta1 = _eps_fit(nodes, thetas, h_eps, (1,))[0]
+    phi1, phi2 = _eps_fit(nodes, phis, h_eps, (1, 2))
+    return TaylorCoefficients(theta1, phi1, phi2)
 
 
 @dataclass(frozen=True)
@@ -358,10 +369,10 @@ class ScalingStudy:
     slope2: float
 
 
-def residual_scaling(params: ExpansionParams, eps_list, order: int,
-                     z=None) -> ScalingStudy:
+def residual_scaling(sol: PerturbativeSolution, eps_list,
+                     order: int) -> ScalingStudy:
     """L2 norms of both profile-equation residuals for the order-truncated
-    composition, over a sweep of eps, with fitted log-log slopes.
+    composition of sol, over a sweep of eps, with fitted log-log slopes.
 
     The completed equation gains one order of smallness per series order; the
     first equation plateaus at slope 2 for order=2 because no order-2 outer
@@ -370,11 +381,10 @@ def residual_scaling(params: ExpansionParams, eps_list, order: int,
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
     if eps_arr.size < 2 or np.any(eps_arr <= 0):
         raise ValueError("need at least two positive eps values")
-    sol = build_perturbative(params, z)
     res1, res2 = [], []
     for e in eps_arr:
         prof = compose_series(sol, e, order)
-        r1, r2 = tw_residual(prof, params.to_chain_params(eps=e))
+        r1, r2 = tw_residual(prof, sol.params.to_chain_params(eps=e))
         res1.append(float(np.sqrt(np.trapezoid(r1 * r1, sol.z))))
         res2.append(float(np.sqrt(np.trapezoid(r2 * r2, sol.z))))
     res1 = np.asarray(res1)

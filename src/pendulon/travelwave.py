@@ -21,7 +21,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from ._io import write_csv
-from ._stencils import bordered_matrix, derivative, derivative_matrix
+from ._stencils import (bordered_matrix, derivative, derivative_matrix,
+                        uniform_spacing)
 from .params import ChainParams, _inertia, _kink
 
 
@@ -67,7 +68,8 @@ class TWProfile:
 
     @property
     def dz(self):
-        return float(self.z[1] - self.z[0])
+        """Grid spacing; ValueError unless z is uniform."""
+        return uniform_spacing(self.z)
 
 
 def _residual_core(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,

@@ -56,10 +56,10 @@ def test_criterion_01_order0_kink_is_exact_at_every_subsonic_speed():
 
 
 def test_criterion_02_residual_slopes_track_truncation_order(exp_params):
-    z = kink_grid(exp_params)
+    sol = build_perturbative(exp_params, kink_grid(exp_params))
     eps_list = [0.01, 0.02, 0.05, 0.1]
-    s0 = residual_scaling(exp_params, eps_list, 0, z=z)
-    s1 = residual_scaling(exp_params, eps_list, 1, z=z)
+    s0 = residual_scaling(sol, eps_list, 0)
+    s1 = residual_scaling(sol, eps_list, 1)
     print(f"slopes order0 ({s0.slope1:.4f}, {s0.slope2:.4f}) "
           f"order1 ({s1.slope1:.4f}, {s1.slope2:.4f})")
     assert abs(s0.slope1 - 1.0) < 0.1
@@ -71,8 +71,9 @@ def test_criterion_02_residual_slopes_track_truncation_order(exp_params):
 def test_criterion_03_slaving_formulas_match_bvp_extraction(exp_params):
     z = kink_grid(exp_params)
     sol = build_perturbative(exp_params, z)
-    rel1 = _rel_l2(taylor_extract(exp_params, 1, "phi", z), sol.phi1, z)
-    rel2 = _rel_l2(taylor_extract(exp_params, 2, "phi", z), sol.phi2, z)
+    ext = taylor_extract(exp_params, z)
+    rel1 = _rel_l2(ext.phi1, sol.phi1, z)
+    rel2 = _rel_l2(ext.phi2, sol.phi2, z)
     print(f"phi1 rel L2 {rel1:.3e}, phi2 rel L2 {rel2:.3e}")
     assert rel1 < 1e-5
     assert rel2 < 1e-4

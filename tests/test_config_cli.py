@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from pendulon import cli
+from pendulon import cli, continuum, lagrangian_orders, perturbation
 from pendulon.config import (ConfigError, chain_from_config,
                              expansion_from_config, load_config, parse_bool,
-                             parse_floats, parse_positive_float,
-                             parse_positive_int, read_section)
+                             parse_floats, parse_int_at_least,
+                             parse_positive_float, parse_positive_int,
+                             read_section)
 
 CHAIN_INI = """\
 [chain]
@@ -87,6 +88,10 @@ def test_parse_helpers():
     for bad in ("0", "-1e-9", "nan", "inf", "x"):
         with pytest.raises(ValueError):
             parse_positive_float(bad)
+    assert parse_int_at_least(4)("4") == 4
+    for bad in ("3", "4.0", "x"):
+        with pytest.raises(ValueError):
+            parse_int_at_least(4)(bad)
 
 
 def test_unknown_key_names_section_and_key(tmp_path):
@@ -339,6 +344,107 @@ def test_verify_expansion_report_and_jobs_determinism(tmp_path):
     report = json.loads(r1)
     assert report["slope_res1"] > 1.9
     assert report["phi1_rel_l2"] < 1e-4
+
+
+def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
+    calls = {"solve_tw_bvp": 0, "order1_theta": 0}
+    for name in calls:
+        real = getattr(perturbation, name)
+
+        def counting(*a, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+        monkeypatch.setattr(perturbation, name, counting)
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI + "\n[verify]\nn_points = 801\n"
+                 "extract_points = 5\n")
+    assert cli.main(["verify-expansion", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+    assert calls == {"solve_tw_bvp": 5, "order1_theta": 1}
+
+
+@pytest.mark.parametrize("command, section, line, key", [
+    ("verify-expansion", "verify", "h_eps = 0", "'h_eps'"),
+    ("verify-expansion", "verify", "h_eps = nan", "'h_eps'"),
+    ("verify-expansion", "verify", "n_points = 0", "'n_points'"),
+    ("verify-expansion", "verify", "extract_points = 3", "'extract_points'"),
+    ("verify-lagrangian", "lagrangian", "h_eps = 0", "'h_eps'"),
+    ("verify-lagrangian", "lagrangian", "h_eps = inf", "'h_eps'"),
+    ("verify-lagrangian", "lagrangian", "n_samples = 0", "'n_samples'"),
+    ("verify-lagrangian", "lagrangian", "n_points = -3", "'n_points'"),
+    ("verify-lagrangian", "lagrangian", "taylor_points = 2",
+     "'taylor_points'"),
+])
+def test_dry_run_rejects_bad_oracle_values(tmp_path, capsys, command, section,
+                                           line, key):
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI + f"\n[{section}]\n{line}\n")
+    rc = cli.main([command, "--config", cfg, "--dry-run"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert key in captured.err and "config ok" not in captured.out
+
+
+@pytest.mark.parametrize("patch, name", [
+    (None, "oracle_rel_max"),
+    ("auxiliary_check", "auxiliary_max"),
+    ("el_identities", "el_identity_gap_max"),
+])
+def test_verify_lagrangian_non_finite_is_exit_2(tmp_path, capsys, monkeypatch,
+                                                patch, name):
+    h_eps = 0.05
+    if patch is None:
+        h_eps = 1e100  # the density overflows: the Taylor fit turns nan
+    elif patch == "auxiliary_check":
+        monkeypatch.setattr(lagrangian_orders, patch,
+                            lambda sample, k: float("nan"))
+    else:
+        real = lagrangian_orders.el_identities
+
+        def nan_gap(sample):
+            e10, e21, e20 = real(sample)
+            return e10, e21 + np.nan, e20
+        monkeypatch.setattr(lagrangian_orders, patch, nan_gap)
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI + "\n[lagrangian]\nn_samples = 2\n"
+                 f"h_eps = {h_eps!r}\n")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["verify-lagrangian", "--config", cfg,
+                       "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "non-finite" in err and name in err
+    assert not (out / "verify-lagrangian.json").exists()
+
+
+def test_verify_lagrangian_overflowing_step_is_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI + "\n[lagrangian]\nn_samples = 1\n"
+                 "h_eps = 1e300\n")
+    with np.errstate(all="ignore"):
+        rc = cli.main(["verify-lagrangian", "--config", cfg,
+                       "--out", str(tmp_path)])
+    assert rc == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_simulate_pde_computes_each_energy_once(tmp_path, monkeypatch):
+    calls = []
+    real = continuum.energy_total
+
+    def counting(grid, params):
+        calls.append(grid.t)
+        return real(grid, params)
+
+    monkeypatch.setattr(continuum, "energy_total", counting)
+    cfg = _write(tmp_path, "pde.ini", CHAIN_INI
+                 + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+                 "snapshot_every = 1\n" + _SIM_SECTIONS["simulate-pde"])
+    assert cli.main(["simulate-pde", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(calls) == summary["results"]["n_snapshots"] == 6
 
 
 def test_verify_lagrangian_reproducible(tmp_path):

@@ -249,3 +249,13 @@ def test_each_grid_builds_its_own_operators(x):
         ref = derivative_matrix(x.shape[0], h, d)
         assert mine.shape == ref.shape
         assert (mine != ref).nnz == 0
+
+
+def test_refined_grid_accepted_and_stepped_grid_rejected():
+    p = _single_angle_chain()
+    grid = kink_field_grid(p, 0.7, 0.3, np.linspace(-20.0, 20.0, 16001))
+    assert grid._D[1].shape == (16001, 16001)
+    stepped = np.concatenate([np.linspace(-20.0, 0.0, 400),
+                              np.linspace(0.06, 20.0, 400)])
+    with pytest.raises(ValueError, match="grid must be uniform"):
+        kink_field_grid(p, 0.7, 0.3, stepped)

@@ -1,10 +1,16 @@
 """Order-by-order effective Lagrangians against an epsilon-Taylor oracle,
 plus the identities that make the tip angle perturbatively auxiliary."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pendulon import lagrangian_orders as lx
-from pendulon.perturbation import kink_grid
+from pendulon._stencils import derivative
+from pendulon.perturbation import (_forcing_coefficient, _phi1_coefficient,
+                                   kink_grid, kink_parameter, order1_phi,
+                                   order1_theta, order2_phi, sg_kink)
+from pendulon.travelwave import _density_raw
 
 
 @pytest.fixture
@@ -94,6 +100,82 @@ def test_smooth_sample_is_seeded(exp_params, zgrid):
     c = lx.smooth_sample(exp_params, zgrid, seed=12)
     assert np.array_equal(a.theta1, b.theta1)
     assert not np.array_equal(a.theta1, c.theta1)
+
+
+def _reference_expansion_sample(params, z):
+    """expansion_sample as it was before it took its fields from
+    build_perturbative: every field assembled in place."""
+    dz = float(z[1] - z[0])
+    kin = sg_kink(z, params)
+    k2 = kink_parameter(params) ** 2
+    theta1 = order1_theta(params, z)
+    theta1_zz = k2 * kin.cos_theta0 * theta1 \
+        + _forcing_coefficient(params) * kin.sin_theta0
+    phi1 = order1_phi(params, z)
+    phi2 = order2_phi(params, theta1, phi1, z)
+    zeros = np.zeros_like(z)
+    return lx.ExpandedLagrangianSample(
+        z=z, params=params,
+        theta0=kin.theta0, theta0_z=kin.theta0_z, theta0_zz=kin.theta0_zz,
+        theta1=theta1, theta1_z=derivative(theta1, dz, 1),
+        theta1_zz=theta1_zz,
+        theta2=zeros, theta2_z=zeros,
+        phi0=zeros, phi0_z=zeros, phi0_zz=zeros,
+        phi1=phi1,
+        phi1_z=_phi1_coefficient(params) * kin.cos_theta0 * kin.theta0_z,
+        phi2=phi2, phi2_z=derivative(phi2, dz, 1))
+
+
+def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
+    for p in (exp_params, exp_params_wide):
+        z = kink_grid(p, n=1201)
+        got = lx.expansion_sample(p, z)
+        ref = _reference_expansion_sample(p, z)
+        for f in dataclasses.fields(lx.ExpandedLagrangianSample):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            if f.name == "params":
+                assert a == b
+            else:
+                assert np.array_equal(a, b), f.name
+
+
+def test_taylor_coefficients_match_reference_fit(exp_params, zgrid):
+    """The shared eps fit returns what the centered Vandermonde solve with
+    coeffs[k] / h^k returned, bit for bit."""
+    sample = lx.smooth_sample(exp_params, zgrid, seed=4)
+    for h_eps, n_points in ((0.05, 9), (0.1, 5), (0.02, 3)):
+        got = lx.taylor_lagrangian_coefficients(sample, h_eps, n_points)
+        half = n_points // 2
+        nodes = np.arange(n_points, dtype=float) - half
+        p = sample.params
+        vals = []
+        for s in nodes:
+            e = s * h_eps
+            r = e * p.r1 + e * e * p.r2
+            m = e * p.m1 + e * e * p.m2
+            Kt = e * p.k1 + e * e * p.k2
+            v = p.v0 + e * p.v1 + e * e * p.v2
+            vals.append(_density_raw(
+                sample.theta0 + e * sample.theta1 + e * e * sample.theta2,
+                sample.phi0 + e * sample.phi1 + e * e * sample.phi2,
+                sample.theta0_z + e * sample.theta1_z
+                + e * e * sample.theta2_z,
+                sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z,
+                v, p.Khat - Kt - m * v * v, p.Mhat - m, m, p.A - r, r, Kt,
+                p.g, p.h_spec))
+        coeffs = np.linalg.solve(np.vander(nodes, n_points, increasing=True),
+                                 np.asarray(vals))
+        ref = (coeffs[0], coeffs[1] / h_eps, coeffs[2] / h_eps**2)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="at least 3"):
+        lx.taylor_lagrangian_coefficients(sample, 0.05, 2)
+
+
+def test_eps_fit_warns_when_poorly_conditioned(exp_params, zgrid):
+    sample = lx.smooth_sample(exp_params, zgrid, seed=1)
+    with pytest.warns(RuntimeWarning, match="poorly conditioned"):
+        lx.taylor_lagrangian_coefficients(sample, 0.05, 13)
 
 
 def test_expansion_sample_identities(exp_params):

@@ -16,7 +16,8 @@ from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
                                    order2_phi, project_zero_mode,
                                    residual_scaling, sg_kink, taylor_extract,
                                    export_scaling_csv)
-from pendulon.travelwave import kink_profile, tw_residual
+from pendulon.travelwave import (TWParams, kink_profile, solve_tw_bvp,
+                                 tw_residual)
 from pendulon._stencils import derivative
 
 
@@ -193,26 +194,62 @@ def test_project_zero_mode_removes_translation(exp_params):
     assert abs(overlap) < 1e-10 * np.trapezoid(kin.theta0_z**2, z)
 
 
+def _reference_extract(params, order, field, z, h_eps=0.02, n_points=6):
+    """The per-(order, field) extraction that the single sweep replaced: its
+    own n_points BVP solves and its own Vandermonde solve for each call."""
+    k = kink_parameter(params)
+    samples = []
+    for j in range(n_points):
+        e = j * h_eps
+        chain = params.to_chain_params(eps=e)
+        v = params.speed(e)
+        guess = kink_profile(z, k, v, chain, with_curvature=False)
+        solved = solve_tw_bvp(guess, chain, TWParams.for_speed(v, chain))
+        samples.append(solved.theta if field == "theta" else solved.phi)
+    V = np.vander(np.arange(n_points, dtype=float), n_points, increasing=True)
+    coeffs = np.linalg.solve(V, np.asarray(samples))
+    return coeffs[order] / h_eps**order
+
+
+@pytest.mark.parametrize("h_eps, n_points", [(0.02, 6), (0.03, 4)])
+def test_taylor_extract_sweep_matches_per_field_extraction(exp_params, h_eps,
+                                                           n_points):
+    p = exp_params
+    z = kink_grid(p, n=801, half_width=20.0)
+    ext = taylor_extract(p, z, h_eps=h_eps, n_points=n_points)
+    for got, (order, field) in zip(ext, [(1, "theta"), (1, "phi"),
+                                         (2, "phi")]):
+        ref = _reference_extract(p, order, field, z, h_eps, n_points)
+        assert np.array_equal(got, ref), (order, field)
+
+
+def test_build_perturbative_grid_check(exp_params):
+    p = exp_params
+    sol = build_perturbative(p, kink_grid(p, n=32001))
+    assert sol.theta1.shape == (32001,)
+    z = kink_grid(p, n=2001)
+    stepped = np.concatenate([z[:1000], z[1001:] + 0.5 * (z[1] - z[0])])
+    with pytest.raises(ValueError, match="grid must be uniform"):
+        build_perturbative(p, stepped)
+
+
 def test_taylor_extract_validations(exp_params):
     p = exp_params
     z = kink_grid(p, n=801, half_width=20.0)
     with pytest.raises(ValueError):
-        taylor_extract(p, 3, "phi", z)
-    with pytest.raises(ValueError):
-        taylor_extract(p, 1, "psi", z)
-    with pytest.raises(ValueError):
-        taylor_extract(p, 2, "phi", z, n_points=3)
+        taylor_extract(p, z, n_points=3)
 
 
 def test_residual_scaling_requires_positive_eps(exp_params):
+    sol = build_perturbative(exp_params)
     with pytest.raises(ValueError):
-        residual_scaling(exp_params, [0.0], 0)
+        residual_scaling(sol, [0.0], 0)
     with pytest.raises(ValueError):
-        residual_scaling(exp_params, [0.01, -0.02], 0)
+        residual_scaling(sol, [0.01, -0.02], 0)
 
 
 def test_export_scaling_csv(tmp_path, exp_params):
-    study = residual_scaling(exp_params, [0.02, 0.05], 0)
+    study = residual_scaling(build_perturbative(exp_params), [0.02, 0.05], 0)
     path = tmp_path / "scaling.csv"
     export_scaling_csv(study, path)
     lines = path.read_text().splitlines()

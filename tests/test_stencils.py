@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pendulon._stencils import (_EDGE_OFFSETS, derivative, derivative_matrix,
-                                fd_weights)
+                                fd_weights, uniform_spacing)
 
 
 def _reference_matrix(n, h, deriv):
@@ -87,3 +87,27 @@ def test_csr_matches_row_by_row_builder(n, h, deriv):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(2, 40000))
+def test_uniform_spacing_accepts_any_linspace(start, span, n):
+    """Refining a linspace grid never makes it fail the check: the tolerance
+    follows the rounding of the coordinates, not the step."""
+    x = np.linspace(start, start + span, n)
+    assert uniform_spacing(x) == float(x[1] - x[0])
+
+
+def test_uniform_spacing_rejects_real_steps():
+    x = np.linspace(-20.0, 20.0, 2001)
+    stepped = np.concatenate([np.linspace(-20.0, 0.0, 1000),
+                              np.linspace(0.03, 20.0, 1000)])
+    nudged = x.copy()
+    nudged[700] += 1e-12
+    bad = x.copy()
+    bad[3] = np.nan
+    for z in (stepped, nudged, bad, np.zeros(10)):
+        with pytest.raises(ValueError, match="uniform"):
+            uniform_spacing(z)
+    with pytest.raises(ValueError):
+        uniform_spacing([1.0])

@@ -182,3 +182,20 @@ def test_export_profile_roundtrip(tmp_path):
     data = np.loadtxt(lines[2:], delimiter=",")
     assert data.shape == (201, 8)
     assert np.allclose(data[:, 1], prof.theta, atol=0)  # repr round-trips
+
+
+def test_refined_grid_accepted_and_warped_grid_rejected():
+    p = _coupled_chain()
+    tw = TWParams.for_speed(0.305, p)
+    fine = kink_profile(np.linspace(-20.0, 20.0, 16001), 1.05, 0.305, p,
+                        with_curvature=False)
+    r1, r2 = tw_residual(fine, p)
+    assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
+    # a warped grid used to "converge" on the wrong stencil spacing
+    u = np.linspace(-1.0, 1.0, 2001)
+    warped = kink_profile(20.0 * (u + 0.05 * np.sin(np.pi * u)), 1.05, 0.305,
+                          p, with_curvature=False)
+    with pytest.raises(ValueError, match="grid must be uniform"):
+        solve_tw_bvp(warped, p, tw)
+    with pytest.raises(ValueError, match="grid must be uniform"):
+        tw_residual(warped, p)
