@@ -14,102 +14,53 @@ Layers, from discrete to asymptotic:
 - ``reductions``: the torsion-free compatibility constraint that selects
   the propagation speed, plus the stiff-confinement sweep.
 - ``cli`` / ``config``: reproducible experiment commands.
+
+``import pendulon`` is lazy: each name of ``__all__`` is imported from its
+home module on first access (PEP 562), so a program loads only the layers it
+uses. scipy is imported only where a matrix is built or factored:
+``_stencils.derivative_matrix`` / ``bordered_matrix`` and the two Newton
+layers, ``travelwave`` and ``perturbation``.
 """
 
-from .params import ChainParams, ConfiningPotential
-from .chain import (
-    LatticeState,
-    alpha_beta,
-    discrete_forces,
-    discrete_lagrangian,
-    kinetic_energy,
-    lagrangian_coordinate_gradient,
-    mass_matrix,
-    potential_energy,
-    tip_position,
-)
-from .lattice import (
-    IntegrationError,
-    SimulationReport,
-    kink_center,
-    moving_kink_state,
-    simulate,
-    total_energy,
-)
-from .continuum import (
-    FieldGrid,
-    PDEInstabilityError,
-    energy_total,
-    evolve,
-    kink_field_grid,
-    pde_rhs,
-    topological_charge,
-)
-from .travelwave import (
-    TWParams,
-    TWProfile,
-    TWSolveError,
-    kink_profile,
-    solve_tw_bvp,
-    tw_first_integral,
-    tw_lagrangian_density,
-    tw_residual,
-)
-from .perturbation import (
-    ExpansionParams,
-    PerturbativeSolution,
-    build_perturbative,
-    coefficient_B,
-    compose_series,
-    kink_parameter,
-    order1_phi,
-    order1_theta,
-    order2_phi,
-    residual_scaling,
-    sg_kink,
-    taylor_extract,
-)
-from .reductions import (
-    SpeedSelection,
-    StiffReport,
-    compatibility_mu,
-    selected_speed,
-    selected_speed_kink,
-    stiff_limit_experiment,
-)
-from .lagrangian_orders import (
-    ExpandedLagrangianSample,
-    auxiliary_check,
-    el_identities,
-    eval_L0_L1_L2,
-    expansion_sample,
-    slaving_consistency,
-    smooth_sample,
-    taylor_lagrangian_coefficients,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainParams", "ConfiningPotential", "LatticeState",
-    "alpha_beta", "discrete_forces", "discrete_lagrangian",
-    "kinetic_energy", "lagrangian_coordinate_gradient", "mass_matrix",
-    "potential_energy", "tip_position",
-    "IntegrationError", "SimulationReport", "kink_center",
-    "moving_kink_state", "simulate", "total_energy",
-    "FieldGrid", "PDEInstabilityError", "energy_total", "evolve",
-    "kink_field_grid", "pde_rhs", "topological_charge",
-    "TWParams", "TWProfile", "TWSolveError", "kink_profile",
-    "solve_tw_bvp", "tw_first_integral", "tw_lagrangian_density",
-    "tw_residual",
-    "ExpansionParams", "PerturbativeSolution", "build_perturbative",
-    "coefficient_B", "compose_series", "kink_parameter", "order1_phi",
-    "order1_theta", "order2_phi", "residual_scaling", "sg_kink",
-    "taylor_extract",
-    "SpeedSelection", "StiffReport", "compatibility_mu", "selected_speed",
-    "selected_speed_kink", "stiff_limit_experiment",
-    "ExpandedLagrangianSample", "auxiliary_check", "el_identities",
-    "eval_L0_L1_L2", "expansion_sample", "slaving_consistency",
-    "smooth_sample", "taylor_lagrangian_coefficients",
-    "__version__",
-]
+_HOMES = {
+    "params": "ChainParams ConfiningPotential ExpansionParams",
+    "_stencils": "IntegrationError TWSolveError",
+    "chain": "LatticeState alpha_beta discrete_forces discrete_lagrangian "
+             "kinetic_energy lagrangian_coordinate_gradient mass_matrix "
+             "potential_energy tip_position",
+    "lattice": "SimulationReport kink_center moving_kink_state simulate "
+               "total_energy",
+    "continuum": "FieldGrid PDEInstabilityError energy_total evolve "
+                 "kink_field_grid pde_rhs topological_charge",
+    "travelwave": "TWParams TWProfile kink_profile solve_tw_bvp "
+                  "tw_first_integral tw_lagrangian_density tw_residual",
+    "perturbation": "PerturbativeSolution build_perturbative coefficient_B "
+                    "compose_series kink_parameter order1_phi order1_theta "
+                    "order2_phi residual_scaling sg_kink taylor_extract",
+    "reductions": "SpeedSelection StiffReport compatibility_mu selected_speed "
+                  "selected_speed_kink stiff_limit_experiment",
+    "lagrangian_orders": "ExpandedLagrangianSample auxiliary_check "
+                         "el_identities eval_L0_L1_L2 expansion_sample "
+                         "slaving_consistency smooth_sample "
+                         "taylor_lagrangian_coefficients",
+}
+_HOME = {name: module for module, names in _HOMES.items()
+         for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,6 +1,7 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
-that both boundary-value solvers factor, and the classic RK4 step.
+that both boundary-value solvers factor, the classic RK4 step, and the two
+error classes every command maps to exit code 2.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -11,13 +12,16 @@ it, so both agree bit for bit.
 derivative builds its operator on each call and is meant for one-off use.
 Code that differentiates on the same grid many times keeps the operator
 instead: continuum.FieldGrid builds D1 and D2 once per grid.
+
+scipy.sparse is imported inside derivative_matrix and bordered_matrix, the
+two functions that build a matrix, so the lattice layer, which needs only
+rk4_step and IntegrationError from here, never loads scipy.
 """
 from __future__ import annotations
 
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class IntegrationError(RuntimeError):
@@ -26,6 +30,15 @@ class IntegrationError(RuntimeError):
     def __init__(self, message, t):
         super().__init__(f"{message} (t = {t!r})")
         self.t = t
+
+
+class TWSolveError(RuntimeError):
+    """Raised when a travelling-wave Newton solve fails; carries the final
+    residual when there is one."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 def fd_weights(offsets, deriv):
@@ -42,6 +55,8 @@ def fd_weights(offsets, deriv):
     b[deriv] = factorial(deriv)
     return np.linalg.solve(A, b)
 
+
+MIN_NODES = 6  # the shortest grid the stencils of derivative_matrix fit
 
 _CENTER_OFFSETS = np.arange(-2, 3)
 
@@ -67,7 +82,8 @@ def uniform_spacing(x):
 def derivative_matrix(n, h, deriv):
     """Sparse CSR matrix D with (D f) = d^deriv f / dx^deriv on n nodes of
     spacing h (4th-order accurate, boundary rows included)."""
-    if n < 6:
+    import scipy.sparse as sp
+    if n < MIN_NODES:
         raise ValueError("grid too short for 4th-order stencils")
     if deriv not in (1, 2):
         raise ValueError("only first and second derivatives supported")
@@ -100,6 +116,7 @@ def bordered_matrix(D1, D2, blocks, fixed, column, row):
     exact zeros are dropped, so the arrays equal those of the same sum of
     sparse products.
     """
+    import scipy.sparse as sp
     n, m = D2.shape[0], len(blocks)
     w = np.diff(D2.indptr).max()
     # each row of I, D1 and D2 lies in the w columns from first[i] on

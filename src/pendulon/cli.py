@@ -6,6 +6,11 @@ summary.json echoing the configuration. Reruns with the same config are
 byte-identical: no wall clock in outputs, all sampling seeded and recorded.
 
 Exit codes: 0 success, 1 config/validation failure, 2 numerical failure.
+
+Each command imports the layers it runs inside its handler, after the dry-run
+return where its checks allow, so a command loads only its own layers and
+every dry run except simulate-pde's (which builds the grid for its CFL check)
+runs without scipy.
 """
 from __future__ import annotations
 
@@ -15,17 +20,10 @@ import sys
 
 import numpy as np
 
-from . import lagrangian_orders as lagexp
-from . import lattice as lattice_mod
-from . import continuum, perturbation, reductions, travelwave
+from . import config
 from ._io import write_csv, write_json
-from .config import (ConfigError, chain_from_config, expansion_from_config,
-                     load_config, parse_bool, parse_floats,
-                     parse_int_at_least, parse_positive_float,
-                     parse_positive_int, read_section)
-from .lattice import IntegrationError
-from .continuum import PDEInstabilityError
-from .travelwave import TWParams, TWSolveError
+from ._stencils import MIN_NODES, IntegrationError, TWSolveError
+from .config import ConfigError
 
 
 def _rel_l2(a, b):
@@ -36,43 +34,45 @@ def _rel_l2(a, b):
 # commands: each does all config parsing first, bails before compute on dry run
 # ---------------------------------------------------------------------------
 
-_INTEGRATION_SCHEMA = {"dt": parse_positive_float,
-                       "t_end": parse_positive_float,
-                       "snapshot_every": parse_positive_int}
+_INTEGRATION_SCHEMA = {"dt": config.parse_positive_float,
+                       "t_end": config.parse_positive_float,
+                       "snapshot_every": config.parse_positive_int}
 
 
 def cmd_simulate_lattice(cp, args, out_dir, dry):
-    params = chain_from_config(cp)
-    lat = read_section(cp, "lattice",
-                       {"n_sites": int, "k": float, "v": float,
-                        "center": float, "index": int},
-                       required=("n_sites", "k", "v"))
-    integ = read_section(cp, "integration", _INTEGRATION_SCHEMA,
-                         required=("dt", "t_end"))
+    params = config.chain_from_config(cp)
+    lat = config.read_section(
+        cp, "lattice", {"n_sites": config.parse_int_at_least(2), "k": float,
+                        "v": float, "center": float, "index": int},
+        required=("n_sites", "k", "v"))
+    integ = config.read_section(cp, "integration", _INTEGRATION_SCHEMA,
+                                required=("dt", "t_end"))
     if dry:
         return None, None
-    state = lattice_mod.moving_kink_state(params, lat["k"], lat["v"],
-                                          lat["n_sites"],
-                                          center=lat.get("center"),
-                                          index=lat.get("index", 1))
-    report = lattice_mod.simulate(state, integ["t_end"], integ["dt"], params,
-                                  snapshot_every=integ.get("snapshot_every", 1))
+    from . import lattice
+    state = lattice.moving_kink_state(params, lat["k"], lat["v"],
+                                      lat["n_sites"], center=lat.get("center"),
+                                      index=lat.get("index", 1))
+    report = lattice.simulate(state, integ["t_end"], integ["dt"], params,
+                              snapshot_every=integ.get("snapshot_every", 1))
     outputs = ["lattice-trajectory.csv", "lattice-energy.csv"]
-    lattice_mod.export_trajectory_csv(report, os.path.join(out_dir, outputs[0]))
-    lattice_mod.export_energy_csv(report, os.path.join(out_dir, outputs[1]))
-    return lattice_mod.summary_dict(report), outputs
+    lattice.export_trajectory_csv(report, os.path.join(out_dir, outputs[0]))
+    lattice.export_energy_csv(report, os.path.join(out_dir, outputs[1]))
+    return lattice.summary_dict(report), outputs
 
 
 def cmd_simulate_pde(cp, args, out_dir, dry):
-    params = chain_from_config(cp)
-    dom = read_section(cp, "domain",
-                       {"x_min": float, "x_max": float, "n_points": int},
-                       required=("x_min", "x_max", "n_points"))
-    pde = read_section(cp, "pde",
-                       {"k": float, "v": float, "center": float, "index": int},
-                       required=("k", "v"))
-    integ = read_section(cp, "integration", _INTEGRATION_SCHEMA,
-                         required=("dt", "t_end"))
+    from . import continuum
+    params = config.chain_from_config(cp)
+    dom = config.read_section(
+        cp, "domain", {"x_min": float, "x_max": float,
+                       "n_points": config.parse_int_at_least(MIN_NODES)},
+        required=("x_min", "x_max", "n_points"))
+    pde = config.read_section(
+        cp, "pde", {"k": float, "v": float, "center": float, "index": int},
+        required=("k", "v"))
+    integ = config.read_section(cp, "integration", _INTEGRATION_SCHEMA,
+                                required=("dt", "t_end"))
     x = np.linspace(dom["x_min"], dom["x_max"], dom["n_points"])
     grid = continuum.kink_field_grid(params, pde["k"], pde["v"], x,
                                      center=pde.get("center"),
@@ -101,24 +101,27 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
 
 
 def cmd_solve_tw(cp, args, out_dir, dry):
-    params = chain_from_config(cp)
-    sec = read_section(cp, "tw",
-                       {"v": float, "k": float, "pi_shift": parse_bool,
-                        "index": int},
-                       required=("v", "k"))
-    dom = read_section(cp, "domain", {"half_width": float, "n_points": int})
+    params = config.chain_from_config(cp)
+    sec = config.read_section(
+        cp, "tw",
+        {"v": float, "k": float, "pi_shift": config.parse_bool, "index": int},
+        required=("v", "k"))
+    dom = config.read_section(
+        cp, "domain", {"half_width": float,
+                       "n_points": config.parse_int_at_least(MIN_NODES)})
     k = sec["k"]
     if k == 0 and "half_width" not in dom:
         raise ValueError("[tw] k = 0 needs an explicit [domain] half_width")
     if dry:
         return None, None
+    from . import travelwave
     half = dom["half_width"] if "half_width" in dom else 20.0 / k
     z = np.linspace(-half, half, dom.get("n_points", 2001))
     guess = travelwave.kink_profile(z, k, sec["v"], params,
                                     pi_shift=sec.get("pi_shift", False),
                                     with_curvature=False,
                                     index=sec.get("index", 1))
-    tw = TWParams.for_speed(sec["v"], params)
+    tw = travelwave.TWParams.for_speed(sec["v"], params)
     prof = travelwave.solve_tw_bvp(guess, params, tw)
     outputs = ["tw-profile.csv"]
     travelwave.export_profile_csv(prof, params, os.path.join(out_dir, outputs[0]))
@@ -135,15 +138,16 @@ def cmd_solve_tw(cp, args, out_dir, dry):
     return results, outputs
 
 
-_GRID_SCHEMA = {"n_points": int, "half_width_factor": float}
-
-
 def cmd_build_perturbative(cp, args, out_dir, dry):
-    exp = expansion_from_config(cp)
-    grid = read_section(cp, "grid", _GRID_SCHEMA)
-    comp = read_section(cp, "compose", {"eps": float, "order": int})
+    exp = config.expansion_from_config(cp)
+    grid = config.read_section(
+        cp, "grid",
+        {"n_points": int, "half_width_factor": config.parse_positive_float})
+    comp = config.read_section(cp, "compose",
+                               {"eps": float, "order": config.parse_order})
     if dry:
         return None, None
+    from . import perturbation, travelwave
     z = perturbation.kink_grid(exp, n=grid.get("n_points", 4001),
                                half_width=grid.get("half_width_factor", 25.0))
     sol = perturbation.build_perturbative(exp, z)
@@ -171,15 +175,17 @@ def cmd_build_perturbative(cp, args, out_dir, dry):
 
 
 def cmd_verify_expansion(cp, args, out_dir, dry):
-    exp = expansion_from_config(cp)
-    ver = read_section(cp, "verify",
-                       {"eps_list": parse_floats, "order": int,
-                        "h_eps": parse_positive_float,
-                        "extract_points": parse_int_at_least(4),
-                        "n_points": parse_positive_int,
-                        "half_width_factor": float})
+    exp = config.expansion_from_config(cp)
+    ver = config.read_section(
+        cp, "verify",
+        {"eps_list": config.parse_eps_list, "order": config.parse_order,
+         "h_eps": config.parse_positive_float,
+         "extract_points": config.parse_int_at_least(4),
+         "n_points": config.parse_positive_int,
+         "half_width_factor": config.parse_positive_float})
     if dry:
         return None, None
+    from . import perturbation
     z = perturbation.kink_grid(exp, n=ver.get("n_points", 4001),
                                half_width=ver.get("half_width_factor", 25.0))
     eps_list = ver.get("eps_list", [0.01, 0.02, 0.05, 0.1])
@@ -209,12 +215,14 @@ def cmd_verify_expansion(cp, args, out_dir, dry):
 
 
 def cmd_speed_select(cp, args, out_dir, dry):
-    params = chain_from_config(cp)
-    stiff_sec = read_section(cp, "stiff",
-                             {"ladder": parse_floats, "v_probe": parse_floats,
-                              "n_points": int})
+    params = config.chain_from_config(cp)
+    stiff_sec = config.read_section(
+        cp, "stiff", {"ladder": config.parse_floats,
+                      "v_probe": config.parse_floats,
+                      "n_points": config.parse_int_at_least(MIN_NODES)})
     if dry:
         return None, None
+    from . import reductions
     sel = reductions.selected_speed(params)
     print(f"v_star = ±{sel.v_star!r}")
     print(f"mu_star = {sel.mu_star!r}")
@@ -238,14 +246,17 @@ def cmd_speed_select(cp, args, out_dir, dry):
 
 
 def cmd_verify_lagrangian(cp, args, out_dir, dry):
-    exp = expansion_from_config(cp)
-    lag = read_section(cp, "lagrangian",
-                       {"n_samples": parse_positive_int, "seed": int,
-                        "n_points": parse_positive_int, "half_width": float,
-                        "h_eps": parse_positive_float,
-                        "taylor_points": parse_int_at_least(3)})
+    exp = config.expansion_from_config(cp)
+    lag = config.read_section(
+        cp, "lagrangian",
+        {"n_samples": config.parse_positive_int, "seed": int,
+         "n_points": config.parse_positive_int, "half_width": float,
+         "h_eps": config.parse_positive_float,
+         "taylor_points": config.parse_int_at_least(3)})
     if dry:
         return None, None
+    from . import lagrangian_orders as lagexp
+    from . import perturbation
     n_samples = lag.get("n_samples", 100)
     seed = lag.get("seed", 0)
     z = np.linspace(-lag.get("half_width", 8.0), lag.get("half_width", 8.0),
@@ -330,7 +341,7 @@ def main(argv=None) -> int:
     try:
         if not args.dry_run:
             os.makedirs(out_dir, exist_ok=True)
-        cp = load_config(args.config)
+        cp = config.load_config(args.config)
         results, outputs = handler(cp, args, out_dir, args.dry_run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,8 +349,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except (TWSolveError, IntegrationError, PDEInstabilityError,
-            RuntimeError, ArithmeticError) as exc:
+    except (TWSolveError, IntegrationError, RuntimeError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     if args.dry_run:

@@ -9,8 +9,7 @@ from __future__ import annotations
 import configparser
 import math
 
-from .params import ChainParams, ConfiningPotential
-from .perturbation import ExpansionParams
+from .params import ChainParams, ConfiningPotential, ExpansionParams
 
 
 class ConfigError(Exception):
@@ -46,10 +45,26 @@ def parse_positive_float(raw: str) -> float:
     return val
 
 
+def parse_order(raw: str) -> int:
+    """Series order of the eps expansion: 0, 1 or 2."""
+    val = int(raw)
+    if val not in (0, 1, 2):
+        raise ValueError(f"not an order 0, 1 or 2: {raw!r}")
+    return val
+
+
 def parse_floats(raw: str):
     vals = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not vals:
         raise ValueError("empty list")
+    return vals
+
+
+def parse_eps_list(raw: str):
+    """At least two eps values, each positive and finite (a log-log fit)."""
+    vals = [parse_positive_float(tok) for tok in raw.split(",") if tok.strip()]
+    if len(vals) < 2:
+        raise ValueError("need at least two positive eps values")
     return vals
 
 

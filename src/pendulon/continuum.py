@@ -28,10 +28,10 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _stencils
 from ._io import write_csv
+from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
-from ._stencils import (IntegrationError, derivative_matrix, rk4_step,
-                        uniform_spacing)
 from .chain import _mass_solve
 from .params import ChainParams, _inertia, _kink
 
@@ -61,13 +61,13 @@ class FieldGrid:
         arrays = [np.asarray(a, dtype=float)
                   for a in (self.x, self.Theta, self.Phi, self.Theta_t, self.Phi_t)]
         n = arrays[0].shape[0]
-        if n < 6:
+        if n < _stencils.MIN_NODES:
             raise ValueError("grid too short")
         if any(a.shape != (n,) for a in arrays):
             raise ValueError("field arrays must match the grid length")
-        dx = uniform_spacing(arrays[0])
-        object.__setattr__(self, "_D", (derivative_matrix(n, dx, 1),
-                                        derivative_matrix(n, dx, 2)))
+        dx = _stencils.uniform_spacing(arrays[0])
+        object.__setattr__(self, "_D", (_stencils.derivative_matrix(n, dx, 1),
+                                        _stencils.derivative_matrix(n, dx, 2)))
         for name, a in zip(("x", "Theta", "Phi", "Theta_t", "Phi_t"), arrays):
             object.__setattr__(self, name, a)
 
@@ -158,7 +158,7 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
     snaps = [grid]
     for i in range(n_steps):
         try:
-            y = rk4_step(rhs, y, grid.t + i * dt, dt)
+            y = _stencils.rk4_step(rhs, y, grid.t + i * dt, dt)
         except IntegrationError as exc:
             raise PDEInstabilityError("non-finite fields", exc.t) from exc
         t = grid.t + (i + 1) * dt

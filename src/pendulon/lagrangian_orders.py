@@ -24,8 +24,9 @@ from typing import Dict
 
 import numpy as np
 
-from .perturbation import (ExpansionParams, _eps_fit, _theta1_zz,
-                           build_perturbative, sg_kink)
+from . import perturbation
+from .params import ExpansionParams
+from .perturbation import _eps_fit, _theta1_zz
 from .travelwave import _density_raw
 
 
@@ -101,8 +102,8 @@ def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
     """Sample populated with the actual expansion fields of
     build_perturbative (phi0 = 0 branch, kink at order 0, no order-2 outer
     correction), with theta1'' in ODE form."""
-    sol = build_perturbative(params, z)
-    kin = sg_kink(sol.z, params)
+    sol = perturbation.build_perturbative(params, z)
+    kin = perturbation.sg_kink(sol.z, params)
     zeros = np.zeros_like(sol.z)
     return ExpandedLagrangianSample(
         z=sol.z, params=params,

@@ -11,9 +11,10 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _stencils, chain
 from ._io import write_csv, write_json
-from ._stencils import IntegrationError, rk4_step  # noqa: F401 (re-exported)
-from .chain import LatticeState, discrete_forces, kinetic_energy, potential_energy
+from ._stencils import IntegrationError  # noqa: F401 (re-exported)
+from .chain import LatticeState
 from .params import ChainParams, _kink
 
 
@@ -26,7 +27,8 @@ class SimulationReport:
 
 def total_energy(state: LatticeState, params: ChainParams):
     """T + U, zero at the rest configuration."""
-    return kinetic_energy(state, params) + potential_energy(state, params)
+    return (chain.kinetic_energy(state, params)
+            + chain.potential_energy(state, params))
 
 
 def step(state: LatticeState, dt, params: ChainParams) -> LatticeState:
@@ -35,11 +37,12 @@ def step(state: LatticeState, dt, params: ChainParams) -> LatticeState:
         raise ValueError("dt must be positive")
 
     def rhs(y, t):
-        acc = discrete_forces(LatticeState(*y, t), params)
+        acc = chain.discrete_forces(LatticeState(*y, t), params)
         return y[2], y[3], acc[0], acc[1]
 
     y = (state.theta, state.phi, state.theta_dot, state.phi_dot)
-    return LatticeState(*rk4_step(rhs, y, state.t, dt), t=state.t + dt)
+    y = _stencils.rk4_step(rhs, y, state.t, dt)
+    return LatticeState(*y, t=state.t + dt)
 
 
 def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
@@ -73,6 +76,8 @@ def moving_kink_state(params: ChainParams, k, v, n_sites, center=None,
 
     Velocities sample the travelling-wave time derivative -v vartheta0'.
     """
+    if n_sites < 2:
+        raise ValueError("need at least two sites")
     x = params.delta * np.arange(n_sites)
     if center is None:
         center = x[-1] / 2.0

@@ -1,9 +1,11 @@
-"""Physical parameters of the chain, the confining-potential families, and
-the unit kink profile every layer seeds from."""
+"""Physical parameters of the chain, the confining-potential families, the
+constants of the eps expansion, and the unit kink profile every layer seeds
+from."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -138,6 +140,48 @@ class ChainParams:
         if self.R == 0:
             raise ValueError("R = 0: dynamics not defined for this operation")
 
+
+@dataclass(frozen=True)
+class ExpansionParams:
+    """Base-state constants and series coefficients of the expansion."""
+
+    A: float
+    Mhat: float
+    Khat: float
+    g: float
+    eps: float = 0.0
+    r1: float = 0.0
+    r2: float = 0.0
+    m1: float = 0.0
+    m2: float = 0.0
+    k1: float = 0.0
+    k2: float = 0.0
+    v0: float = 0.0
+    v1: float = 0.0
+    v2: float = 0.0
+    h_spec: ConfiningPotential = field(default_factory=ConfiningPotential)
+
+    def __post_init__(self):
+        for name in ("A", "Mhat", "Khat", "g"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.eps < 0:
+            raise ValueError("eps must be nonnegative")
+
+    def speed(self, eps: Optional[float] = None) -> float:
+        e = self.eps if eps is None else eps
+        return self.v0 + e * self.v1 + e * e * self.v2
+
+    def to_chain_params(self, eps: Optional[float] = None,
+                        delta: float = 1.0) -> ChainParams:
+        e = self.eps if eps is None else eps
+        r = e * self.r1 + e * e * self.r2
+        m = e * self.m1 + e * e * self.m2
+        Kt = e * self.k1 + e * e * self.k2
+        Ks = self.Khat - Kt
+        return ChainParams(M=self.Mhat - m, m=m, R=self.A - r, r=r,
+                           kappa_t=Kt / delta**2, kappa_s=Ks / delta**2,
+                           g=self.g, delta=delta, h_spec=self.h_spec)
 
 def _kink(u):
     """(4 arctan(exp(u)), sech(u)) of the unit sine-Gordon kink, via the

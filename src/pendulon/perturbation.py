@@ -19,61 +19,16 @@ zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from . import _stencils, travelwave
 from ._io import write_csv
-from ._stencils import (bordered_matrix, derivative, derivative_matrix,
-                        uniform_spacing)
-from .params import ChainParams, ConfiningPotential, _kink
-from .travelwave import (TWParams, TWProfile, kink_profile, solve_tw_bvp,
-                         tw_residual)
-
-
-@dataclass(frozen=True)
-class ExpansionParams:
-    """Base-state constants and series coefficients of the expansion."""
-
-    A: float
-    Mhat: float
-    Khat: float
-    g: float
-    eps: float = 0.0
-    r1: float = 0.0
-    r2: float = 0.0
-    m1: float = 0.0
-    m2: float = 0.0
-    k1: float = 0.0
-    k2: float = 0.0
-    v0: float = 0.0
-    v1: float = 0.0
-    v2: float = 0.0
-    h_spec: ConfiningPotential = field(default_factory=ConfiningPotential)
-
-    def __post_init__(self):
-        for name in ("A", "Mhat", "Khat", "g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-
-    def speed(self, eps: Optional[float] = None) -> float:
-        e = self.eps if eps is None else eps
-        return self.v0 + e * self.v1 + e * e * self.v2
-
-    def to_chain_params(self, eps: Optional[float] = None,
-                        delta: float = 1.0) -> ChainParams:
-        e = self.eps if eps is None else eps
-        r = e * self.r1 + e * e * self.r2
-        m = e * self.m1 + e * e * self.m2
-        Kt = e * self.k1 + e * e * self.k2
-        Ks = self.Khat - Kt
-        return ChainParams(M=self.Mhat - m, m=m, R=self.A - r, r=r,
-                           kappa_t=Kt / delta**2, kappa_s=Ks / delta**2,
-                           g=self.g, delta=delta, h_spec=self.h_spec)
+from .params import ExpansionParams, _kink
+from .travelwave import TWParams, TWProfile
 
 
 class KinkArrays(NamedTuple):
@@ -152,7 +107,7 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
     assumed.
     """
     z = np.asarray(z, dtype=float)
-    dz = uniform_spacing(z)
+    dz = _stencils.uniform_spacing(z)
     n = z.shape[0]
     if n < 8:
         raise ValueError("need a uniform grid with at least 8 points")
@@ -174,9 +129,10 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
     rhs[0] = rhs[-1] = 0.0
     w = np.full(n, dz)  # trapezoid weights of <., theta0'>
     w[0] = w[-1] = 0.5 * dz
-    A = bordered_matrix(None, derivative_matrix(n, dz, 2),
-                        [[(-(k * k * kin.cos_theta0), 0.0, 1.0)]], [0, n - 1],
-                        kin.theta0_z, w * kin.theta0_z)
+    A = _stencils.bordered_matrix(
+        None, _stencils.derivative_matrix(n, dz, 2),
+        [[(-(k * k * kin.cos_theta0), 0.0, 1.0)]], [0, n - 1],
+        kin.theta0_z, w * kin.theta0_z)
     sol = splu(A).solve(np.concatenate([rhs, [0.0]]))
     return sol[:n]
 
@@ -248,7 +204,7 @@ def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
     if z is None:
         z = kink_grid(params)
     z = np.asarray(z, dtype=float)
-    dz = uniform_spacing(z)
+    dz = _stencils.uniform_spacing(z)
     kin = sg_kink(z, params)
     theta1 = order1_theta(params, z)
     phi1 = order1_phi(params, z)
@@ -257,8 +213,8 @@ def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
     return PerturbativeSolution(
         z=z, k=kink_parameter(params), theta0=kin.theta0, theta1=theta1,
         phi1=phi1, phi2=phi2, B=coefficient_B(params), params=params,
-        theta1_z=derivative(theta1, dz, 1), phi1_z=phi1_z,
-        phi2_z=derivative(phi2, dz, 1))
+        theta1_z=_stencils.derivative(theta1, dz, 1), phi1_z=phi1_z,
+        phi2_z=_stencils.derivative(phi2, dz, 1))
 
 
 def compose_series(sol: PerturbativeSolution, eps: float,
@@ -294,7 +250,7 @@ def compose_series(sol: PerturbativeSolution, eps: float,
         dz = float(z[1] - z[0])
         phi = phi + eps * eps * sol.phi2
         phi_z = phi_z + eps * eps * sol.phi2_z
-        phi_zz = phi_zz + eps * eps * derivative(sol.phi2, dz, 2)
+        phi_zz = phi_zz + eps * eps * _stencils.derivative(sol.phi2, dz, 2)
 
     chain = p.to_chain_params(eps=eps)
     tw = TWParams.for_speed(p.speed(eps), chain)
@@ -349,8 +305,9 @@ def taylor_extract(params: ExpansionParams, z, h_eps: float = 0.02,
         e = j * h_eps
         chain = params.to_chain_params(eps=e)
         v = params.speed(e)
-        guess = kink_profile(z, k, v, chain, with_curvature=False)
-        solved = solve_tw_bvp(guess, chain, TWParams.for_speed(v, chain))
+        guess = travelwave.kink_profile(z, k, v, chain, with_curvature=False)
+        solved = travelwave.solve_tw_bvp(guess, chain,
+                                         TWParams.for_speed(v, chain))
         thetas.append(solved.theta)
         phis.append(solved.phi)
 
@@ -384,7 +341,7 @@ def residual_scaling(sol: PerturbativeSolution, eps_list,
     res1, res2 = [], []
     for e in eps_arr:
         prof = compose_series(sol, e, order)
-        r1, r2 = tw_residual(prof, sol.params.to_chain_params(eps=e))
+        r1, r2 = travelwave.tw_residual(prof, sol.params.to_chain_params(eps=e))
         res1.append(float(np.sqrt(np.trapezoid(r1 * r1, sol.z))))
         res2.append(float(np.sqrt(np.trapezoid(r2 * r2, sol.z))))
     res1 = np.asarray(res1)

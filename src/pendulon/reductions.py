@@ -12,11 +12,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _stencils, travelwave
 from ._io import write_csv
-from ._stencils import derivative
+from ._stencils import TWSolveError
 from .params import ChainParams
-from .travelwave import (TWParams, TWProfile, TWSolveError, kink_profile,
-                         solve_tw_bvp, tw_residual)
+from .travelwave import TWParams, TWProfile
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def reduced_equations_residual(theta, z, params: ChainParams, v: float):
         raise ValueError("reduction assumes h'(0) = 0")
     theta = np.asarray(theta, dtype=float)
     z = np.asarray(z, dtype=float)
-    theta_zz = derivative(theta, float(z[1] - z[0]), 2)
+    theta_zz = _stencils.derivative(theta, float(z[1] - z[0]), 2)
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     mu = params.Ks - m * v * v
     s = np.sin(theta)
@@ -110,8 +110,8 @@ def selected_speed_kink(params: ChainParams, z) -> TWProfile:
     """
     sel = selected_speed(params)
     kappa = selected_kink_width(params)
-    return kink_profile(np.asarray(z, dtype=float), kappa, sel.v_star, params,
-                        pi_shift=True)
+    return travelwave.kink_profile(np.asarray(z, dtype=float), kappa,
+                                   sel.v_star, params, pi_shift=True)
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,18 @@ def stiff_limit_experiment(params: ChainParams,
     for h2 in ladder:
         stiff = replace(params, h_spec=params.h_spec.with_stiffness(h2))
         for v in v_probe:
-            guess = kink_profile(z, kappa, v, stiff, pi_shift=True,
-                                 with_curvature=False)
+            guess = travelwave.kink_profile(z, kappa, v, stiff,
+                                            pi_shift=True,
+                                            with_curvature=False)
             tw = TWParams.for_speed(v, stiff)
             try:
-                prof = solve_tw_bvp(guess, stiff, tw)
+                prof = travelwave.solve_tw_bvp(guess, stiff, tw)
             except TWSolveError as exc:
                 bad = exc.residual if exc.residual is not None else float("nan")
                 cells.append(StiffCell(h2, float(v), False, float("nan"),
                                        float(bad)))
                 continue
-            r1, r2 = tw_residual(prof, stiff)
+            r1, r2 = travelwave.tw_residual(prof, stiff)
             res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
             cells.append(StiffCell(h2, float(v), True,
                                    float(np.max(np.abs(prof.phi))), res))

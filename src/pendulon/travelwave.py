@@ -20,16 +20,10 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from . import _stencils
 from ._io import write_csv
-from ._stencils import (bordered_matrix, derivative, derivative_matrix,
-                        uniform_spacing)
+from ._stencils import TWSolveError
 from .params import ChainParams, _inertia, _kink
-
-
-class TWSolveError(RuntimeError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class TWProfile:
     @property
     def dz(self):
         """Grid spacing; ValueError unless z is uniform."""
-        return uniform_spacing(self.z)
+        return _stencils.uniform_spacing(self.z)
 
 
 def _residual_core(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
@@ -100,9 +94,9 @@ def tw_residual(profile: TWProfile, params: ChainParams):
     tzz = profile.theta_zz
     pzz = profile.phi_zz
     if tzz is None:
-        tzz = derivative(profile.theta, dz, 2)
+        tzz = _stencils.derivative(profile.theta, dz, 2)
     if pzz is None:
-        pzz = derivative(profile.phi, dz, 2)
+        pzz = _stencils.derivative(profile.phi, dz, 2)
     return _residual_core(profile.theta, profile.phi, profile.theta_z,
                           profile.phi_z, tzz, pzz, profile.tw.mu,
                           profile.tw.v, params)
@@ -213,8 +207,8 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
     z = guess.z
     n = z.shape[0]
     dz = guess.dz
-    D1 = derivative_matrix(n, dz, 1)
-    D2 = derivative_matrix(n, dz, 2)
+    D1 = _stencils.derivative_matrix(n, dz, 1)
+    D2 = _stencils.derivative_matrix(n, dz, 2)
     th_l, th_r = guess.theta[0], guess.theta[-1]
     ph_l, ph_r = guess.phi[0], guess.phi[-1]
     mid = n // 2
@@ -257,8 +251,9 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
         # Dirichlet conditions, the border column is the translation mode
         blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
                   for eq in "12"]
-        A = bordered_matrix(D1, D2, blocks, [0, 1, 2 * n - 2, 2 * n - 1],
-                            np.column_stack([tz, pz]).ravel(), pin_row)
+        A = _stencils.bordered_matrix(
+            D1, D2, blocks, [0, 1, 2 * n - 2, 2 * n - 1],
+            np.column_stack([tz, pz]).ravel(), pin_row)
         try:
             lu = splu(A)
         except RuntimeError as exc:

@@ -1,18 +1,20 @@
 """Configuration loading and the command-line harness: strict key checking,
 exit codes, artifact schemas, and byte-identical reruns."""
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pendulon import cli, continuum, lagrangian_orders, perturbation
+from pendulon import (cli, continuum, lagrangian_orders, perturbation,
+                      travelwave)
 from pendulon.config import (ConfigError, chain_from_config,
                              expansion_from_config, load_config, parse_bool,
-                             parse_floats, parse_int_at_least,
-                             parse_positive_float, parse_positive_int,
-                             read_section)
+                             parse_eps_list, parse_floats, parse_int_at_least,
+                             parse_order, parse_positive_float,
+                             parse_positive_int, read_section)
 
 CHAIN_INI = """\
 [chain]
@@ -92,6 +94,14 @@ def test_parse_helpers():
     for bad in ("3", "4.0", "x"):
         with pytest.raises(ValueError):
             parse_int_at_least(4)(bad)
+    assert [parse_order(raw) for raw in ("0", "1", " 2")] == [0, 1, 2]
+    for bad in ("-1", "3", "1.0", "x"):
+        with pytest.raises(ValueError):
+            parse_order(bad)
+    assert parse_eps_list("0.1, 0.02,") == [0.1, 0.02]
+    for bad in ("0.1", " , ", "0.0, 0.1", "-0.1, 0.1", "0.1, nan", "0.1, x"):
+        with pytest.raises(ValueError):
+            parse_eps_list(bad)
 
 
 def test_unknown_key_names_section_and_key(tmp_path):
@@ -270,6 +280,34 @@ def test_dry_run_rejects_unstable_pde_time_step(tmp_path, capsys):
     assert "config ok" not in captured.out
 
 
+@pytest.mark.parametrize("command, text, section, key", [
+    ("simulate-lattice", CHAIN_INI + "\n[integration]\ndt = 0.002\n"
+     "t_end = 0.01\n\n[lattice]\nn_sites = 0\nk = 1.0\nv = 0.4\n",
+     "lattice", "'n_sites'"),
+    ("simulate-lattice", CHAIN_INI + "\n[integration]\ndt = 0.002\n"
+     "t_end = 0.01\n\n[lattice]\nn_sites = 1\nk = 1.0\nv = 0.4\n",
+     "lattice", "'n_sites'"),
+    ("simulate-pde", CHAIN_INI + "\n[integration]\ndt = 0.002\n"
+     "t_end = 0.01\n\n[domain]\nx_min = 0\nx_max = 1\nn_points = 5\n"
+     "\n[pde]\nk = 1.0\nv = 0.4\n", "domain", "'n_points'"),
+    ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n"
+     "\n[domain]\nn_points = 5\n", "domain", "'n_points'"),
+    ("speed-select", SPEED_INI + "\n[stiff]\nn_points = 5\n", "stiff",
+     "'n_points'"),
+])
+@pytest.mark.parametrize("dry", [True, False])
+def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
+                                           section, key, dry):
+    cfg = _write(tmp_path, "short.ini", text)
+    mode = ["--dry-run"] if dry else ["--out", str(tmp_path / "out")]
+    extra = ["--stiff"] if command == "speed-select" else []
+    rc = cli.main([command, "--config", cfg, *mode, *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"[{section}]" in captured.err and key in captured.err
+    assert "config ok" not in captured.out
+
+
 def test_solve_tw_zero_k_without_half_width_is_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, "tw.ini", CHAIN_INI + "\n[tw]\nv = 0.305\nk = 0\n")
     rc = cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)])
@@ -348,13 +386,14 @@ def test_verify_expansion_report_and_jobs_determinism(tmp_path):
 
 def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     calls = {"solve_tw_bvp": 0, "order1_theta": 0}
-    for name in calls:
-        real = getattr(perturbation, name)
+    for module, name in ((travelwave, "solve_tw_bvp"),
+                         (perturbation, "order1_theta")):
+        real = getattr(module, name)
 
         def counting(*a, _real=real, _name=name, **kw):
             calls[_name] += 1
             return _real(*a, **kw)
-        monkeypatch.setattr(perturbation, name, counting)
+        monkeypatch.setattr(module, name, counting)
     cfg = _write(tmp_path, "exp.ini",
                  EXPANSION_INI + "\n[verify]\nn_points = 801\n"
                  "extract_points = 5\n")
@@ -374,6 +413,14 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     ("verify-lagrangian", "lagrangian", "n_points = -3", "'n_points'"),
     ("verify-lagrangian", "lagrangian", "taylor_points = 2",
      "'taylor_points'"),
+    ("verify-expansion", "verify", "order = 3", "'order'"),
+    ("verify-expansion", "verify", "eps_list = 0.0, 0.1", "'eps_list'"),
+    ("verify-expansion", "verify", "eps_list = 0.1", "'eps_list'"),
+    ("verify-expansion", "verify", "half_width_factor = 0",
+     "'half_width_factor'"),
+    ("build-perturbative", "compose", "order = 3", "'order'"),
+    ("build-perturbative", "grid", "half_width_factor = 0",
+     "'half_width_factor'"),
 ])
 def test_dry_run_rejects_bad_oracle_values(tmp_path, capsys, command, section,
                                            line, key):
@@ -480,3 +527,41 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "v_star" in proc.stdout
+
+
+# --------------------------------------------------------------- startup ---
+
+_STARTUP_PROBE = """\
+import json, sys
+from pendulon import cli
+print(json.dumps([[cli.main(argv), "scipy" in sys.modules]
+                  for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_commands_load_scipy_only_when_they_need_it(tmp_path):
+    """simulate-lattice and every dry run but simulate-pde's (its CFL check
+    builds the grid) run without scipy."""
+    lattice = CHAIN_INI + _SIM_SECTIONS["simulate-lattice"] + (
+        "\n[integration]\ndt = 0.002\nt_end = 0.01\n")
+    configs = {
+        "simulate-lattice": lattice,
+        "solve-tw": CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n",
+        "build-perturbative": EXPANSION_INI,
+        "verify-expansion": EXPANSION_INI,
+        "speed-select": SPEED_INI,
+        "verify-lagrangian": EXPANSION_INI,
+    }
+    argvs = [[command, "--config", _write(tmp_path, f"{command}.ini", text),
+              "--dry-run", *(["--stiff"] if command == "speed-select" else [])]
+             for command, text in configs.items()]
+    argvs.append(["simulate-lattice", "--config", argvs[0][2],
+                  "--out", str(tmp_path / "out")])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False]] * len(argvs)
+    assert (tmp_path / "out" / "lattice-trajectory.csv").exists()

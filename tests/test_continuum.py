@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pendulon import continuum
+from pendulon import _stencils, continuum
 from pendulon.chain import _mass_solve
 from pendulon.continuum import (FieldGrid, PDEInstabilityError, _sources,
                                 energy_total, evolve, kink_field_grid,
@@ -220,13 +220,13 @@ def test_evolve_shares_the_grid_operators(monkeypatch):
 
 def test_evolve_builds_two_operators(monkeypatch):
     calls = []
-    real = continuum.derivative_matrix
+    real = _stencils.derivative_matrix
 
     def counting(n, h, deriv):
         calls.append((n, deriv))
         return real(n, h, deriv)
 
-    monkeypatch.setattr(continuum, "derivative_matrix", counting)
+    monkeypatch.setattr(_stencils, "derivative_matrix", counting)
     p = _single_angle_chain()
     grid = kink_field_grid(p, 1.0, 0.2, np.linspace(0, 20, 101))
     snaps = evolve(grid, 0.01, 1e-3, p)

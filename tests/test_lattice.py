@@ -68,6 +68,9 @@ def test_moving_kink_tail_values():
     assert abs(st.theta[0]) < 1e-15
     assert abs(st.theta[-1] - 2 * np.pi) < 1e-12
     assert st.theta[0] >= 0.0  # tail does not overshoot through zero
+    for n_sites in (0, 1):  # 0 used to raise IndexError
+        with pytest.raises(ValueError, match="at least two sites"):
+            moving_kink_state(p, 1.0, 0.0, n_sites)
 
 
 def test_nonpositive_dt_rejected(generic_chain, rng):
