@@ -1,5 +1,5 @@
-"""Artifact writers shared by the layers and the CLI: schema-tagged CSV and
-key-sorted JSON."""
+"""Artifact writers shared by the layers and the CLI: schema-tagged CSV (row
+by row, or column-wise per snapshot) and key-sorted JSON."""
 from __future__ import annotations
 
 import json
@@ -18,6 +18,24 @@ def write_csv(path, schema, header, rows):
     with open(path, "w") as f:
         f.write(f"# schema: {schema}\n{header}\n")
         f.writelines(line % row for row in rows)
+
+
+def write_snapshots_csv(path, schema, header, snapshots):
+    """Write `# schema: <schema>`, the header, then one block per snapshot.
+
+    A snapshot is (t, keys, *columns): row k of its block reads t, keys[k]
+    and then element k of each column. keys are strings; t and the columns
+    are written as repr of Python floats, the same bytes as write_csv. Each
+    column is turned into strings once and each block goes out in one write,
+    so only one snapshot's text is held at a time.
+    """
+    with open(path, "w") as f:
+        f.write(f"# schema: {schema}\n{header}\n")
+        for t, keys, *columns in snapshots:
+            lead = f"{float(t)!r},"
+            rows = map(",".join, zip(keys, *(map(repr, c.tolist())
+                                              for c in columns)))
+            f.write("".join([lead + row + "\n" for row in rows]))
 
 
 def _py(obj):

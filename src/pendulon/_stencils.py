@@ -57,6 +57,7 @@ def fd_weights(offsets, deriv):
 
 
 MIN_NODES = 6  # the shortest grid the stencils of derivative_matrix fit
+MIN_EXPANSION_NODES = 8  # the shortest grid perturbation.order1_theta solves on
 
 _CENTER_OFFSETS = np.arange(-2, 3)
 

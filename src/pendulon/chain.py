@@ -111,21 +111,33 @@ def mass_matrix(phi, params: ChainParams):
     return M * R**2 + m * r2b, m * r2a, np.full_like(np.asarray(phi, float), m * r**2)
 
 
-def _bond_pairs(n, topology):
-    i = np.arange(n - 1)
-    j = i + 1
+def _bond_ends(a, topology):
+    """(a at site i, a at site j) for the bonds i -> j = i + 1, in bond order:
+    slices of a on the open chain; a and a rolled by one on the periodic
+    chain, whose wrap bond n-1 -> 0 comes last."""
     if topology == "periodic":
-        i = np.concatenate([i, [n - 1]])
-        j = np.concatenate([j, [0]])
-    return i, j
+        return a, np.roll(a, -1)
+    return a[:-1], a[1:]
+
+
+def _scatter_bonds(g, vi, vj, topology):
+    """g[i] -= vi, then g[j] += vj, over every bond at once; each site sees
+    the same operations in the same order as one bond at a time."""
+    if topology == "periodic":
+        g -= vi
+        g += np.roll(vj, 1)
+    else:
+        g[:-1] -= vi
+        g[1:] += vj
 
 
 def potential_energy(state: LatticeState, params: ChainParams):
     """Total potential: torsional + stacking bonds, gravity, confinement."""
     th, ph = state.theta, state.phi
-    i, j = _bond_pairs(state.n_sites, params.topology)
-    u = np.sum(torsional_potential(th[i], th[j], params))
-    u += np.sum(stacking_potential(th[i], ph[i], th[j], ph[j], params))
+    th_i, th_j = _bond_ends(th, params.topology)
+    ph_i, ph_j = _bond_ends(ph, params.topology)
+    u = np.sum(torsional_potential(th_i, th_j, params))
+    u += np.sum(stacking_potential(th_i, ph_i, th_j, ph_j, params))
     u += np.sum(external_potential(th, ph, params))
     u += np.sum(params.h_spec.h(ph))
     return float(u)
@@ -146,7 +158,8 @@ def discrete_lagrangian(state: LatticeState, params: ChainParams):
 def _potential_gradient(state: LatticeState, params: ChainParams):
     """(dU/dtheta_i, dU/dphi_i) for the full potential, analytically.
 
-    One sin/cos pass per site; the bond terms index the per-site values.
+    One sin/cos pass per site; the bond terms take the per-site values at
+    both bond ends from _bond_ends.
     """
     th, ph = state.theta, state.phi
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
@@ -158,21 +171,24 @@ def _potential_gradient(state: LatticeState, params: ChainParams):
     gth = g * (M * R * sth + m * (R * sth + r * stp))
     gph = g * m * r * stp + params.h_spec.dh(ph)
 
-    # i and j each hold distinct sites, so a[i] += v equals np.add.at
-    i, j = _bond_pairs(state.n_sites, params.topology)
+    top = params.topology
+    th_i, th_j = _bond_ends(th, top)
+    x_i, x_j = _bond_ends(x, top)
+    y_i, y_j = _bond_ends(y, top)
     # torsional bonds
-    s = params.kappa_t * np.sin(th[j] - th[i])
-    gth[i] -= s
-    gth[j] += s
+    s = params.kappa_t * np.sin(th_j - th_i)
+    _scatter_bonds(gth, s, s, top)
     # stacking bonds, via the Cartesian chain rule:
     # dU/dq = -kappa_s (tip_j - tip_i) . d tip_i/dq  (and + for site j)
-    dx, dy = x[j] - x[i], y[j] - y[i]
+    dx, dy = x_j - x_i, y_j - y_i
     ks = params.kappa_s
     # d tip/d theta = (-y, x); d tip/d phi = (-r sin(th+ph), r cos(th+ph))
-    gth[i] -= ks * (dx * -y[i] + dy * x[i])
-    gth[j] += ks * (dx * -y[j] + dy * x[j])
-    gph[i] -= ks * r * (-dx * stp[i] + dy * ctp[i])
-    gph[j] += ks * r * (-dx * stp[j] + dy * ctp[j])
+    _scatter_bonds(gth, ks * (dx * -y_i + dy * x_i),
+                   ks * (dx * -y_j + dy * x_j), top)
+    stp_i, stp_j = _bond_ends(stp, top)
+    ctp_i, ctp_j = _bond_ends(ctp, top)
+    _scatter_bonds(gph, ks * r * (-dx * stp_i + dy * ctp_i),
+                   ks * r * (-dx * stp_j + dy * ctp_j), top)
     return gth, gph
 
 

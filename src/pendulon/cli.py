@@ -22,7 +22,8 @@ import numpy as np
 
 from . import config
 from ._io import write_csv, write_json
-from ._stencils import MIN_NODES, IntegrationError, TWSolveError
+from ._stencils import (MIN_EXPANSION_NODES, MIN_NODES, IntegrationError,
+                        TWSolveError)
 from .config import ConfigError
 
 
@@ -37,6 +38,11 @@ def _rel_l2(a, b):
 _INTEGRATION_SCHEMA = {"dt": config.parse_positive_float,
                        "t_end": config.parse_positive_float,
                        "snapshot_every": config.parse_positive_int}
+
+# the grid of the eps expansion: [grid] of build-perturbative, and [verify]
+_EXPANSION_GRID_SCHEMA = {
+    "n_points": config.parse_int_at_least(MIN_EXPANSION_NODES),
+    "half_width_factor": config.parse_positive_float}
 
 
 def cmd_simulate_lattice(cp, args, out_dir, dry):
@@ -140,9 +146,7 @@ def cmd_solve_tw(cp, args, out_dir, dry):
 
 def cmd_build_perturbative(cp, args, out_dir, dry):
     exp = config.expansion_from_config(cp)
-    grid = config.read_section(
-        cp, "grid",
-        {"n_points": int, "half_width_factor": config.parse_positive_float})
+    grid = config.read_section(cp, "grid", _EXPANSION_GRID_SCHEMA)
     comp = config.read_section(cp, "compose",
                                {"eps": float, "order": config.parse_order})
     if dry:
@@ -181,8 +185,7 @@ def cmd_verify_expansion(cp, args, out_dir, dry):
         {"eps_list": config.parse_eps_list, "order": config.parse_order,
          "h_eps": config.parse_positive_float,
          "extract_points": config.parse_int_at_least(4),
-         "n_points": config.parse_positive_int,
-         "half_width_factor": config.parse_positive_float})
+         **_EXPANSION_GRID_SCHEMA})
     if dry:
         return None, None
     from . import perturbation

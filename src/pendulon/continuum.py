@@ -24,12 +24,11 @@ evolve) share them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import _stencils
-from ._io import write_csv
+from ._io import write_csv, write_snapshots_csv
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
@@ -223,11 +222,9 @@ def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
 
 
 def export_fields_csv(snaps, path):
-    write_csv(path, "pde-fields v1", "t,x,Theta,Phi,Theta_t,Phi_t",
-              (row for g in snaps
-               for row in zip(repeat(float(g.t)), g.x.tolist(),
-                              g.Theta.tolist(), g.Phi.tolist(),
-                              g.Theta_t.tolist(), g.Phi_t.tolist())))
+    write_snapshots_csv(path, "pde-fields v1", "t,x,Theta,Phi,Theta_t,Phi_t",
+                        ((g.t, list(map(repr, g.x.tolist())), g.Theta, g.Phi,
+                          g.Theta_t, g.Phi_t) for g in snaps))
 
 
 def export_energy_csv(snaps, params: ChainParams, path):

@@ -7,12 +7,11 @@ monitored instead of structurally eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import _stencils, chain
-from ._io import write_csv, write_json
+from ._io import write_csv, write_json, write_snapshots_csv
 from ._stencils import IntegrationError  # noqa: F401 (re-exported)
 from .chain import LatticeState
 from .params import ChainParams, _kink
@@ -103,12 +102,12 @@ def kink_center(state: LatticeState, params: ChainParams, level=np.pi):
 
 def export_trajectory_csv(report: SimulationReport, path):
     """CSV of all snapshots, one row per (t, site)."""
-    write_csv(path, "lattice-trajectory v1",
-              "t,site,theta,phi,theta_dot,phi_dot",
-              (row for st in report.trajectory
-               for row in zip(repeat(float(st.t)), range(st.n_sites),
-                              st.theta.tolist(), st.phi.tolist(),
-                              st.theta_dot.tolist(), st.phi_dot.tolist())))
+    traj = report.trajectory
+    sites = [str(i) for i in range(max(st.n_sites for st in traj))]
+    write_snapshots_csv(path, "lattice-trajectory v1",
+                        "t,site,theta,phi,theta_dot,phi_dot",
+                        ((st.t, sites, st.theta, st.phi, st.theta_dot,
+                          st.phi_dot) for st in traj))
 
 
 def export_energy_csv(report: SimulationReport, path):

@@ -109,8 +109,9 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     dz = _stencils.uniform_spacing(z)
     n = z.shape[0]
-    if n < 8:
-        raise ValueError("need a uniform grid with at least 8 points")
+    if n < _stencils.MIN_EXPANSION_NODES:
+        raise ValueError("need a uniform grid with at least "
+                         f"{_stencils.MIN_EXPANSION_NODES} points")
     k = kink_parameter(params)
     kin = sg_kink(z, params)
     Cf = _forcing_coefficient(params)

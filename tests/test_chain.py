@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from pendulon.chain import (LatticeState, _bond_pairs, _potential_gradient,
+from pendulon.chain import (LatticeState, _potential_gradient,
                             alpha_beta, discrete_forces,
-                            discrete_lagrangian, kinetic_energy_site,
+                            discrete_lagrangian, external_potential,
+                            kinetic_energy_site,
                             lagrangian_coordinate_gradient, mass_matrix,
                             potential_energy, stacking_potential,
                             tip_position, torsional_potential)
@@ -221,6 +222,29 @@ def test_inertia_helper_matches_inline_products(rng, r, R):
         assert np.array_equal(r2b, r * r + R * R + 2 * r * R * c)
 
 
+def _bond_pairs(n, topology):
+    """Index arrays (i, j) of the bonds i -> j, as the kernels first used
+    them; the periodic chain adds the wrap bond n-1 -> 0 last."""
+    i = np.arange(n - 1)
+    j = i + 1
+    if topology == "periodic":
+        i = np.concatenate([i, [n - 1]])
+        j = np.concatenate([j, [0]])
+    return i, j
+
+
+def _reference_potential_energy(state, params):
+    """potential_energy as first written, gathering the bond ends with
+    th[i] / th[j]. Kept as the reference for potential_energy."""
+    th, ph = state.theta, state.phi
+    i, j = _bond_pairs(state.n_sites, params.topology)
+    u = np.sum(torsional_potential(th[i], th[j], params))
+    u += np.sum(stacking_potential(th[i], ph[i], th[j], ph[j], params))
+    u += np.sum(external_potential(th, ph, params))
+    u += np.sum(params.h_spec.h(ph))
+    return float(u)
+
+
 def _reference_potential_gradient(state, params):
     """The force kernel as first written: tip_position on the bond ends and
     np.add.at accumulation. Kept as the reference for _potential_gradient."""
@@ -245,22 +269,40 @@ def _reference_potential_gradient(state, params):
     return gth, gph
 
 
+@hst.composite
+def _kernel_cases(draw):
+    """A random state and chain for the reference-kernel tests: n from 2,
+    both topologies, both confinement families."""
+    p = ChainParams(M=1.3, m=0.6, R=draw(hst.floats(0.0, 2.0)),
+                    r=draw(hst.floats(0.0, 2.0)),
+                    kappa_t=draw(hst.floats(0.0, 3.0)),
+                    kappa_s=draw(hst.floats(0.0, 3.0)),
+                    g=draw(hst.floats(0.0, 2.0)), delta=0.8,
+                    topology=draw(hst.sampled_from(["open", "periodic"])),
+                    h_spec=ConfiningPotential(
+                        family=draw(hst.sampled_from(["quadratic",
+                                                      "tangent-barrier"])),
+                        c2=1.7, b=0.2))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    return _random_state(rng, draw(hst.integers(2, 300)), scale=3.0), p
+
+
 @settings(max_examples=80, deadline=None)
-@given(n=hst.integers(2, 300), topology=hst.sampled_from(["open", "periodic"]),
-       seed=hst.integers(0, 2**32 - 1), r=hst.floats(0.0, 2.0),
-       R=hst.floats(0.0, 2.0), kappa_t=hst.floats(0.0, 3.0),
-       kappa_s=hst.floats(0.0, 3.0), g=hst.floats(0.0, 2.0),
-       family=hst.sampled_from(["quadratic", "tangent-barrier"]))
-def test_potential_gradient_matches_reference_kernel(n, topology, seed, r, R,
-                                                     kappa_t, kappa_s, g,
-                                                     family):
-    """One trig pass per site and a[i] += v give the reference kernel's
-    arrays bit for bit."""
-    p = ChainParams(M=1.3, m=0.6, R=R, r=r, kappa_t=kappa_t, kappa_s=kappa_s,
-                    g=g, delta=0.8, topology=topology,
-                    h_spec=ConfiningPotential(family=family, c2=1.7, b=0.2))
-    state = _random_state(np.random.default_rng(seed), n, scale=3.0)
+@given(case=_kernel_cases())
+def test_potential_gradient_matches_reference_kernel(case):
+    """One trig pass per site and bond terms on slices give the reference
+    kernel's arrays bit for bit."""
+    state, p = case
     got = _potential_gradient(state, p)
     ref = _reference_potential_gradient(state, p)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_kernel_cases())
+def test_potential_energy_matches_reference_kernel(case):
+    """Bond ends taken as slices give the gathered kernel's energy bit for
+    bit."""
+    state, p = case
+    assert potential_energy(state, p) == _reference_potential_energy(state, p)

@@ -294,6 +294,10 @@ def test_dry_run_rejects_unstable_pde_time_step(tmp_path, capsys):
      "\n[domain]\nn_points = 5\n", "domain", "'n_points'"),
     ("speed-select", SPEED_INI + "\n[stiff]\nn_points = 5\n", "stiff",
      "'n_points'"),
+    ("verify-expansion", EXPANSION_INI + "\n[verify]\nn_points = 7\n",
+     "verify", "'n_points'"),
+    ("build-perturbative", EXPANSION_INI + "\n[grid]\nn_points = 7\n",
+     "grid", "'n_points'"),
 ])
 @pytest.mark.parametrize("dry", [True, False])
 def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
