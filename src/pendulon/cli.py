@@ -8,9 +8,8 @@ byte-identical: no wall clock in outputs, all sampling seeded and recorded.
 Exit codes: 0 success, 1 config/validation failure, 2 numerical failure.
 
 Each command imports the layers it runs inside its handler, after the dry-run
-return where its checks allow, so a command loads only its own layers and
-every dry run except simulate-pde's (which builds the grid for its CFL check)
-runs without scipy.
+return where its checks allow, so a command loads only its own layers and no
+dry run loads scipy.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import config
+from . import _stencils, config
 from ._io import write_csv, write_json
 from ._stencils import (MIN_EXPANSION_NODES, MIN_NODES, IntegrationError,
                         TWSolveError)
@@ -80,12 +79,13 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
     integ = config.read_section(cp, "integration", _INTEGRATION_SCHEMA,
                                 required=("dt", "t_end"))
     x = np.linspace(dom["x_min"], dom["x_max"], dom["n_points"])
+    continuum.check_time_step(integ["dt"], _stencils.uniform_spacing(x),
+                              params)
+    if dry:
+        return None, None
     grid = continuum.kink_field_grid(params, pde["k"], pde["v"], x,
                                      center=pde.get("center"),
                                      index=pde.get("index", 1))
-    continuum.check_time_step(integ["dt"], grid.dx, params)
-    if dry:
-        return None, None
     snaps = continuum.evolve(grid, integ["t_end"], integ["dt"], params,
                              snapshot_every=integ.get("snapshot_every"))
     outputs = ["pde-fields.csv", "pde-energy.csv"]
@@ -253,7 +253,8 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
     lag = config.read_section(
         cp, "lagrangian",
         {"n_samples": config.parse_positive_int, "seed": int,
-         "n_points": config.parse_positive_int, "half_width": float,
+         "n_points": config.parse_int_at_least(2),
+         "half_width": config.parse_positive_float,
          "h_eps": config.parse_positive_float,
          "taylor_points": config.parse_int_at_least(3)})
     if dry:
@@ -264,26 +265,9 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
     seed = lag.get("seed", 0)
     z = np.linspace(-lag.get("half_width", 8.0), lag.get("half_width", 8.0),
                     lag.get("n_points", 257))
-    h_eps = lag.get("h_eps", 0.05)
-    taylor_points = lag.get("taylor_points", 9)
-
-    # np.maximum, unlike max(), carries a nan through to the report
-    oracle_max = [0.0, 0.0, 0.0]
-    aux_max = [0.0, 0.0, 0.0]
-    el_gap_max = 0.0
-    for s in range(n_samples):
-        sample = lagexp.smooth_sample(exp, z, seed=seed + s)
-        exact = lagexp.eval_L0_L1_L2(sample)
-        taylor = lagexp.taylor_lagrangian_coefficients(sample, h_eps=h_eps,
-                                                       n_points=taylor_points)
-        for k in range(3):
-            scale = np.max(np.abs(taylor[k])) + 1e-300
-            oracle_max[k] = np.maximum(
-                oracle_max[k], np.max(np.abs(exact[k] - taylor[k])) / scale)
-            aux_max[k] = np.maximum(aux_max[k],
-                                    lagexp.auxiliary_check(sample, k))
-        e10, e21, _ = lagexp.el_identities(sample)
-        el_gap_max = np.maximum(el_gap_max, np.max(np.abs(e10 - e21)))
+    oracle_max, aux_max, el_gap_max = lagexp.sample_maxima(
+        exp, z, range(seed, seed + n_samples), h_eps=lag.get("h_eps", 0.05),
+        taylor_points=lag.get("taylor_points", 9))
     for name, val in (("oracle_rel_max", oracle_max),
                       ("auxiliary_max", aux_max),
                       ("el_identity_gap_max", el_gap_max)):

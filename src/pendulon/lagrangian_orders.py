@@ -16,11 +16,17 @@ Every formula here is cross-checked against an eps-Taylor extraction of the
 full density, which is the only defense against transcription slips in
 expressions this dense. It shares its eps fit with perturbation.taylor_extract,
 and expansion_sample takes its fields from perturbation.build_perturbative.
+
+Every function here takes one sample, whose field arrays have shape
+(n_points,), or a batch of samples stacked along leading axes, shape
+(..., n_points); the grid z stays (n_points,). Each row of a batch comes out
+bit for bit as the same sample alone would, so sample_maxima checks many
+random samples a block at a time instead of one call per sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass, fields, replace
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,10 @@ from .travelwave import _density_raw
 class ExpandedLagrangianSample:
     """Field and derivative samples on a z-grid, one array per expansion
     order. theta2 carries no second derivative because no formula needs it.
+
+    z has shape (n_points,). Every field array has shape (..., n_points):
+    (n_points,) for one sample, (n_samples, n_points) for a batch made by
+    stack_samples.
     """
 
     z: np.ndarray
@@ -96,6 +106,18 @@ def smooth_sample(params: ExpansionParams, z, seed: int = 0,
         phi0_zz=fields["phi0"][2],
         phi1=fields["phi1"][0], phi1_z=fields["phi1"][1],
         phi2=fields["phi2"][0], phi2_z=fields["phi2"][1])
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(ExpandedLagrangianSample)
+                     if f.name not in ("z", "params"))
+
+
+def stack_samples(samples) -> ExpandedLagrangianSample:
+    """One batch from samples on one grid with one params: each field array
+    stacked along a new leading axis, shape (len(samples), n_points)."""
+    return replace(samples[0], **{
+        name: np.stack([getattr(s, name) for s in samples])
+        for name in _FIELD_NAMES})
 
 
 def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
@@ -217,20 +239,22 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
 
 def field_derivative(sample: ExpandedLagrangianSample, k: int,
                      name: str) -> np.ndarray:
-    """Pointwise dL_k/d(sample.<name>) by central differences in field space."""
+    """Pointwise dL_k/d(sample.<name>) by central differences in field space,
+    with one step per sample."""
     if k not in (0, 1, 2):
         raise ValueError("order k must be 0, 1 or 2")
     arr = getattr(sample, name)
-    step = 1e-6 * (float(np.max(np.abs(arr))) + 1.0)
+    step = 1e-6 * (np.max(np.abs(arr), axis=-1, keepdims=True) + 1.0)
     plus = eval_L0_L1_L2(replace(sample, **{name: arr + step}))[k]
     minus = eval_L0_L1_L2(replace(sample, **{name: arr - step}))[k]
     return (plus - minus) / (2.0 * step)
 
 
-def auxiliary_check(sample: ExpandedLagrangianSample, k: int) -> float:
-    """max |dL_k/dphi_k'|. Structural zero at every order: the density order
-    never sees the derivative of its own-order inner angle."""
-    return float(np.max(np.abs(field_derivative(sample, k, f"phi{k}_z"))))
+def auxiliary_check(sample: ExpandedLagrangianSample, k: int):
+    """max |dL_k/dphi_k'| per sample: one value for a single sample, one per
+    row for a batch. Structural zero at every order: the density order never
+    sees the derivative of its own-order inner angle."""
+    return np.max(np.abs(field_derivative(sample, k, f"phi{k}_z")), axis=-1)
 
 
 def el_identities(sample: ExpandedLagrangianSample):
@@ -291,7 +315,7 @@ def slaving_consistency(params: ExpansionParams, z) -> Dict[str, object]:
     aux = {}
     slaving = {}
     for k in (0, 1, 2):
-        aux[str(k)] = auxiliary_check(sample, k)
+        aux[str(k)] = float(auxiliary_check(sample, k))
         dLk = field_derivative(sample, k, f"phi{k}")
         slaving[str(k)] = float(np.max(np.abs(dLk - minus_h1)))
 
@@ -316,3 +340,45 @@ def slaving_consistency(params: ExpansionParams, z) -> Dict[str, object]:
         "phi1_scale": phi1_scale,
         "phi2_scale": phi2_scale,
     }
+
+
+# the most values one field array of a sample_maxima block holds, so its
+# memory stays bounded however many samples are checked
+BLOCK_VALUES = 65536
+
+
+class SampleMaxima(NamedTuple):
+    oracle_rel: np.ndarray  # per order 0, 1, 2
+    auxiliary: np.ndarray  # per order 0, 1, 2
+    el_identity_gap: float
+
+
+def sample_maxima(params: ExpansionParams, z, seeds, h_eps: float = 0.05,
+                  taylor_points: int = 9) -> SampleMaxima:
+    """Worst cases over the smooth samples smooth_sample(params, z, seed) of
+    seeds: per order, the gap between eval_L0_L1_L2 and the Taylor oracle
+    relative to the oracle's max on the sample, and auxiliary_check; and
+    |E10 - E21| of el_identities.
+
+    The samples go through in blocks of at most BLOCK_VALUES values per field
+    array, and one sample at least. A nan in any sample reaches its maximum.
+    """
+    z = np.asarray(z, dtype=float)
+    per_block = max(1, BLOCK_VALUES // z.shape[0])
+    oracle = np.zeros(3)
+    aux = np.zeros(3)
+    gap = 0.0
+    for start in range(0, len(seeds), per_block):
+        batch = stack_samples([smooth_sample(params, z, seed=s)
+                               for s in seeds[start:start + per_block]])
+        exact = eval_L0_L1_L2(batch)
+        taylor = taylor_lagrangian_coefficients(batch, h_eps=h_eps,
+                                                n_points=taylor_points)
+        for k in range(3):
+            scale = np.max(np.abs(taylor[k]), axis=-1) + 1e-300
+            rel = np.max(np.abs(exact[k] - taylor[k]), axis=-1) / scale
+            oracle[k] = np.maximum(oracle[k], np.max(rel))
+            aux[k] = np.maximum(aux[k], np.max(auxiliary_check(batch, k)))
+        e10, e21, _ = el_identities(batch)
+        gap = np.maximum(gap, np.max(np.abs(e10 - e21)))
+    return SampleMaxima(oracle, aux, gap)

@@ -81,8 +81,9 @@ class _Factored(Exception):
 
 
 def _matrix_factored_by(module, solve):
-    """The first matrix `solve()` passes to `module.splu`."""
-    def capture(A):
+    """The first matrix `solve()` passes to `module.splu`, whatever splu
+    options come with it."""
+    def capture(A, **kwargs):
         raise _Factored(A)
 
     with mock.patch.object(module, "splu", capture):

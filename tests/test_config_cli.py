@@ -415,6 +415,10 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     ("verify-lagrangian", "lagrangian", "h_eps = inf", "'h_eps'"),
     ("verify-lagrangian", "lagrangian", "n_samples = 0", "'n_samples'"),
     ("verify-lagrangian", "lagrangian", "n_points = -3", "'n_points'"),
+    ("verify-lagrangian", "lagrangian", "n_points = 1", "'n_points'"),
+    ("verify-lagrangian", "lagrangian", "half_width = 0", "'half_width'"),
+    ("verify-lagrangian", "lagrangian", "half_width = -3", "'half_width'"),
+    ("verify-lagrangian", "lagrangian", "half_width = nan", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "taylor_points = 2",
      "'taylor_points'"),
     ("verify-expansion", "verify", "order = 3", "'order'"),
@@ -544,12 +548,13 @@ print(json.dumps([[cli.main(argv), "scipy" in sys.modules]
 
 
 def test_commands_load_scipy_only_when_they_need_it(tmp_path):
-    """simulate-lattice and every dry run but simulate-pde's (its CFL check
-    builds the grid) run without scipy."""
-    lattice = CHAIN_INI + _SIM_SECTIONS["simulate-lattice"] + (
-        "\n[integration]\ndt = 0.002\nt_end = 0.01\n")
+    """simulate-lattice and every dry run, simulate-pde's CFL check
+    included, run without scipy."""
+    integration = "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+    lattice = CHAIN_INI + _SIM_SECTIONS["simulate-lattice"] + integration
     configs = {
         "simulate-lattice": lattice,
+        "simulate-pde": CHAIN_INI + _SIM_SECTIONS["simulate-pde"] + integration,
         "solve-tw": CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n",
         "build-perturbative": EXPANSION_INI,
         "verify-expansion": EXPANSION_INI,

@@ -1,16 +1,23 @@
 """Order-by-order effective Lagrangians against an epsilon-Taylor oracle,
 plus the identities that make the tip angle perturbatively auxiliary."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pendulon import lagrangian_orders as lx
+from pendulon.params import ConfiningPotential, ExpansionParams
 from pendulon._stencils import derivative
 from pendulon.perturbation import (_forcing_coefficient, _phi1_coefficient,
                                    kink_grid, kink_parameter, order1_phi,
                                    order1_theta, order2_phi, sg_kink)
 from pendulon.travelwave import _density_raw
+
+
+_EXP = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, v1=0.1,
+                       r1=0.4, r2=0.1, m1=0.5, m2=0.2, k1=0.3, k2=0.1)
 
 
 @pytest.fixture
@@ -186,3 +193,83 @@ def test_expansion_sample_identities(exp_params):
     # built from the slaving formulas, so the first-order equation holds
     assert np.max(np.abs(e10)) < 1e-10
     assert np.max(np.abs(e20)) < 1e-6
+
+
+def _per_sample_maxima(params, z, seeds, h_eps, taylor_points):
+    """The random-sample maxima as verify-lagrangian computed them before it
+    batched: one sample per call, 1-D arrays throughout."""
+    oracle, aux, gap = [0.0] * 3, [0.0] * 3, 0.0
+    for s in seeds:
+        sample = lx.smooth_sample(params, z, seed=s)
+        exact = lx.eval_L0_L1_L2(sample)
+        taylor = lx.taylor_lagrangian_coefficients(sample, h_eps=h_eps,
+                                                   n_points=taylor_points)
+        for k in range(3):
+            scale = np.max(np.abs(taylor[k])) + 1e-300
+            oracle[k] = np.maximum(
+                oracle[k], np.max(np.abs(exact[k] - taylor[k])) / scale)
+            aux[k] = np.maximum(aux[k], lx.auxiliary_check(sample, k))
+        e10, e21, _ = lx.el_identities(sample)
+        gap = np.maximum(gap, np.max(np.abs(e10 - e21)))
+    return oracle, aux, gap
+
+
+_CONFINEMENTS = {
+    "quadratic": ConfiningPotential(family="quadratic", c2=2.0),
+    "tangent-barrier": ConfiningPotential(family="tangent-barrier", phi0=1.2,
+                                          c2=1.5, b=0.3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), per_block=st.integers(1, 3),
+       extra=st.integers(1, 4), n_points=st.integers(2, 65),
+       family=st.sampled_from(sorted(_CONFINEMENTS)),
+       taylor_points=st.integers(3, 9))
+def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
+                                                 n_points, family,
+                                                 taylor_points):
+    """sample_maxima over blocks of per_block samples, with n_samples past
+    the first block boundary, against one sample per call; and every row of
+    a batch against its sample alone. Equality is bit for bit."""
+    params = dataclasses.replace(_EXP, h_spec=_CONFINEMENTS[family])
+    z = np.linspace(-8.0, 8.0, n_points)
+    seeds = range(seed, seed + per_block + extra)
+    with mock.patch.object(lx, "BLOCK_VALUES", per_block * n_points):
+        got = lx.sample_maxima(params, z, seeds, h_eps=0.05,
+                               taylor_points=taylor_points)
+    oracle, aux, gap = _per_sample_maxima(params, z, seeds, 0.05,
+                                          taylor_points)
+    assert got.oracle_rel.tolist() == oracle
+    assert got.auxiliary.tolist() == aux
+    assert got.el_identity_gap == gap
+
+    singles = [lx.smooth_sample(params, z, seed=s) for s in seeds]
+    batch = lx.stack_samples(singles)
+    for row, one in enumerate(singles):
+        for name in ("eval_L0_L1_L2", "el_identities"):
+            for b, a in zip(getattr(lx, name)(batch), getattr(lx, name)(one)):
+                assert np.array_equal(b[row], a)
+        pairs = zip(lx.taylor_lagrangian_coefficients(
+                        batch, n_points=taylor_points),
+                    lx.taylor_lagrangian_coefficients(
+                        one, n_points=taylor_points))
+        for b, a in pairs:
+            assert np.array_equal(b[row], a)
+        for k in range(3):
+            assert lx.auxiliary_check(batch, k)[row] == lx.auxiliary_check(
+                one, k)
+            # a field the density depends on, so the step size shows
+            assert np.array_equal(lx.field_derivative(batch, k, "phi0_z")[row],
+                                  lx.field_derivative(one, k, "phi0_z"))
+
+
+def test_sample_maxima_blocks_hold_at_least_one_sample(exp_params):
+    # a grid longer than BLOCK_VALUES still goes through, a sample per block
+    z = np.linspace(-8.0, 8.0, 33)
+    with mock.patch.object(lx, "BLOCK_VALUES", 1):
+        got = lx.sample_maxima(exp_params, z, range(3))
+    oracle, aux, gap = _per_sample_maxima(exp_params, z, range(3), 0.05, 9)
+    assert got.oracle_rel.tolist() == oracle
+    assert got.auxiliary.tolist() == aux
+    assert got.el_identity_gap == gap

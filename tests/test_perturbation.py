@@ -2,10 +2,13 @@
 outer correction, slaving formulas for the tip angle, series reconstruction
 invariants, and the numerical order-extraction machinery."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from pendulon import perturbation
 from pendulon.continuum import kink_field_grid
 from pendulon.lattice import moving_kink_state
 from pendulon.params import ChainParams, ConfiningPotential
@@ -93,6 +96,35 @@ def test_order1_theta_is_odd_and_mode_free(exp_params):
     overlap = np.trapezoid(theta1 * kin.theta0_z, z) \
         / np.trapezoid(kin.theta0_z**2, z)
     assert abs(overlap) < 1e-10
+
+
+class _FactorSpy:
+    """Stands in for splu: factors A with the caller's options and keeps A,
+    the factors and each right-hand side with its solution."""
+
+    def __init__(self, A, **options):
+        self.A, self.lu, self.solves = A, splu(A, **options), []
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        self.solves.append((b, x))
+        return x
+
+
+def test_order1_theta_factors_without_fill_in(exp_params):
+    # the dense border row used to fill L + U to ~49 nnz(A) at n = 4001
+    spies = []
+
+    def factor(A, **options):
+        spies.append(_FactorSpy(A, **options))
+        return spies[-1]
+
+    with mock.patch.object(perturbation, "splu", factor):
+        order1_theta(exp_params, kink_grid(exp_params, n=4001))
+    (spy,) = spies
+    assert spy.lu.L.nnz + spy.lu.U.nnz <= 2 * spy.A.nnz
+    ((b, x),) = spy.solves
+    assert np.max(np.abs(spy.A @ x - b)) <= 1e-11
 
 
 def test_order1_theta_grid_guards(exp_params):
