@@ -1,7 +1,8 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
-that both boundary-value solvers factor, the classic RK4 step, and the two
-error classes every command maps to exit code 2.
+that both boundary-value solvers factor, the classic RK4 step, the energy
+drift both integrators report, and the two error classes every command maps
+to exit code 2.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -15,7 +16,7 @@ instead: continuum.FieldGrid builds D1 and D2 once per grid.
 
 scipy.sparse is imported inside derivative_matrix and bordered_matrix, the
 two functions that build a matrix, so the lattice layer, which needs only
-rk4_step and IntegrationError from here, never loads scipy.
+rk4_step, energy_drift and IntegrationError from here, never loads scipy.
 """
 from __future__ import annotations
 
@@ -176,3 +177,10 @@ def rk4_step(rhs, y, t, dt):
     if not all(np.all(np.isfinite(a)) for a in out):
         raise IntegrationError("non-finite state after step", t + dt)
     return out
+
+
+def energy_drift(energies):
+    """max |E - E[0]| / (|E[0]| + 1) of an energy series: relative for a
+    large initial energy, absolute for a small one, finite at E[0] = 0."""
+    E = np.asarray(energies, dtype=float)
+    return float(np.max(np.abs(E - E[0])) / (abs(E[0]) + 1.0))

@@ -90,16 +90,15 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
                              snapshot_every=integ.get("snapshot_every"))
     outputs = ["pde-fields.csv", "pde-energy.csv"]
     continuum.export_fields_csv(snaps, os.path.join(out_dir, outputs[0]))
-    energies = np.array(continuum.export_energy_csv(
-        snaps, params, os.path.join(out_dir, outputs[1])))
-    drift = np.max(np.abs(energies - energies[0])) / (abs(energies[0]) + 1e-300)
+    energies = continuum.export_energy_csv(snaps, params,
+                                           os.path.join(out_dir, outputs[1]))
 
     results = {
         "t_final": snaps[-1].t,
         "n_snapshots": len(snaps),
         "energy_initial": energies[0],
         "energy_final": energies[-1],
-        "max_energy_drift": drift,
+        "max_energy_drift": _stencils.energy_drift(energies),
         "charge_initial": continuum._charge_or_none(snaps[0]),
         "charge_final": continuum._charge_or_none(snaps[-1]),
     }

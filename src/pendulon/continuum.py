@@ -1,21 +1,10 @@
 """Continuum limit: the two coupled field equations as a method-of-lines IVP.
 
-Fields Theta(x, t), Phi(x, t) obey
-
-    [[M R^2 + m r^2 beta, m r^2 alpha], [m r^2 alpha, m r^2]] (Theta_tt, Phi_tt)^T
-        = (S1, S2)
-
-with the same 2x2 kinetic matrix as the discrete chain and source terms
-
-    S1 = (K_t + K_s r^2 beta) Theta_xx + K_s r^2 alpha Phi_xx
-         + r R (m Phi_t (Phi_t + 2 Theta_t) - K_s Phi_x (Phi_x + 2 Theta_x)) sin Phi
-         - g (R (M + m) sin Theta + m r sin(Phi + Theta))
-    S2 = K_s r^2 (Phi_xx + alpha Theta_xx) - h'(Phi)
-         - r R (m Theta_t^2 - K_s Theta_x^2) sin Phi - g m r sin(Phi + Theta)
-
-where K_s = kappa_s delta^2, K_t = kappa_t delta^2. Spatial derivatives are
-4th-order finite differences; evolve() clamps the two boundary nodes
-(Dirichlet far-field values).
+Fields Theta(x, t), Phi(x, t) obey M(Phi) (Theta_tt, Phi_tt) = (S1, S2), with
+the 2x2 kinetic matrix M of the discrete chain (chain.mass_matrix) and the
+sources stated in params._field_equations, where K_s = kappa_s delta^2 and
+K_t = kappa_t delta^2. Spatial derivatives are 4th-order finite differences;
+evolve() clamps the two boundary nodes (Dirichlet far-field values).
 
 Each FieldGrid owns its stencil operators D1, D2, built once per grid; the
 grids derived from it by _with_fields (the RK4 stages and the snapshots of
@@ -32,7 +21,7 @@ from ._io import write_csv, write_snapshots_csv
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
-from .params import ChainParams, _inertia, _kink
+from .params import ChainParams, _field_equations, _inertia, _kink
 
 
 class PDEInstabilityError(IntegrationError):
@@ -83,22 +72,6 @@ class FieldGrid:
         return float(self.x[1] - self.x[0])
 
 
-def _sources(Theta, Phi, Theta_t, Phi_t, Theta_x, Phi_x, Theta_xx, Phi_xx,
-             params: ChainParams):
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    Ks, Kt = params.Ks, params.Kt
-    s = np.sin(Phi)
-    r2a, r2b = _inertia(Phi, r, R)
-    S1 = ((Kt + Ks * r2b) * Theta_xx + Ks * r2a * Phi_xx
-          + r * R * (m * Phi_t * (Phi_t + 2 * Theta_t)
-                     - Ks * Phi_x * (Phi_x + 2 * Theta_x)) * s
-          - g * (R * (M + m) * np.sin(Theta) + m * r * np.sin(Phi + Theta)))
-    S2 = (Ks * r * r * Phi_xx + Ks * r2a * Theta_xx - params.h_spec.dh(Phi)
-          - r * R * (m * Theta_t**2 - Ks * Theta_x**2) * s
-          - g * m * r * np.sin(Phi + Theta))
-    return S1, S2
-
-
 def pde_rhs(grid: FieldGrid, params: ChainParams):
     """Pointwise accelerations (Theta_tt, Phi_tt).
 
@@ -111,9 +84,13 @@ def pde_rhs(grid: FieldGrid, params: ChainParams):
     Phi_x = D1 @ grid.Phi
     Theta_xx = D2 @ grid.Theta
     Phi_xx = D2 @ grid.Phi
-    S1, S2 = _sources(grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t,
-                      Theta_x, Phi_x, Theta_xx, Phi_xx, params)
-    return _mass_solve(grid.Phi, S1, S2, params)
+    S1, S2 = _field_equations(grid.Theta, grid.Phi, Theta_x, Phi_x, Theta_xx,
+                              Phi_xx, params.Kt, params.Ks, params)
+    Theta_t, Phi_t = grid.Theta_t, grid.Phi_t
+    centripetal = params.m * params.r * params.R * np.sin(grid.Phi)
+    return _mass_solve(grid.Phi,
+                       S1 + centripetal * Phi_t * (Phi_t + 2 * Theta_t),
+                       S2 - centripetal * Theta_t**2, params)
 
 
 def max_wave_speed(params: ChainParams):

@@ -48,7 +48,7 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
              snapshot_every=1) -> SimulationReport:
     """Evolve to t_end (rounded to a whole number of steps) recording energy.
 
-    Drift is reported as max_t |E(t) - E(0)| / (|E(0)| + 1).
+    Drift is reported as _stencils.energy_drift of the energy series.
     """
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
@@ -56,8 +56,7 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
         raise ValueError("snapshot_every must be a positive integer")
     n_steps = max(1, int(round(t_end / dt)))
     state = initial
-    e0 = total_energy(state, params)
-    energies = [(state.t, e0)]
+    energies = [(state.t, total_energy(state, params))]
     traj = [state]
     for i in range(n_steps):
         state = step(state, dt, params)
@@ -65,8 +64,8 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
         if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
             traj.append(state)
     energies = np.array(energies)
-    drift = float(np.max(np.abs(energies[:, 1] - e0)) / (abs(e0) + 1.0))
-    return SimulationReport(traj, energies, drift)
+    return SimulationReport(traj, energies,
+                            _stencils.energy_drift(energies[:, 1]))
 
 
 def moving_kink_state(params: ChainParams, k, v, n_sites, center=None,

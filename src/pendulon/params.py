@@ -197,3 +197,34 @@ def _inertia(phi, r, R):
     the phi-dependent inertia products of the chain; finite at r = 0."""
     c = np.cos(phi)
     return r * (r + R * c), r * r + R * R + 2 * r * R * c
+
+
+def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
+                     c_outer, c_inner, params: ChainParams):
+    """The chain's two field equations, the one copy every layer calls.
+
+    With ' the caller's spatial derivative and r^2 alpha, r^2 beta the
+    inertia products of _inertia:
+        F1 = c_inner r^2 alpha phi'' + (c_outer + c_inner r^2 beta) theta''
+             - c_inner r R phi' (phi' + 2 theta') sin(phi)
+             - g (R (M + m) sin(theta) + m r sin(phi + theta))
+        F2 = c_inner r^2 phi'' + c_inner r^2 alpha theta'' - h'(phi)
+             + c_inner r R theta'^2 sin(phi) - m g r sin(phi + theta)
+    The PDE (' = d/dx) takes (c_outer, c_inner) = (K_t, K_s) and reads
+    M(Phi) (Theta_tt, Phi_tt) = (F1, F2) + m r R sin(Phi) (Phi_t (Phi_t +
+    2 Theta_t), -Theta_t^2). The travelling wave (z = x - v t, ' = d/dz,
+    d/dt = -v d/dz) takes (K_t - M R^2 v^2, mu = K_s - m v^2) and solves
+    F1 = F2 = 0; the frozen limit is that at phi = 0.
+    """
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    s = np.sin(phi)
+    r2a, r2b = _inertia(phi, r, R)
+    F1 = (c_inner * r2a * phi_dd
+          + (c_outer + c_inner * r2b) * theta_dd
+          - c_inner * r * R * phi_d * (phi_d + 2 * theta_d) * s
+          - g * (R * (M + m) * np.sin(theta) + m * r * np.sin(phi + theta)))
+    F2 = (c_inner * r * r * phi_dd + c_inner * r2a * theta_dd
+          - params.h_spec.dh(phi)
+          + c_inner * r * R * theta_d**2 * s
+          - m * g * r * np.sin(phi + theta))
+    return F1, F2

@@ -15,7 +15,7 @@ import numpy as np
 from . import _stencils, travelwave
 from ._io import write_csv
 from ._stencils import TWSolveError
-from .params import ChainParams
+from .params import ChainParams, _field_equations
 from .travelwave import TWParams, TWProfile
 
 
@@ -43,7 +43,7 @@ def selected_speed(params: ChainParams) -> SpeedSelection:
         raise ValueError("speed selection needs r > 0 and m > 0")
     v_star = float(np.sqrt(params.Ks * (params.r + params.R)
                            / (params.m * params.r)))
-    mu_star = -params.Ks * params.R / params.r
+    mu_star = compatibility_mu(params)
     consistency = params.Ks - params.m * v_star**2
     if abs(mu_star - consistency) > 1e-12 * (abs(mu_star) + 1.0):
         raise RuntimeError("mu*/v* consistency lost to rounding")
@@ -51,7 +51,8 @@ def selected_speed(params: ChainParams) -> SpeedSelection:
 
 
 def reduced_equations_residual(theta, z, params: ChainParams, v: float):
-    """Both frozen-phi equation residuals for a sampled theta(z).
+    """Both frozen-phi equation residuals for a sampled theta(z): the
+    travelling-wave field equations at phi = 0.
 
     Requires the regime in which the reduction is derived: no torsional
     coupling and a confining potential with no force at phi = 0. Second
@@ -62,15 +63,9 @@ def reduced_equations_residual(theta, z, params: ChainParams, v: float):
     if abs(params.h_spec.dh(0.0)) > 1e-12:
         raise ValueError("reduction assumes h'(0) = 0")
     theta = np.asarray(theta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    theta_zz = _stencils.derivative(theta, float(z[1] - z[0]), 2)
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    mu = params.Ks - m * v * v
-    s = np.sin(theta)
-    res1 = (mu * (r + R) ** 2 - M * R**2 * v**2) * theta_zz \
-        - g * (m * r + (M + m) * R) * s
-    res2 = mu * r * (r + R) * theta_zz - m * g * r * s
-    return res1, res2
+    theta_zz = _stencils.derivative(theta, _stencils.uniform_spacing(z), 2)
+    coef = TWParams.for_speed(v, params).coefficients(params)
+    return _field_equations(theta, 0.0, 0.0, 0.0, theta_zz, 0.0, *coef, params)
 
 
 def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
@@ -78,17 +73,16 @@ def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
 
     Rescales the second equation so the curvature coefficients match and
     returns the remaining pointwise gap normalized by the pendant-force
-    scale. The curvature samples cancel exactly, so the gap measures only
-    the coefficient mismatch: zero at the selected speed, order one off it.
+    scale. The curvature terms cancel up to rounding, so the gap is the
+    coefficient mismatch: about 1e-16 at the selected speed, order one off it.
     """
     res1, res2 = reduced_equations_residual(theta, z, params, v)
-    M, m, R, r = params.M, params.m, params.R, params.r
-    mu = params.Ks - m * v * v
-    c1 = mu * (r + R) ** 2 - M * R**2 * v**2
-    c2 = mu * r * (r + R)
+    # the curvature coefficients: the field equations at unit theta'' alone
+    coef = TWParams.for_speed(v, params).coefficients(params)
+    c1, c2 = _field_equations(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, *coef, params)
     if c2 == 0.0:
         raise ValueError("second equation loses its curvature term (mu = 0)")
-    scale = params.g * (m * r + (M + m) * R)
+    scale = params.g * (params.m * params.r + (params.M + params.m) * params.R)
     return float(np.max(np.abs(res1 - (c1 / c2) * res2)) / scale)
 
 

@@ -1,16 +1,9 @@
 """Travelling-wave reduction: residuals, Lagrangian density, first integral,
 and a collocation Newton solver for the two-point boundary-value problem.
 
-With z = x - v t and mu = K_s - m v^2 the profile equations are
-
-    res1 = mu r^2 alpha(phi) phi'' + (K_t - M R^2 v^2 + mu r^2 beta(phi)) theta''
-           - mu r R phi' (phi' + 2 theta') sin(phi)
-           - g (R (M + m) sin(theta) + m r sin(phi + theta))
-    res2 = mu r^2 phi'' + mu r^2 alpha(phi) theta'' - h'(phi)
-           + mu r R theta'^2 sin(phi) - m g r sin(phi + theta)
-
-written throughout via the products r^2 alpha = r (r + R cos phi) and
-r^2 beta = r^2 + R^2 + 2 r R cos phi so the r = 0 limit stays regular.
+With z = x - v t and mu = K_s - m v^2 the profile equations are the field
+equations of params._field_equations with c_outer = K_t - M R^2 v^2 and
+c_inner = mu (TWParams.coefficients); their residuals are res1, res2.
 """
 from __future__ import annotations
 
@@ -23,7 +16,7 @@ from scipy.sparse.linalg import splu
 from . import _stencils
 from ._io import write_csv
 from ._stencils import TWSolveError
-from .params import ChainParams, _inertia, _kink
+from .params import ChainParams, _field_equations, _inertia, _kink
 
 
 @dataclass(frozen=True)
@@ -42,6 +35,10 @@ class TWParams:
         scale = abs(expect) + abs(self.mu) + 1.0
         if abs(self.mu - expect) > 1e-14 * scale:
             raise ValueError("mu inconsistent with v for these chain parameters")
+
+    def coefficients(self, params: ChainParams):
+        """(c_outer, c_inner) of params._field_equations at this speed."""
+        return params.Kt - params.M * params.R**2 * self.v**2, self.mu
 
 
 @dataclass(frozen=True)
@@ -66,22 +63,6 @@ class TWProfile:
         return _stencils.uniform_spacing(self.z)
 
 
-def _residual_core(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
-                   params: ChainParams):
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    s = np.sin(phi)
-    r2a, r2b = _inertia(phi, r, R)
-    res1 = (mu * r2a * phi_zz
-            + (params.Kt - M * R**2 * v**2 + mu * r2b) * theta_zz
-            - mu * r * R * phi_z * (phi_z + 2 * theta_z) * s
-            - g * (R * (M + m) * np.sin(theta) + m * r * np.sin(phi + theta)))
-    res2 = (mu * r * r * phi_zz + mu * r2a * theta_zz
-            - params.h_spec.dh(phi)
-            + mu * r * R * theta_z**2 * s
-            - m * g * r * np.sin(phi + theta))
-    return res1, res2
-
-
 def tw_residual(profile: TWProfile, params: ChainParams):
     """Left-hand sides of the two profile equations along z.
 
@@ -97,47 +78,53 @@ def tw_residual(profile: TWProfile, params: ChainParams):
         tzz = _stencils.derivative(profile.theta, dz, 2)
     if pzz is None:
         pzz = _stencils.derivative(profile.phi, dz, 2)
-    return _residual_core(profile.theta, profile.phi, profile.theta_z,
-                          profile.phi_z, tzz, pzz, profile.tw.mu,
-                          profile.tw.v, params)
+    return _field_equations(profile.theta, profile.phi, profile.theta_z,
+                            profile.phi_z, tzz, pzz,
+                            *profile.tw.coefficients(params), params)
 
 
-def _density_raw(theta, phi, theta_z, phi_z, v, mu, M, m, R, r, Kt, g, h_spec):
-    """Lagrangian density from bare coefficient values (callers may pass
-    algebraic continuations that no valid ChainParams represents)."""
+def _density_parts(theta, phi, theta_z, phi_z, v, mu, M, m, R, r, Kt, g,
+                   h_spec):
+    """(Q, G, H) of the travelling-wave density L = Q + G - H:
+        Q = 1/2 (M R^2 v^2 - K_t - mu r^2 beta) theta'^2 - (mu r^2 / 2) phi'^2
+            - mu r^2 alpha theta' phi'
+        G = g ((M + m) R cos theta + m r cos(phi + theta)),   H = h(phi).
+    Takes bare coefficient values: callers may pass continuations that no
+    valid ChainParams represents."""
     r2a, r2b = _inertia(phi, r, R)
     C_theta = M * R**2 * v**2 - Kt - mu * r2b
-    return (0.5 * C_theta * theta_z**2 - 0.5 * mu * r * r * phi_z**2
-            - mu * r2a * theta_z * phi_z
-            + g * ((M + m) * R * np.cos(theta) + m * r * np.cos(phi + theta))
-            - h_spec.h(phi))
+    Q = (0.5 * C_theta * theta_z**2 - 0.5 * mu * r * r * phi_z**2
+         - mu * r2a * theta_z * phi_z)
+    G = g * ((M + m) * R * np.cos(theta) + m * r * np.cos(phi + theta))
+    return Q, G, h_spec.h(phi)
+
+
+def _density_raw(*args):
+    """L = Q + G - H, with the arguments of _density_parts."""
+    Q, G, H = _density_parts(*args)
+    return Q + G - H
+
+
+def _chain_values(tw: TWParams, params: ChainParams):
+    """The coefficient arguments of _density_parts for a chain and speed."""
+    return (tw.v, tw.mu, params.M, params.m, params.R, params.r, params.Kt,
+            params.g, params.h_spec)
 
 
 def tw_lagrangian_density(theta, phi, theta_z, phi_z, tw: TWParams,
                           params: ChainParams):
-    """Density whose Euler-Lagrange equations are the profile equations.
-
-    L = 1/2 (M R^2 v^2 - K_t - mu r^2 beta) theta'^2 - (mu r^2 / 2) phi'^2
-        - mu r^2 alpha theta' phi'
-        + g ((M + m) R cos theta + m r cos(phi + theta)) - h(phi)
-    """
-    return _density_raw(theta, phi, theta_z, phi_z, tw.v, tw.mu,
-                        params.M, params.m, params.R, params.r,
-                        params.Kt, params.g, params.h_spec)
+    """The density L = Q + G - H of _density_parts, whose Euler-Lagrange
+    equations are the profile equations."""
+    return _density_raw(theta, phi, theta_z, phi_z,
+                        *_chain_values(tw, params))
 
 
 def tw_first_integral(profile: TWProfile, params: ChainParams):
-    """E = theta' dL/dtheta' + phi' dL/dphi' - L; constant on exact solutions."""
-    th, ph = profile.theta, profile.phi
-    thz, phz = profile.theta_z, profile.phi_z
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    mu, v = profile.tw.mu, profile.tw.v
-    r2a, r2b = _inertia(ph, r, R)
-    C_theta = M * R**2 * v**2 - params.Kt - mu * r2b
-    return (0.5 * C_theta * thz**2 - 0.5 * mu * r * r * phz**2
-            - mu * r2a * thz * phz
-            - g * ((M + m) * R * np.cos(th) + m * r * np.cos(ph + th))
-            + params.h_spec.h(ph))
+    """E = theta' dL/dtheta' + phi' dL/dphi' - L = Q - G + H, since Q is
+    quadratic in the slopes; constant on exact solutions."""
+    Q, G, H = _density_parts(profile.theta, profile.phi, profile.theta_z,
+                             profile.phi_z, *_chain_values(profile.tw, params))
+    return Q - G + H
 
 
 def kink_profile(z, k, v, params: ChainParams, pi_shift=False,
@@ -160,9 +147,10 @@ def kink_profile(z, k, v, params: ChainParams, pi_shift=False,
                      theta_zz=tzz, phi_zz=pzz)
 
 
-def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
-                     params: ChainParams):
-    """Pointwise d(res)/d(field, field', field'') coefficients."""
+def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
+                     c_outer, c_inner, params: ChainParams):
+    """Pointwise d(res)/d(field, field', field'') coefficients of
+    params._field_equations."""
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     c, s = np.cos(phi), np.sin(phi)
     r2a, r2b = _inertia(phi, r, R)
@@ -171,21 +159,22 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
 
     j = {}
     j["r1_t0"] = -g * (R * (M + m) * np.cos(theta) + m * r * np.cos(phi + theta))
-    j["r1_t1"] = -2 * mu * r * R * phi_z * s
-    j["r1_t2"] = params.Kt - M * R**2 * v**2 + mu * r2b
-    j["r1_p0"] = (mu * d_r2a * phi_zz + mu * d_r2b * theta_zz
-                  - mu * r * R * phi_z * (phi_z + 2 * theta_z) * c
+    j["r1_t1"] = -2 * c_inner * r * R * phi_z * s
+    j["r1_t2"] = c_outer + c_inner * r2b
+    j["r1_p0"] = (c_inner * d_r2a * phi_zz + c_inner * d_r2b * theta_zz
+                  - c_inner * r * R * phi_z * (phi_z + 2 * theta_z) * c
                   - g * m * r * np.cos(phi + theta))
-    j["r1_p1"] = -2 * mu * r * R * (phi_z + theta_z) * s
-    j["r1_p2"] = mu * r2a
+    j["r1_p1"] = -2 * c_inner * r * R * (phi_z + theta_z) * s
+    j["r1_p2"] = c_inner * r2a
 
     j["r2_t0"] = -m * g * r * np.cos(phi + theta)
-    j["r2_t1"] = 2 * mu * r * R * theta_z * s
-    j["r2_t2"] = mu * r2a
-    j["r2_p0"] = (mu * d_r2a * theta_zz - params.h_spec.d2h(phi)
-                  + mu * r * R * theta_z**2 * c - m * g * r * np.cos(phi + theta))
+    j["r2_t1"] = 2 * c_inner * r * R * theta_z * s
+    j["r2_t2"] = c_inner * r2a
+    j["r2_p0"] = (c_inner * d_r2a * theta_zz - params.h_spec.d2h(phi)
+                  + c_inner * r * R * theta_z**2 * c
+                  - m * g * r * np.cos(phi + theta))
     j["r2_p1"] = np.zeros_like(theta)
-    j["r2_p2"] = np.full_like(theta, mu * r * r)
+    j["r2_p2"] = np.full_like(theta, c_inner * r * r)
     return j
 
 
@@ -209,6 +198,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
     dz = guess.dz
     D1 = _stencils.derivative_matrix(n, dz, 1)
     D2 = _stencils.derivative_matrix(n, dz, 2)
+    coef = tw.coefficients(params)
     th_l, th_r = guess.theta[0], guess.theta[-1]
     ph_l, ph_r = guess.phi[0], guess.phi[-1]
     mid = n // 2
@@ -222,7 +212,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
     def full_residual(theta, phi):
         tz, pz = D1 @ theta, D1 @ phi
         tzz, pzz = D2 @ theta, D2 @ phi
-        r1, r2 = _residual_core(theta, phi, tz, pz, tzz, pzz, tw.mu, tw.v, params)
+        r1, r2 = _field_equations(theta, phi, tz, pz, tzz, pzz, *coef, params)
         return r1, r2, tz, pz, tzz, pzz
 
     def packed(theta, phi, r1, r2):
@@ -245,7 +235,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
     for iteration in range(max_iter):
         if best < tol:
             break
-        jb = _jacobian_blocks(theta, phi, tz, pz, tzz, pzz, tw.mu, tw.v, params)
+        jb = _jacobian_blocks(theta, phi, tz, pz, tzz, pzz, *coef, params)
         # block (equation, field) is jb["r<equation>_<t|p><derivative>"];
         # the unknowns interleave theta and phi, the four end rows are the
         # Dirichlet conditions, the border column is the translation mode

@@ -111,7 +111,7 @@ def _newton_case(theta, phi, v, half_width=8.0):
     D1, D2 = derivative_matrix(n, guess.dz, 1), derivative_matrix(n, guess.dz, 2)
     tz, pz = D1 @ theta, D1 @ phi
     jb = _jacobian_blocks(theta, phi, tz, pz, D2 @ theta, D2 @ phi,
-                          guess.tw.mu, guess.tw.v, CHAIN)
+                          *guess.tw.coefficients(CHAIN), CHAIN)
     _assert_same_csc(got, _reference_newton_matrix(D1, D2, jb, tz, pz, n // 2))
 
 

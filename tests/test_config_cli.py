@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from pendulon import (cli, continuum, lagrangian_orders, perturbation,
-                      travelwave)
+from pendulon import (_stencils, cli, continuum, lagrangian_orders,
+                      perturbation, travelwave)
 from pendulon.config import (ConfigError, chain_from_config,
                              expansion_from_config, load_config, parse_bool,
                              parse_eps_list, parse_floats, parse_int_at_least,
@@ -500,6 +500,23 @@ def test_simulate_pde_computes_each_energy_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(calls) == summary["results"]["n_snapshots"] == 6
+
+
+def test_simulate_pde_drift_is_energy_drift_of_its_energy_csv(tmp_path):
+    """The summary's max_energy_drift is _stencils.energy_drift of the E
+    column of pde-energy.csv, the drift the lattice reports too."""
+    cfg = _write(tmp_path, "pde.ini", CHAIN_INI
+                 + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+                 "snapshot_every = 1\n" + _SIM_SECTIONS["simulate-pde"])
+    assert cli.main(["simulate-pde", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rows = (tmp_path / "pde-energy.csv").read_text().splitlines()[2:]
+    E = [float(row.split(",")[1]) for row in rows]
+    assert len(E) == 6
+    assert summary["results"]["max_energy_drift"] == _stencils.energy_drift(E)
+    # finite when the series starts at zero energy
+    assert _stencils.energy_drift([0.0, 1e-3, -2e-3]) == 2e-3
 
 
 def test_verify_lagrangian_reproducible(tmp_path):

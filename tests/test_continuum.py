@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pendulon import _stencils, continuum
 from pendulon.chain import _mass_solve
-from pendulon.continuum import (FieldGrid, PDEInstabilityError, _sources,
+from pendulon.continuum import (FieldGrid, PDEInstabilityError,
                                 energy_total, evolve, kink_field_grid,
                                 max_wave_speed, pde_rhs, topological_charge)
-from pendulon.params import ChainParams, _inertia
-from pendulon.travelwave import _residual_core
+from pendulon.params import ChainParams, _field_equations, _inertia
 from pendulon._stencils import derivative, derivative_matrix
 
 
@@ -91,8 +90,8 @@ def test_rhs_matches_travelling_residual(generic_chain, rng):
     """On any profile moving rigidly at speed v, the field equations reduce
     to the co-moving residuals: S - M(Phi) qtt with qtt = v^2 q''.
 
-    Ties the PDE source assembly to the independently written travelling
-    form, coupling terms included.
+    Ties the PDE's coefficients, centripetal terms and mass solve to the
+    travelling-wave coefficients of the same kernel, coupling terms included.
     """
     p = generic_chain
     v = 0.37
@@ -113,8 +112,8 @@ def test_rhs_matches_travelling_residual(generic_chain, rng):
     m22 = p.m * p.r**2
     lhs1 = m11 * (acc_th - v**2 * Theta_xx) + m12 * (acc_ph - v**2 * Phi_xx)
     lhs2 = m12 * (acc_th - v**2 * Theta_xx) + m22 * (acc_ph - v**2 * Phi_xx)
-    res1, res2 = _residual_core(Theta, Phi, Theta_x, Phi_x, Theta_xx, Phi_xx,
-                                mu, v, p)
+    res1, res2 = _field_equations(Theta, Phi, Theta_x, Phi_x, Theta_xx,
+                                  Phi_xx, p.Kt - p.M * p.R**2 * v**2, mu, p)
     scale = np.max(np.abs(res1)) + np.max(np.abs(res2)) + 1.0
     assert np.max(np.abs(lhs1 - res1)) / scale < 1e-11
     assert np.max(np.abs(lhs2 - res2)) / scale < 1e-11
@@ -156,8 +155,12 @@ def _reference_pde_rhs(grid, params):
     Phi_x = derivative(grid.Phi, dx, 1)
     Theta_xx = derivative(grid.Theta, dx, 2)
     Phi_xx = derivative(grid.Phi, dx, 2)
-    S1, S2 = _sources(grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t,
-                      Theta_x, Phi_x, Theta_xx, Phi_xx, params)
+    S1, S2 = _field_equations(grid.Theta, grid.Phi, Theta_x, Phi_x, Theta_xx,
+                              Phi_xx, params.Kt, params.Ks, params)
+    Theta_t, Phi_t = grid.Theta_t, grid.Phi_t
+    centripetal = params.m * params.r * params.R * np.sin(grid.Phi)
+    S1 = S1 + centripetal * Phi_t * (Phi_t + 2 * Theta_t)
+    S2 = S2 - centripetal * Theta_t**2
     return _mass_solve(grid.Phi, S1, S2, params)
 
 

@@ -1,0 +1,204 @@
+"""The one field-equation kernel, params._field_equations, against the
+separate formulas each layer used to write out: the travelling-wave residual,
+Lagrangian density and first integral (bit for bit), and the PDE sources and
+frozen-phi residuals (within a few ulps, since their terms are summed in a
+different order)."""
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pendulon import continuum
+from pendulon.continuum import FieldGrid
+from pendulon.params import (ChainParams, ConfiningPotential,
+                             _field_equations, _inertia)
+from pendulon.reductions import reduced_equations_residual
+from pendulon.travelwave import (TWParams, TWProfile, tw_first_integral,
+                                 tw_lagrangian_density, tw_residual)
+
+# agreement bound for the reordered sums: ULPS units of rounding of a bound
+# on the sum of the absolute values of each equation's terms
+ULPS = 8
+
+
+def _residual_reference(theta, phi, theta_z, phi_z, theta_zz, phi_zz, mu, v,
+                        params):
+    """The travelling-wave residual as travelwave wrote it out on its own."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    s = np.sin(phi)
+    r2a, r2b = _inertia(phi, r, R)
+    res1 = (mu * r2a * phi_zz
+            + (params.Kt - M * R**2 * v**2 + mu * r2b) * theta_zz
+            - mu * r * R * phi_z * (phi_z + 2 * theta_z) * s
+            - g * (R * (M + m) * np.sin(theta) + m * r * np.sin(phi + theta)))
+    res2 = (mu * r * r * phi_zz + mu * r2a * theta_zz
+            - params.h_spec.dh(phi)
+            + mu * r * R * theta_z**2 * s
+            - m * g * r * np.sin(phi + theta))
+    return res1, res2
+
+
+def _density_reference(theta, phi, theta_z, phi_z, v, mu, M, m, R, r, Kt, g,
+                       h_spec):
+    """The travelling-wave Lagrangian density as one expression."""
+    r2a, r2b = _inertia(phi, r, R)
+    C_theta = M * R**2 * v**2 - Kt - mu * r2b
+    return (0.5 * C_theta * theta_z**2 - 0.5 * mu * r * r * phi_z**2
+            - mu * r2a * theta_z * phi_z
+            + g * ((M + m) * R * np.cos(theta) + m * r * np.cos(phi + theta))
+            - h_spec.h(phi))
+
+
+def _first_integral_reference(profile, params):
+    """The first integral as its own copy of the density."""
+    th, ph = profile.theta, profile.phi
+    thz, phz = profile.theta_z, profile.phi_z
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    mu, v = profile.tw.mu, profile.tw.v
+    r2a, r2b = _inertia(ph, r, R)
+    C_theta = M * R**2 * v**2 - params.Kt - mu * r2b
+    return (0.5 * C_theta * thz**2 - 0.5 * mu * r * r * phz**2
+            - mu * r2a * thz * phz
+            - g * ((M + m) * R * np.cos(th) + m * r * np.cos(ph + th))
+            + params.h_spec.h(ph))
+
+
+def _sources_reference(Theta, Phi, Theta_t, Phi_t, Theta_x, Phi_x, Theta_xx,
+                       Phi_xx, params):
+    """The PDE sources as continuum wrote them out on its own."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    Ks, Kt = params.Ks, params.Kt
+    s = np.sin(Phi)
+    r2a, r2b = _inertia(Phi, r, R)
+    S1 = ((Kt + Ks * r2b) * Theta_xx + Ks * r2a * Phi_xx
+          + r * R * (m * Phi_t * (Phi_t + 2 * Theta_t)
+                     - Ks * Phi_x * (Phi_x + 2 * Theta_x)) * s
+          - g * (R * (M + m) * np.sin(Theta) + m * r * np.sin(Phi + Theta)))
+    S2 = (Ks * r * r * Phi_xx + Ks * r2a * Theta_xx - params.h_spec.dh(Phi)
+          - r * R * (m * Theta_t**2 - Ks * Theta_x**2) * s
+          - g * m * r * np.sin(Phi + Theta))
+    return S1, S2
+
+
+def _frozen_reference(theta_zz, theta, params, v):
+    """The frozen-phi residuals with their coefficients derived by hand."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    mu = params.Ks - m * v * v
+    s = np.sin(theta)
+    res1 = (mu * (r + R) ** 2 - M * R**2 * v**2) * theta_zz \
+        - g * (m * r + (M + m) * R) * s
+    res2 = mu * r * (r + R) * theta_zz - m * g * r * s
+    return res1, res2
+
+
+def _assert_within_ulps(got, ref, c_outer, c_inner, params, second, first,
+                        phi):
+    """Pointwise |got - ref| <= ULPS eps T, where T bounds the sum of the
+    absolute terms of either equation: curvature coefficients times
+    second = |theta''| + |phi''|, quadratic slope terms with
+    first = |theta'| + |phi'| (time derivatives included for the PDE),
+    gravity and h'(phi). The inertia products are at most (r + R)^2."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    terms = ((abs(c_outer) + abs(c_inner) * (r + R) ** 2) * second
+             + abs(c_inner) * r * R * first**2
+             + g * (M + m) * (R + r) + np.abs(params.h_spec.dh(phi)))
+    for a, b in zip(got, ref):
+        assert np.all(np.abs(a - b) <= ULPS * np.finfo(float).eps * terms)
+
+
+@st.composite
+def chains(draw, kappa_t=None):
+    """A chain with every coupling on, or the single-angle chain (m = r = 0),
+    under either confinement family."""
+    family = draw(st.sampled_from(["quadratic", "tangent-barrier"]))
+    h = ConfiningPotential(family=family, phi0=draw(st.floats(0.5, 2.0)),
+                           c2=draw(st.floats(0.5, 5.0)),
+                           b=draw(st.floats(0.0, 1.0))
+                           if family == "tangent-barrier" else 0.0)
+    single = draw(st.booleans())
+    m, r = (0.0, 0.0) if single else (draw(st.floats(0.05, 2.0)),
+                                      draw(st.floats(0.05, 1.5)))
+    return ChainParams(
+        M=draw(st.floats(0.5, 3.0)), m=m, R=draw(st.floats(0.2, 2.0)), r=r,
+        kappa_t=draw(st.floats(0.0, 2.0)) if kappa_t is None else kappa_t,
+        kappa_s=draw(st.floats(0.1, 3.0)), g=draw(st.floats(0.5, 2.0)),
+        delta=draw(st.floats(0.3, 1.5)), h_spec=h)
+
+
+def _speed(params, ratio):
+    """A speed at `ratio` times the sonic speed sqrt(K_s / m): mu > 0 below
+    ratio 1, mu < 0 above it."""
+    return ratio * np.sqrt(params.Ks / params.m) if params.m > 0 else ratio
+
+
+def _fields(params, seed, n, count):
+    """theta-like fields, then one phi inside +-0.5 phi0, which keeps the
+    tangent barrier away from its poles."""
+    rng = np.random.default_rng(seed)
+    phi0 = params.h_spec.phi0
+    return (*rng.normal(0.0, 1.0, (count, n)),
+            rng.uniform(-0.5 * phi0, 0.5 * phi0, n))
+
+
+_cases = dict(p=chains(), ratio=st.floats(0.0, 3.0),
+              seed=st.integers(0, 2**32 - 1), n=st.integers(6, 60))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_cases)
+def test_travelling_wave_layer_is_bit_identical(p, ratio, seed, n):
+    v = _speed(p, ratio)
+    tw = TWParams.for_speed(v, p)
+    theta, thz, phz, thzz, phzz, phi = _fields(p, seed, n, 5)
+    prof = TWProfile(np.linspace(-1.0, 1.0, n), theta, phi, thz, phz, tw,
+                     theta_zz=thzz, phi_zz=phzz)
+    ref = _residual_reference(theta, phi, thz, phz, thzz, phzz, tw.mu, v, p)
+    for got in (tw_residual(prof, p),
+                _field_equations(theta, phi, thz, phz, thzz, phzz,
+                                 *tw.coefficients(p), p)):
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+    assert np.array_equal(
+        tw_lagrangian_density(theta, phi, thz, phz, tw, p),
+        _density_reference(theta, phi, thz, phz, v, tw.mu, p.M, p.m, p.R,
+                           p.r, p.Kt, p.g, p.h_spec))
+    assert np.array_equal(tw_first_integral(prof, p),
+                          _first_integral_reference(prof, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_cases)
+def test_pde_sources_agree_within_ulps(p, ratio, seed, n):
+    """The sources pde_rhs hands to the mass solve, caught there."""
+    Theta, Theta_t, Phi_t, Phi = _fields(p, seed, n, 3)
+    # ratio sets the grid length here, and with it the size of the slopes
+    grid = FieldGrid(np.linspace(0.0, ratio + 1.0, n), Theta, Phi, Theta_t,
+                     Phi_t)
+    with mock.patch.object(continuum, "_mass_solve",
+                           lambda phi, S1, S2, params: (S1, S2)):
+        got = continuum.pde_rhs(grid, p)
+    D1, D2 = grid._D
+    Theta_x, Phi_x = D1 @ Theta, D1 @ Phi
+    Theta_xx, Phi_xx = D2 @ Theta, D2 @ Phi
+    ref = _sources_reference(Theta, Phi, Theta_t, Phi_t, Theta_x, Phi_x,
+                             Theta_xx, Phi_xx, p)
+    # the centripetal terms carry m where the stacking terms carry K_s
+    _assert_within_ulps(got, ref, p.Kt, p.Ks + p.m, p,
+                        np.abs(Theta_xx) + np.abs(Phi_xx),
+                        np.abs(Theta_x) + np.abs(Phi_x) + np.abs(Theta_t)
+                        + np.abs(Phi_t), Phi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=chains(kappa_t=0.0), ratio=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(6, 60))
+def test_frozen_residual_agrees_within_ulps(p, ratio, seed, n):
+    v = _speed(p, ratio)
+    z = np.linspace(-3.0, 3.0, n)
+    theta = _fields(p, seed, n, 1)[0]
+    got = reduced_equations_residual(theta, z, p, v)
+    theta_zz = continuum.derivative(theta, float(z[1] - z[0]), 2)
+    zero = np.zeros(n)
+    _assert_within_ulps(got, _frozen_reference(theta_zz, theta, p, v),
+                        *TWParams.for_speed(v, p).coefficients(p), p,
+                        np.abs(theta_zz), zero, zero)

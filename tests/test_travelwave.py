@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pendulon.params import ChainParams, ConfiningPotential
+from pendulon.params import ChainParams, ConfiningPotential, _field_equations
 from pendulon.travelwave import (TWParams, TWProfile, TWSolveError,
-                                 _jacobian_blocks, _residual_core,
+                                 _jacobian_blocks,
                                  export_profile_csv, kink_profile,
                                  solve_tw_bvp, tw_first_integral,
                                  tw_lagrangian_density, tw_residual)
@@ -49,17 +51,22 @@ def test_kink_profile_fd_floor_without_curvature():
     assert np.max(np.abs(r1)) < 1e-6  # 4th-order differencing floor
 
 
-def test_jacobian_matches_finite_differences(rng):
-    p = _coupled_chain()
-    tw = TWParams.for_speed(0.31, p)
+@pytest.mark.parametrize("family", ["quadratic", "tangent-barrier"])
+@pytest.mark.parametrize("v", [0.31, 6.0])  # mu > 0, mu < 0
+def test_jacobian_matches_finite_differences(rng, family, v):
+    """_jacobian_blocks against central differences of the field equations,
+    for both confinement families (d2h varies with phi on the tangent
+    barrier; phi stays inside +-0.5 phi0 there) and both signs of mu."""
+    h = ConfiningPotential(family=family, c2=2.0,
+                           b=0.3 if family == "tangent-barrier" else 0.0)
+    p = dataclasses.replace(_coupled_chain(), h_spec=h)
+    coef = TWParams.for_speed(v, p).coefficients(p)
     n = 40
     fields = {name: rng.normal(0, 0.5, n)
-              for name in ("theta", "phi", "theta_z", "phi_z", "theta_zz",
-                           "phi_zz")}
-    blocks = _jacobian_blocks(fields["theta"], fields["phi"],
-                              fields["theta_z"], fields["phi_z"],
-                              fields["theta_zz"], fields["phi_zz"],
-                              tw.mu, tw.v, p)
+              for name in ("theta", "theta_z", "phi_z", "theta_zz", "phi_zz")}
+    fields["phi"] = rng.uniform(-0.5 * h.phi0, 0.5 * h.phi0, n)
+    order = ("theta", "phi", "theta_z", "phi_z", "theta_zz", "phi_zz")
+    blocks = _jacobian_blocks(*(fields[a] for a in order), *coef, p)
     eps = 1e-7
     worst = 0.0
     for arg, tag in (("theta", "0"), ("theta_z", "1"), ("theta_zz", "2"),
@@ -68,12 +75,8 @@ def test_jacobian_matches_finite_differences(rng):
         dn = dict(fields)
         up[arg] = fields[arg] + eps
         dn[arg] = fields[arg] - eps
-        rp = _residual_core(up["theta"], up["phi"], up["theta_z"],
-                            up["phi_z"], up["theta_zz"], up["phi_zz"],
-                            tw.mu, tw.v, p)
-        rm = _residual_core(dn["theta"], dn["phi"], dn["theta_z"],
-                            dn["phi_z"], dn["theta_zz"], dn["phi_zz"],
-                            tw.mu, tw.v, p)
+        rp = _field_equations(*(up[a] for a in order), *coef, p)
+        rm = _field_equations(*(dn[a] for a in order), *coef, p)
         fd1 = (rp[0] - rm[0]) / (2 * eps)
         fd2 = (rp[1] - rm[1]) / (2 * eps)
         key = "t" if arg.startswith("theta") else "p"
@@ -138,7 +141,6 @@ def test_first_integral_is_legendre_transform(rng):
 
 
 def test_sonic_speed_rejected():
-    import dataclasses
     p = _coupled_chain()
     v_sonic = np.sqrt(p.Ks / p.m)
     z = np.linspace(-10, 10, 301)
