@@ -8,8 +8,8 @@ Run:  python3 demos/04_travelling_wave.py
 """
 import numpy as np
 
-from pendulon import ChainParams, ConfiningPotential, TWParams
-from pendulon.travelwave import (kink_profile, solve_tw_bvp,
+from pendulon import ChainParams, ConfiningPotential
+from pendulon.travelwave import (kink_profile, solve_tw_bvp, tw_coefficients,
                                  tw_first_integral, tw_residual)
 
 params = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
@@ -18,11 +18,11 @@ params = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
 
 v, k = 0.305, 1.05
 z = np.linspace(-20.0 / k, 20.0 / k, 2001)
-guess = kink_profile(z, k, v, params, with_curvature=False)
-tw = TWParams.for_speed(v, params)
-print(f"speed v = {v}, mu = K_s - m v^2 = {tw.mu:.6f}")
+guess = kink_profile(z, k, v, with_curvature=False)
+mu = tw_coefficients(v, params)[1]
+print(f"speed v = {v}, mu = K_s - m v^2 = {mu:.6f}")
 
-prof = solve_tw_bvp(guess, params, tw)
+prof = solve_tw_bvp(guess, params)
 res1, res2 = tw_residual(prof, params)
 print(f"converged: |res1|_inf = {np.max(np.abs(res1)):.2e}, "
       f"|res2|_inf = {np.max(np.abs(res2)):.2e}")

@@ -36,7 +36,7 @@ _HOMES = {
                "total_energy",
     "continuum": "FieldGrid PDEInstabilityError energy_total evolve "
                  "kink_field_grid pde_rhs topological_charge",
-    "travelwave": "TWParams TWProfile kink_profile solve_tw_bvp "
+    "travelwave": "TWProfile kink_profile solve_tw_bvp tw_coefficients "
                   "tw_first_integral tw_lagrangian_density tw_residual",
     "perturbation": "PerturbativeSolution build_perturbative coefficient_B "
                     "compose_series kink_parameter order1_phi order1_theta "

@@ -122,19 +122,18 @@ def cmd_solve_tw(cp, args, out_dir, dry):
     from . import travelwave
     half = dom["half_width"] if "half_width" in dom else 20.0 / k
     z = np.linspace(-half, half, dom.get("n_points", 2001))
-    guess = travelwave.kink_profile(z, k, sec["v"], params,
+    guess = travelwave.kink_profile(z, k, sec["v"],
                                     pi_shift=sec.get("pi_shift", False),
                                     with_curvature=False,
                                     index=sec.get("index", 1))
-    tw = travelwave.TWParams.for_speed(sec["v"], params)
-    prof = travelwave.solve_tw_bvp(guess, params, tw)
+    prof = travelwave.solve_tw_bvp(guess, params)
     outputs = ["tw-profile.csv"]
     travelwave.export_profile_csv(prof, params, os.path.join(out_dir, outputs[0]))
     res1, res2 = travelwave.tw_residual(prof, params)
     first = travelwave.tw_first_integral(prof, params)
     results = {
-        "v": tw.v,
-        "mu": tw.mu,
+        "v": prof.v,
+        "mu": travelwave.tw_coefficients(prof.v, params)[1],
         "residual_eq1_linf": np.max(np.abs(res1)),
         "residual_eq2_linf": np.max(np.abs(res2)),
         "first_integral_mean": np.mean(first),

@@ -21,7 +21,7 @@ from ._io import write_csv, write_snapshots_csv
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
-from .params import ChainParams, _field_equations, _inertia, _kink
+from .params import ChainParams, _field_equations, _inertia, _moving_kink
 
 
 class PDEInstabilityError(IntegrationError):
@@ -189,11 +189,7 @@ def _charge_or_none(grid: FieldGrid):
 def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
     """Travelling-kink initial data sampled on grid x."""
     x = np.asarray(x, dtype=float)
-    if center is None:
-        center = 0.5 * (x[0] + x[-1])
-    base, sech = _kink(k * (x - center))
-    Theta = index * base
-    Theta_t = index * (-v) * 2.0 * k * sech
+    Theta, Theta_t = _moving_kink(x, k, v, center, index)
     z = np.zeros_like(x)
     return FieldGrid(x, Theta, z, Theta_t, z.copy(), 0.0)
 

@@ -210,9 +210,9 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
     """eps-Taylor coefficients 0..2 of the full density along the sampled
     expansion, by centered polynomial fitting.
 
-    The density is composed from bare series values (r = eps r1 + eps^2 r2
-    and friends), which remain algebraically meaningful at eps < 0, so the
-    stencil can be centered; truncation falls as h_eps^(n_points-2).
+    The density is composed from bare series values (ExpansionParams.series),
+    which remain algebraically meaningful at eps < 0, so the stencil can be
+    centered; truncation falls as h_eps^(n_points-2).
     """
     if n_points < 3:
         raise ValueError("need at least 3 eps samples")
@@ -222,11 +222,7 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
     vals = []
     for s in nodes:
         e = s * h_eps
-        r = e * p.r1 + e * e * p.r2
-        m = e * p.m1 + e * e * p.m2
-        Kt = e * p.k1 + e * e * p.k2
-        Ks = p.Khat - Kt
-        v = p.v0 + e * p.v1 + e * e * p.v2
+        r, m, Kt, Ks, v = p.series(e)
         theta = sample.theta0 + e * sample.theta1 + e * e * sample.theta2
         theta_z = sample.theta0_z + e * sample.theta1_z + e * e * sample.theta2_z
         phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2

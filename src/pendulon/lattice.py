@@ -11,10 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils, chain
-from ._io import write_csv, write_json, write_snapshots_csv
-from ._stencils import IntegrationError  # noqa: F401 (re-exported)
+from ._io import write_csv, write_snapshots_csv
 from .chain import LatticeState
-from .params import ChainParams, _kink
+from .params import ChainParams, _moving_kink
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,8 @@ def moving_kink_state(params: ChainParams, k, v, n_sites, center=None,
     """
     if n_sites < 2:
         raise ValueError("need at least two sites")
-    x = params.delta * np.arange(n_sites)
-    if center is None:
-        center = x[-1] / 2.0
-    base, sech = _kink(k * (x - center))
-    theta = index * base
-    theta_dot = index * (-v) * 2.0 * k * sech
+    theta, theta_dot = _moving_kink(params.delta * np.arange(n_sites), k, v,
+                                    center, index)
     zeros = np.zeros(n_sites)
     return LatticeState(theta, zeros, theta_dot, zeros, 0.0)
 
@@ -120,7 +115,3 @@ def summary_dict(report: SimulationReport):
         "n_snapshots": len(report.trajectory),
         "t_final": report.trajectory[-1].t,
     }
-
-
-def write_summary_json(report: SimulationReport, path):
-    write_json(summary_dict(report), path)

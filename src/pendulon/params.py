@@ -168,20 +168,26 @@ class ExpansionParams:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
-    def speed(self, eps: Optional[float] = None) -> float:
-        e = self.eps if eps is None else eps
-        return self.v0 + e * self.v1 + e * e * self.v2
-
-    def to_chain_params(self, eps: Optional[float] = None,
-                        delta: float = 1.0) -> ChainParams:
+    def series(self, eps: Optional[float] = None):
+        """Bare series values (r, m, K_t, K_s, v) at eps (default self.eps),
+        also at eps < 0, where no ChainParams represents them."""
         e = self.eps if eps is None else eps
         r = e * self.r1 + e * e * self.r2
         m = e * self.m1 + e * e * self.m2
         Kt = e * self.k1 + e * e * self.k2
-        Ks = self.Khat - Kt
+        return (r, m, Kt, self.Khat - Kt,
+                self.v0 + e * self.v1 + e * e * self.v2)
+
+    def speed(self, eps: Optional[float] = None) -> float:
+        return self.series(eps)[4]
+
+    def to_chain_params(self, eps: Optional[float] = None,
+                        delta: float = 1.0) -> ChainParams:
+        r, m, Kt, Ks, _ = self.series(eps)
         return ChainParams(M=self.Mhat - m, m=m, R=self.A - r, r=r,
                            kappa_t=Kt / delta**2, kappa_s=Ks / delta**2,
                            g=self.g, delta=delta, h_spec=self.h_spec)
+
 
 def _kink(u):
     """(4 arctan(exp(u)), sech(u)) of the unit sine-Gordon kink, via the
@@ -190,6 +196,15 @@ def _kink(u):
     e = np.exp(-np.abs(u))
     half = 4.0 * np.arctan(e)
     return np.where(u <= 0.0, half, 2.0 * np.pi - half), 2.0 * e / (1.0 + e * e)
+
+
+def _moving_kink(x, k, v, center=None, index=1):
+    """(index vartheta0(k (x - center)), its time derivative at speed v) on x;
+    center defaults to the middle of x."""
+    if center is None:
+        center = 0.5 * (x[0] + x[-1])
+    base, sech = _kink(k * (x - center))
+    return index * base, index * (-v) * 2.0 * k * sech
 
 
 def _inertia(phi, r, R):
@@ -213,8 +228,8 @@ def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
     The PDE (' = d/dx) takes (c_outer, c_inner) = (K_t, K_s) and reads
     M(Phi) (Theta_tt, Phi_tt) = (F1, F2) + m r R sin(Phi) (Phi_t (Phi_t +
     2 Theta_t), -Theta_t^2). The travelling wave (z = x - v t, ' = d/dz,
-    d/dt = -v d/dz) takes (K_t - M R^2 v^2, mu = K_s - m v^2) and solves
-    F1 = F2 = 0; the frozen limit is that at phi = 0.
+    d/dt = -v d/dz) takes travelwave.tw_coefficients (K_t - M R^2 v^2, mu =
+    K_s - m v^2) and solves F1 = F2 = 0; the frozen limit is that at phi = 0.
     """
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     s = np.sin(phi)

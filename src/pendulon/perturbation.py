@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu
 from . import _stencils, travelwave
 from ._io import write_csv
 from .params import ExpansionParams, _kink
-from .travelwave import TWParams, TWProfile
+from .travelwave import TWProfile
 
 
 class KinkArrays(NamedTuple):
@@ -68,22 +68,24 @@ def sg_kink(z, params: ExpansionParams) -> KinkArrays:
                       1.0 - 2.0 * sech * sech)
 
 
+def _w1(p: ExpansionParams) -> float:
+    """W1 = (1 - A^2) k1 + 2 A Mhat v0 (r1 v0 - A v1), shared by B and C_f."""
+    return ((1 - p.A**2) * p.k1
+            + 2 * p.A * p.Mhat * p.v0 * (p.r1 * p.v0 - p.A * p.v1))
+
+
 def coefficient_B(params: ExpansionParams) -> float:
     """Scalar combination of first-order coefficients reported alongside the
     order-1 problem; vanishes when r1, k1, v1 all vanish."""
     p = params
-    k = kink_parameter(p)
-    return (p.A**2 * k * p.r1
-            - p.Mhat * p.g * ((1 - p.A**2) * p.k1
-                              + 2 * p.A * p.Mhat * p.v0 * (p.r1 * p.v0 - p.A * p.v1)))
+    return p.A**2 * kink_parameter(p) * p.r1 - p.Mhat * p.g * _w1(p)
 
 
 def _forcing_coefficient(params: ExpansionParams) -> float:
     """C_f in theta1'' - k^2 cos(theta0) theta1 = C_f sin(theta0)."""
     p = params
     k2 = kink_parameter(p) ** 2
-    W1 = (1 - p.A**2) * p.k1 + 2 * p.A * p.Mhat * p.v0 * (p.r1 * p.v0 - p.A * p.v1)
-    return (W1 * k2 + p.Mhat * p.g * p.r1) / (p.A**2 * mu_hat(p))
+    return (_w1(p) * k2 + p.Mhat * p.g * p.r1) / (p.A**2 * mu_hat(p))
 
 
 def _theta1_zz(params: ExpansionParams, kin: KinkArrays, theta1):
@@ -260,9 +262,7 @@ def compose_series(sol: PerturbativeSolution, eps: float,
         phi_z = phi_z + eps * eps * sol.phi2_z
         phi_zz = phi_zz + eps * eps * _stencils.derivative(sol.phi2, dz, 2)
 
-    chain = p.to_chain_params(eps=eps)
-    tw = TWParams.for_speed(p.speed(eps), chain)
-    return TWProfile(z, theta, phi, theta_z, phi_z, tw,
+    return TWProfile(z, theta, phi, theta_z, phi_z, p.speed(eps),
                      theta_zz=theta_zz, phi_zz=phi_zz)
 
 
@@ -314,11 +314,9 @@ def taylor_extract(params: ExpansionParams, z, h_eps: float = 0.02,
     thetas, phis = [], []
     for j in range(n_points):
         e = j * h_eps
-        chain = params.to_chain_params(eps=e)
-        v = params.speed(e)
-        guess = travelwave.kink_profile(z, k, v, chain, with_curvature=False)
-        solved = travelwave.solve_tw_bvp(guess, chain,
-                                         TWParams.for_speed(v, chain))
+        guess = travelwave.kink_profile(z, k, params.speed(e),
+                                        with_curvature=False)
+        solved = travelwave.solve_tw_bvp(guess, params.to_chain_params(eps=e))
         thetas.append(solved.theta)
         phis.append(solved.phi)
 

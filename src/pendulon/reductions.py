@@ -16,7 +16,7 @@ from . import _stencils, travelwave
 from ._io import write_csv
 from ._stencils import TWSolveError
 from .params import ChainParams, _field_equations
-from .travelwave import TWParams, TWProfile
+from .travelwave import TWProfile
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def selected_speed(params: ChainParams) -> SpeedSelection:
     v_star = float(np.sqrt(params.Ks * (params.r + params.R)
                            / (params.m * params.r)))
     mu_star = compatibility_mu(params)
-    consistency = params.Ks - params.m * v_star**2
+    consistency = travelwave.tw_coefficients(v_star, params)[1]
     if abs(mu_star - consistency) > 1e-12 * (abs(mu_star) + 1.0):
         raise RuntimeError("mu*/v* consistency lost to rounding")
     return SpeedSelection(mu_star=mu_star, v_star=v_star)
@@ -64,8 +64,8 @@ def reduced_equations_residual(theta, z, params: ChainParams, v: float):
         raise ValueError("reduction assumes h'(0) = 0")
     theta = np.asarray(theta, dtype=float)
     theta_zz = _stencils.derivative(theta, _stencils.uniform_spacing(z), 2)
-    coef = TWParams.for_speed(v, params).coefficients(params)
-    return _field_equations(theta, 0.0, 0.0, 0.0, theta_zz, 0.0, *coef, params)
+    return _field_equations(theta, 0.0, 0.0, 0.0, theta_zz, 0.0,
+                            *travelwave.tw_coefficients(v, params), params)
 
 
 def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
@@ -78,8 +78,8 @@ def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
     """
     res1, res2 = reduced_equations_residual(theta, z, params, v)
     # the curvature coefficients: the field equations at unit theta'' alone
-    coef = TWParams.for_speed(v, params).coefficients(params)
-    c1, c2 = _field_equations(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, *coef, params)
+    c1, c2 = _field_equations(0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+                              *travelwave.tw_coefficients(v, params), params)
     if c2 == 0.0:
         raise ValueError("second equation loses its curvature term (mu = 0)")
     scale = params.g * (params.m * params.r + (params.M + params.m) * params.R)
@@ -105,7 +105,7 @@ def selected_speed_kink(params: ChainParams, z) -> TWProfile:
     sel = selected_speed(params)
     kappa = selected_kink_width(params)
     return travelwave.kink_profile(np.asarray(z, dtype=float), kappa,
-                                   sel.v_star, params, pi_shift=True)
+                                   sel.v_star, pi_shift=True)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,10 @@ def stiff_limit_experiment(params: ChainParams,
     for h2 in ladder:
         stiff = replace(params, h_spec=params.h_spec.with_stiffness(h2))
         for v in v_probe:
-            guess = travelwave.kink_profile(z, kappa, v, stiff,
-                                            pi_shift=True,
+            guess = travelwave.kink_profile(z, kappa, v, pi_shift=True,
                                             with_curvature=False)
-            tw = TWParams.for_speed(v, stiff)
             try:
-                prof = travelwave.solve_tw_bvp(guess, stiff, tw)
+                prof = travelwave.solve_tw_bvp(guess, stiff)
             except TWSolveError as exc:
                 bad = exc.residual if exc.residual is not None else float("nan")
                 cells.append(StiffCell(h2, float(v), False, float("nan"),

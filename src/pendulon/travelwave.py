@@ -1,9 +1,9 @@
 """Travelling-wave reduction: residuals, Lagrangian density, first integral,
 and a collocation Newton solver for the two-point boundary-value problem.
 
-With z = x - v t and mu = K_s - m v^2 the profile equations are the field
-equations of params._field_equations with c_outer = K_t - M R^2 v^2 and
-c_inner = mu (TWParams.coefficients); their residuals are res1, res2.
+A wave is fixed by the chain and its speed v: with z = x - v t the profile
+equations are params._field_equations with the coefficients of
+tw_coefficients, and their residuals are res1, res2.
 """
 from __future__ import annotations
 
@@ -19,41 +19,32 @@ from ._stencils import TWSolveError
 from .params import ChainParams, _field_equations, _inertia, _kink
 
 
-@dataclass(frozen=True)
-class TWParams:
-    """Wave speed and the derived combination mu = K_s - m v^2."""
+def tw_coefficients(v, params: ChainParams):
+    """(c_outer, c_inner) = (K_t - M R^2 v^2, mu = K_s - m v^2) of
+    params._field_equations for a wave of speed v."""
+    return (params.Kt - params.M * params.R**2 * v**2,
+            params.Ks - params.m * v * v)
 
-    v: float
-    mu: float
 
-    @classmethod
-    def for_speed(cls, v, params: ChainParams):
-        return cls(float(v), float(params.Ks - params.m * v * v))
-
-    def check(self, params: ChainParams):
-        expect = params.Ks - params.m * self.v**2
-        scale = abs(expect) + abs(self.mu) + 1.0
-        if abs(self.mu - expect) > 1e-14 * scale:
-            raise ValueError("mu inconsistent with v for these chain parameters")
-
-    def coefficients(self, params: ChainParams):
-        """(c_outer, c_inner) of params._field_equations at this speed."""
-        return params.Kt - params.M * params.R**2 * self.v**2, self.mu
+def _on_sonic_line(v, params: ChainParams):
+    """True when mu = K_s - m v^2 is zero to rounding of its two terms: on
+    this sonic line the inner profile equation has no phi'' term."""
+    mu = tw_coefficients(v, params)[1]
+    return abs(mu) <= 1e-14 * (params.Ks + params.m * v * v)
 
 
 @dataclass(frozen=True)
 class TWProfile:
-    """Profiles on a uniform z-grid. theta_zz/phi_zz are optional exact
-    curvature samples; when absent, residuals fall back to finite differences.
-    """
+    """Profiles of a wave of speed v on a uniform z-grid. theta_zz/phi_zz are
+    optional exact curvature samples; when absent, residuals fall back to
+    finite differences."""
 
     z: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     theta_z: np.ndarray
     phi_z: np.ndarray
-    tw: TWParams
-    N: int = 1
+    v: float
     theta_zz: Optional[np.ndarray] = None
     phi_zz: Optional[np.ndarray] = None
 
@@ -70,7 +61,6 @@ def tw_residual(profile: TWProfile, params: ChainParams):
     their consistency); second derivatives use stored exact samples when the
     profile carries them and 4th-order finite differences otherwise.
     """
-    profile.tw.check(params)
     dz = profile.dz
     tzz = profile.theta_zz
     pzz = profile.phi_zz
@@ -80,7 +70,7 @@ def tw_residual(profile: TWProfile, params: ChainParams):
         pzz = _stencils.derivative(profile.phi, dz, 2)
     return _field_equations(profile.theta, profile.phi, profile.theta_z,
                             profile.phi_z, tzz, pzz,
-                            *profile.tw.coefficients(params), params)
+                            *tw_coefficients(profile.v, params), params)
 
 
 def _density_parts(theta, phi, theta_z, phi_z, v, mu, M, m, R, r, Kt, g,
@@ -105,30 +95,27 @@ def _density_raw(*args):
     return Q + G - H
 
 
-def _chain_values(tw: TWParams, params: ChainParams):
+def _chain_values(v, params: ChainParams):
     """The coefficient arguments of _density_parts for a chain and speed."""
-    return (tw.v, tw.mu, params.M, params.m, params.R, params.r, params.Kt,
-            params.g, params.h_spec)
+    return (v, tw_coefficients(v, params)[1], params.M, params.m, params.R,
+            params.r, params.Kt, params.g, params.h_spec)
 
 
-def tw_lagrangian_density(theta, phi, theta_z, phi_z, tw: TWParams,
-                          params: ChainParams):
-    """The density L = Q + G - H of _density_parts, whose Euler-Lagrange
-    equations are the profile equations."""
-    return _density_raw(theta, phi, theta_z, phi_z,
-                        *_chain_values(tw, params))
+def tw_lagrangian_density(theta, phi, theta_z, phi_z, v, params: ChainParams):
+    """The density L = Q + G - H of _density_parts at speed v, whose
+    Euler-Lagrange equations are the profile equations."""
+    return _density_raw(theta, phi, theta_z, phi_z, *_chain_values(v, params))
 
 
 def tw_first_integral(profile: TWProfile, params: ChainParams):
     """E = theta' dL/dtheta' + phi' dL/dphi' - L = Q - G + H, since Q is
     quadratic in the slopes; constant on exact solutions."""
     Q, G, H = _density_parts(profile.theta, profile.phi, profile.theta_z,
-                             profile.phi_z, *_chain_values(profile.tw, params))
+                             profile.phi_z, *_chain_values(profile.v, params))
     return Q - G + H
 
 
-def kink_profile(z, k, v, params: ChainParams, pi_shift=False,
-                 with_curvature=True, index=1):
+def kink_profile(z, k, v, pi_shift=False, with_curvature=True, index=1):
     """Analytic single-kink profile (phi = 0) usable as data or solver guess.
 
     pi_shift moves the connection to (-pi, pi) instead of (0, 2 pi).
@@ -142,8 +129,7 @@ def kink_profile(z, k, v, params: ChainParams, pi_shift=False,
     zeros = np.zeros_like(z)
     tzz = index * (-2.0) * k * k * sech * tanh if with_curvature else None
     pzz = zeros.copy() if with_curvature else None
-    return TWProfile(z, theta, zeros, theta_z, zeros.copy(),
-                     TWParams.for_speed(v, params), N=index,
+    return TWProfile(z, theta, zeros, theta_z, zeros.copy(), v,
                      theta_zz=tzz, phi_zz=pzz)
 
 
@@ -178,27 +164,28 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
     return j
 
 
-def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
-                 tol=1e-10, max_iter=60) -> TWProfile:
-    """Damped Newton on the 4th-order collocation system.
+def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
+                 max_iter=60) -> TWProfile:
+    """Damped Newton on the 4th-order collocation system at the guess's speed.
 
     Dirichlet values are taken from the ends of the guess (so 0 -> 2 pi N and
     pi-shifted connections are both supported); the translation zero mode is
     removed by a bordered pinning row theta(z_mid) = mean of the end values.
     Each iteration assembles the bordered Jacobian in one pass, straight into
     CSC arrays (_stencils.bordered_matrix), and factors it with splu.
-    Raises TWSolveError on non-convergence, with the final residual attached.
+    Raises TWSolveError on non-convergence, with the final residual attached,
+    and on the sonic line (_on_sonic_line).
     """
     params.require_dynamic()
-    tw.check(params)
-    if tw.mu == 0:
-        raise TWSolveError("mu = 0: profile equations are degenerate")
+    coef = tw_coefficients(guess.v, params)
+    if _on_sonic_line(guess.v, params):
+        raise TWSolveError(f"mu = 0 to rounding ({coef[1]:.3e} at v = "
+                           f"{guess.v!r}): profile equations are degenerate")
     z = guess.z
     n = z.shape[0]
     dz = guess.dz
     D1 = _stencils.derivative_matrix(n, dz, 1)
     D2 = _stencils.derivative_matrix(n, dz, 2)
-    coef = tw.coefficients(params)
     th_l, th_r = guess.theta[0], guess.theta[-1]
     ph_l, ph_r = guess.phi[0], guess.phi[-1]
     mid = n // 2
@@ -270,7 +257,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tw: TWParams,
             f"no convergence after {max_iter} iterations "
             f"(residual {best:.3e})", best)
 
-    return TWProfile(z, theta, phi, D1 @ theta, D1 @ phi, tw, N=guess.N)
+    return TWProfile(z, theta, phi, D1 @ theta, D1 @ phi, guess.v)
 
 
 def export_profile_csv(profile: TWProfile, params: ChainParams, path):

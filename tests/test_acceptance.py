@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from pendulon import (ChainParams, ConfiningPotential, ExpansionParams,
-                      TWParams, auxiliary_check, build_perturbative,
+                      auxiliary_check, build_perturbative,
                       compose_series, el_identities, energy_total,
                       eval_L0_L1_L2, kink_field_grid, kink_parameter,
                       moving_kink_state, residual_scaling, selected_speed,
@@ -264,7 +264,7 @@ def test_criterion_10_first_integral_is_flat_on_every_converged_solve(exp_params
     for eps in (0.02, 0.05, 0.1):
         chain = exp_params.to_chain_params(eps=eps)
         guess = compose_series(sol, eps, 2)
-        prof = solve_tw_bvp(guess, chain, guess.tw)
+        prof = solve_tw_bvp(guess, chain)
         worst = max(worst, rel_var(prof, chain))
 
     # the pi-shifted branch at the selected speed, under stiff confinement
@@ -273,9 +273,9 @@ def test_criterion_10_first_integral_is_flat_on_every_converged_solve(exp_params
     kappa = selected_kink_width(stiff)
     v_star = selected_speed(stiff).v_star
     zs = np.linspace(-20.0 / kappa, 20.0 / kappa, 2001)
-    guess = kink_profile(zs, kappa, v_star, stiff, pi_shift=True,
+    guess = kink_profile(zs, kappa, v_star, pi_shift=True,
                          with_curvature=False)
-    prof = solve_tw_bvp(guess, stiff, TWParams.for_speed(v_star, stiff))
+    prof = solve_tw_bvp(guess, stiff)
     worst = max(worst, rel_var(prof, stiff))
     print(f"first-integral rel variance max: {worst:.3e}")
     assert worst < 1e-8

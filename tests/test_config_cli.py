@@ -1,6 +1,7 @@
 """Configuration loading and the command-line harness: strict key checking,
 exit codes, artifact schemas, and byte-identical reruns."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,6 +199,17 @@ def test_solve_tw_numerical_failure_is_exit_2(tmp_path, capsys):
     rc = cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_solve_tw_at_the_sonic_speed_is_exit_2(tmp_path, capsys):
+    """v = sqrt(K_s / m) leaves mu = K_s - m v^2 at rounding level, where the
+    inner profile equation has no phi'' term: the solver must refuse it."""
+    cfg = _write(tmp_path, "tw.ini",
+                 CHAIN_INI + f"\n[tw]\nv = {math.sqrt(0.985 / 0.05)!r}\n"
+                 "k = 1.0\n\n[domain]\nhalf_width = 10\nn_points = 301\n")
+    rc = cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mu = 0" in capsys.readouterr().err
 
 
 def test_unknown_key_is_exit_1(tmp_path, capsys):

@@ -13,8 +13,9 @@ from pendulon.continuum import FieldGrid
 from pendulon.params import (ChainParams, ConfiningPotential,
                              _field_equations, _inertia)
 from pendulon.reductions import reduced_equations_residual
-from pendulon.travelwave import (TWParams, TWProfile, tw_first_integral,
-                                 tw_lagrangian_density, tw_residual)
+from pendulon.travelwave import (TWProfile, tw_coefficients,
+                                 tw_first_integral, tw_lagrangian_density,
+                                 tw_residual)
 
 # agreement bound for the reordered sums: ULPS units of rounding of a bound
 # on the sum of the absolute values of each equation's terms
@@ -54,7 +55,8 @@ def _first_integral_reference(profile, params):
     th, ph = profile.theta, profile.phi
     thz, phz = profile.theta_z, profile.phi_z
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    mu, v = profile.tw.mu, profile.tw.v
+    v = profile.v
+    mu = params.Ks - m * v * v
     r2a, r2b = _inertia(ph, r, R)
     C_theta = M * R**2 * v**2 - params.Kt - mu * r2b
     return (0.5 * C_theta * thz**2 - 0.5 * mu * r * r * phz**2
@@ -148,19 +150,18 @@ _cases = dict(p=chains(), ratio=st.floats(0.0, 3.0),
 @given(**_cases)
 def test_travelling_wave_layer_is_bit_identical(p, ratio, seed, n):
     v = _speed(p, ratio)
-    tw = TWParams.for_speed(v, p)
+    coef = tw_coefficients(v, p)
     theta, thz, phz, thzz, phzz, phi = _fields(p, seed, n, 5)
-    prof = TWProfile(np.linspace(-1.0, 1.0, n), theta, phi, thz, phz, tw,
+    prof = TWProfile(np.linspace(-1.0, 1.0, n), theta, phi, thz, phz, v,
                      theta_zz=thzz, phi_zz=phzz)
-    ref = _residual_reference(theta, phi, thz, phz, thzz, phzz, tw.mu, v, p)
+    ref = _residual_reference(theta, phi, thz, phz, thzz, phzz, coef[1], v, p)
     for got in (tw_residual(prof, p),
-                _field_equations(theta, phi, thz, phz, thzz, phzz,
-                                 *tw.coefficients(p), p)):
+                _field_equations(theta, phi, thz, phz, thzz, phzz, *coef, p)):
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
     assert np.array_equal(
-        tw_lagrangian_density(theta, phi, thz, phz, tw, p),
-        _density_reference(theta, phi, thz, phz, v, tw.mu, p.M, p.m, p.R,
+        tw_lagrangian_density(theta, phi, thz, phz, v, p),
+        _density_reference(theta, phi, thz, phz, v, coef[1], p.M, p.m, p.R,
                            p.r, p.Kt, p.g, p.h_spec))
     assert np.array_equal(tw_first_integral(prof, p),
                           _first_integral_reference(prof, p))
@@ -200,5 +201,5 @@ def test_frozen_residual_agrees_within_ulps(p, ratio, seed, n):
     theta_zz = continuum.derivative(theta, float(z[1] - z[0]), 2)
     zero = np.zeros(n)
     _assert_within_ulps(got, _frozen_reference(theta_zz, theta, p, v),
-                        *TWParams.for_speed(v, p).coefficients(p), p,
+                        *tw_coefficients(v, p), p,
                         np.abs(theta_zz), zero, zero)

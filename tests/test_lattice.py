@@ -3,10 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from pendulon import lattice
+from pendulon import IntegrationError, lattice
+from pendulon._io import write_json
 from pendulon.chain import LatticeState
-from pendulon.lattice import (IntegrationError, kink_center,
-                              moving_kink_state, simulate, total_energy)
+from pendulon.lattice import (kink_center, moving_kink_state, simulate,
+                              total_energy)
 from pendulon.params import ChainParams
 
 
@@ -102,7 +103,7 @@ def test_exports_and_reproducibility(tmp_path, generic_chain, rng):
     lattice.export_energy_csv(rep, e)
     assert e.read_text().splitlines()[0] == "# schema: lattice-energy v1"
     s = tmp_path / "summary.json"
-    lattice.write_summary_json(rep, s)
+    write_json(lattice.summary_dict(rep), s)
     text = s.read_text()
     assert text.endswith("\n")
     assert "max_energy_drift" in text

@@ -19,8 +19,7 @@ from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
                                    order2_phi, project_zero_mode,
                                    residual_scaling, sg_kink, taylor_extract,
                                    export_scaling_csv)
-from pendulon.travelwave import (TWParams, kink_profile, solve_tw_bvp,
-                                 tw_residual)
+from pendulon.travelwave import kink_profile, solve_tw_bvp, tw_residual
 from pendulon._stencils import derivative
 
 
@@ -58,7 +57,7 @@ def test_sg_kink_self_consistency(exp_params):
     kin = sg_kink(x - center, p)
     lat = moving_kink_state(chain, k, 0.3, z.size, center=center)
     pde = kink_field_grid(chain, k, 0.3, x, center=center)
-    tw = kink_profile(x - center, k, 0.3, chain)
+    tw = kink_profile(x - center, k, 0.3)
     for theta in (lat.theta, pde.Theta, tw.theta):
         assert np.array_equal(theta, kin.theta0)
     assert np.array_equal(tw.theta_z, kin.theta0_z)
@@ -169,7 +168,7 @@ def test_compose_series_order0_is_bare_kink(exp_params):
     kin = sg_kink(sol.z, p)
     assert np.array_equal(prof.theta, kin.theta0)
     assert np.all(prof.phi == 0.0)
-    assert prof.tw.v == p.v0
+    assert prof.v == p.v0
 
 
 def test_compose_series_residual_improves_with_order(exp_params):
@@ -235,8 +234,8 @@ def _reference_extract(params, order, field, z, h_eps=0.02, n_points=6):
         e = j * h_eps
         chain = params.to_chain_params(eps=e)
         v = params.speed(e)
-        guess = kink_profile(z, k, v, chain, with_curvature=False)
-        solved = solve_tw_bvp(guess, chain, TWParams.for_speed(v, chain))
+        guess = kink_profile(z, k, v, with_curvature=False)
+        solved = solve_tw_bvp(guess, chain)
         samples.append(solved.theta if field == "theta" else solved.phi)
     V = np.vander(np.arange(n_points, dtype=float), n_points, increasing=True)
     coeffs = np.linalg.solve(V, np.asarray(samples))

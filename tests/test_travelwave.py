@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from pendulon.params import ChainParams, ConfiningPotential, _field_equations
-from pendulon.travelwave import (TWParams, TWProfile, TWSolveError,
-                                 _jacobian_blocks,
+from pendulon.travelwave import (TWProfile, TWSolveError, _jacobian_blocks,
                                  export_profile_csv, kink_profile,
-                                 solve_tw_bvp, tw_first_integral,
-                                 tw_lagrangian_density, tw_residual)
+                                 solve_tw_bvp, tw_coefficients,
+                                 tw_first_integral, tw_lagrangian_density,
+                                 tw_residual)
 
 
 def _single_angle_chain():
@@ -22,20 +22,12 @@ def _coupled_chain():
                        h_spec=ConfiningPotential(family="quadratic", c2=2.0))
 
 
-def test_tw_params_consistency_check():
-    p = _coupled_chain()
-    tw = TWParams.for_speed(0.3, p)
-    tw.check(p)  # self-consistent by construction
-    with pytest.raises(ValueError):
-        TWParams(v=0.3, mu=tw.mu + 1e-3).check(p)
-
-
 def test_kink_profile_exact_with_curvature():
     p = _single_angle_chain()
     v = 0.3
     k = np.sqrt(1.0 / (1.0 - v**2))
     z = np.linspace(-20 / k, 20 / k, 1501)
-    prof = kink_profile(z, k, v, p)
+    prof = kink_profile(z, k, v)
     r1, r2 = tw_residual(prof, p)
     assert np.max(np.abs(r1)) < 1e-13
     assert np.max(np.abs(r2)) < 1e-13
@@ -46,7 +38,7 @@ def test_kink_profile_fd_floor_without_curvature():
     v = 0.3
     k = np.sqrt(1.0 / (1.0 - v**2))
     z = np.linspace(-20 / k, 20 / k, 2001)
-    prof = kink_profile(z, k, v, p, with_curvature=False)
+    prof = kink_profile(z, k, v, with_curvature=False)
     r1, _ = tw_residual(prof, p)
     assert np.max(np.abs(r1)) < 1e-6  # 4th-order differencing floor
 
@@ -60,7 +52,7 @@ def test_jacobian_matches_finite_differences(rng, family, v):
     h = ConfiningPotential(family=family, c2=2.0,
                            b=0.3 if family == "tangent-barrier" else 0.0)
     p = dataclasses.replace(_coupled_chain(), h_spec=h)
-    coef = TWParams.for_speed(v, p).coefficients(p)
+    coef = tw_coefficients(v, p)
     n = 40
     fields = {name: rng.normal(0, 0.5, n)
               for name in ("theta", "theta_z", "phi_z", "theta_zz", "phi_zz")}
@@ -92,11 +84,11 @@ def test_solver_recovers_analytic_kink():
     v = 0.3
     k = np.sqrt(1.0 / (1.0 - v**2))
     z = np.linspace(-20 / k, 20 / k, 1501)
-    exact = kink_profile(z, k, v, p, with_curvature=False)
+    exact = kink_profile(z, k, v, with_curvature=False)
     bump = 0.08 * np.exp(-(z / 2.0) ** 2)
     guess = TWProfile(z, exact.theta + bump, exact.phi, exact.theta_z,
-                      exact.phi_z, exact.tw)
-    sol = solve_tw_bvp(guess, p, exact.tw)
+                      exact.phi_z, v)
+    sol = solve_tw_bvp(guess, p)
     # agreement is limited by the O(dz^4) gap between the collocation
     # solution and the sampled continuum kink, not by the solver
     assert np.max(np.abs(sol.theta - exact.theta)) < 1e-7
@@ -110,8 +102,8 @@ def test_solver_on_coupled_chain_and_first_integral():
     v = 0.305
     k = 1.05
     z = np.linspace(-20 / k, 20 / k, 2001)
-    guess = kink_profile(z, k, v, p, with_curvature=False)
-    sol = solve_tw_bvp(guess, p, guess.tw)
+    guess = kink_profile(z, k, v, with_curvature=False)
+    sol = solve_tw_bvp(guess, p)
     assert np.max(np.abs(sol.phi)) > 1e-4  # genuinely two-field
     E = tw_first_integral(sol, p)
     rel_var = np.var(E) / np.mean(E) ** 2
@@ -122,20 +114,20 @@ def test_first_integral_is_legendre_transform(rng):
     """E = theta' dL/dtheta' + phi' dL/dphi' - L, with the derivatives taken
     numerically from the density. Second route to the conserved quantity."""
     p = _coupled_chain()
-    tw = TWParams.for_speed(0.28, p)
+    v = 0.28
     z = np.linspace(-1, 1, 9)
     th = rng.normal(0, 1, 9)
     ph = rng.normal(0, 0.5, 9)
     thz = rng.normal(0, 1, 9)
     phz = rng.normal(0, 1, 9)
-    prof = TWProfile(z, th, ph, thz, phz, tw)
+    prof = TWProfile(z, th, ph, thz, phz, v)
     E = tw_first_integral(prof, p)
     eps = 1e-6
-    L = tw_lagrangian_density(th, ph, thz, phz, tw, p)
-    dL_dthz = (tw_lagrangian_density(th, ph, thz + eps, phz, tw, p)
-               - tw_lagrangian_density(th, ph, thz - eps, phz, tw, p)) / (2 * eps)
-    dL_dphz = (tw_lagrangian_density(th, ph, thz, phz + eps, tw, p)
-               - tw_lagrangian_density(th, ph, thz, phz - eps, tw, p)) / (2 * eps)
+    L = tw_lagrangian_density(th, ph, thz, phz, v, p)
+    dL_dthz = (tw_lagrangian_density(th, ph, thz + eps, phz, v, p)
+               - tw_lagrangian_density(th, ph, thz - eps, phz, v, p)) / (2 * eps)
+    dL_dphz = (tw_lagrangian_density(th, ph, thz, phz + eps, v, p)
+               - tw_lagrangian_density(th, ph, thz, phz - eps, v, p)) / (2 * eps)
     ref = thz * dL_dthz + phz * dL_dphz - L
     assert np.max(np.abs(E - ref)) < 1e-7
 
@@ -144,30 +136,27 @@ def test_sonic_speed_rejected():
     p = _coupled_chain()
     v_sonic = np.sqrt(p.Ks / p.m)
     z = np.linspace(-10, 10, 301)
-    tw0 = TWParams(v=v_sonic, mu=0.0)
-    tw0.check(p)  # within rounding of the sonic line
-    guess = dataclasses.replace(
-        kink_profile(z, 1.0, v_sonic, p, with_curvature=False), tw=tw0)
-    with pytest.raises(TWSolveError):
-        solve_tw_bvp(guess, p, tw0)
+    guess = kink_profile(z, 1.0, v_sonic, with_curvature=False)
+    with pytest.raises(TWSolveError, match="mu = 0"):
+        solve_tw_bvp(guess, p)
 
 
 def test_nonconvergence_reports_residual():
     p = _coupled_chain()
     z = np.linspace(-15, 15, 501)
-    guess = kink_profile(z, 1.0, 40.0, p, with_curvature=False)
+    guess = kink_profile(z, 1.0, 40.0, with_curvature=False)
     with pytest.raises(TWSolveError) as info:
-        solve_tw_bvp(guess, p, guess.tw, max_iter=8)
+        solve_tw_bvp(guess, p, max_iter=8)
     assert info.value.residual is not None
 
 
 def test_pi_shift_and_winding():
     p = _single_angle_chain()
     z = np.linspace(-8, 8, 401)
-    base = kink_profile(z, 1.0, 0.2, p)
-    shifted = kink_profile(z, 1.0, 0.2, p, pi_shift=True)
+    base = kink_profile(z, 1.0, 0.2)
+    shifted = kink_profile(z, 1.0, 0.2, pi_shift=True)
     assert np.allclose(shifted.theta, base.theta - np.pi, atol=1e-14)
-    double = kink_profile(z, 1.0, 0.2, p, index=2)
+    double = kink_profile(z, 1.0, 0.2, index=2)
     assert double.theta[-1] - double.theta[0] == pytest.approx(
         2 * (base.theta[-1] - base.theta[0]), rel=1e-12)
 
@@ -175,7 +164,7 @@ def test_pi_shift_and_winding():
 def test_export_profile_roundtrip(tmp_path):
     p = _single_angle_chain()
     z = np.linspace(-10, 10, 201)
-    prof = kink_profile(z, 1.1, 0.25, p)
+    prof = kink_profile(z, 1.1, 0.25)
     path = tmp_path / "prof.csv"
     export_profile_csv(prof, p, path)
     lines = path.read_text().splitlines()
@@ -188,16 +177,15 @@ def test_export_profile_roundtrip(tmp_path):
 
 def test_refined_grid_accepted_and_warped_grid_rejected():
     p = _coupled_chain()
-    tw = TWParams.for_speed(0.305, p)
-    fine = kink_profile(np.linspace(-20.0, 20.0, 16001), 1.05, 0.305, p,
+    fine = kink_profile(np.linspace(-20.0, 20.0, 16001), 1.05, 0.305,
                         with_curvature=False)
     r1, r2 = tw_residual(fine, p)
     assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
     # a warped grid used to "converge" on the wrong stencil spacing
     u = np.linspace(-1.0, 1.0, 2001)
     warped = kink_profile(20.0 * (u + 0.05 * np.sin(np.pi * u)), 1.05, 0.305,
-                          p, with_curvature=False)
+                          with_curvature=False)
     with pytest.raises(ValueError, match="grid must be uniform"):
-        solve_tw_bvp(warped, p, tw)
+        solve_tw_bvp(warped, p)
     with pytest.raises(ValueError, match="grid must be uniform"):
         tw_residual(warped, p)
