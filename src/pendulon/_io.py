@@ -1,5 +1,7 @@
 """Artifact writers shared by the layers and the CLI: schema-tagged CSV (row
-by row, or column-wise per snapshot) and key-sorted JSON."""
+by row with write_csv, or column-wise per snapshot with write_snapshots_csv),
+field histories as one lossless .npy record (write_history_npy), and
+key-sorted JSON."""
 from __future__ import annotations
 
 import json
@@ -36,6 +38,29 @@ def write_snapshots_csv(path, schema, header, snapshots):
             rows = map(",".join, zip(keys, *(map(repr, c.tolist())
                                               for c in columns)))
             f.write("".join([lead + row + "\n" for row in rows]))
+
+
+def write_history_npy(path, t, fields, x=None):
+    """Write a history of k snapshots as one .npy file (NumPy NEP 1 format).
+
+    The file holds a 0-d structured record of little-endian float64 fields:
+    t (k,), then x (n,) when given, then each entry of `fields` (name ->
+    k rows of n values) as a (k, n) array, in the mapping's order. It loads
+    with np.load(path, allow_pickle=False), and np.load(path)[name][j] is
+    row j bit for bit. One np.save of a record, not np.savez, whose zip
+    members carry the wall-clock time: reruns are byte-identical.
+    """
+    t = np.asarray(t, dtype="<f8")
+    heads = {"t": t} if x is None else {"t": t, "x": np.asarray(x, "<f8")}
+    record = np.zeros((), [(name, "<f8", a.shape) for name, a in heads.items()]
+                      + [(name, "<f8", (len(rows), *np.shape(rows[0])))
+                         for name, rows in fields.items()])
+    for name, a in heads.items():
+        record[name] = a
+    for name, rows in fields.items():  # straight into the record, no copy
+        np.stack(rows, out=record[name])
+    with open(path, "wb") as f:
+        np.save(f, record, allow_pickle=False)
 
 
 def _py(obj):

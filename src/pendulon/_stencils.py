@@ -1,8 +1,8 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
 that both boundary-value solvers factor, the classic RK4 step, the energy
-drift both integrators report, and the two error classes every command maps
-to exit code 2.
+drift and the winding number both integrators report, and the two error
+classes every command maps to exit code 2.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -16,7 +16,8 @@ instead: continuum.FieldGrid builds D1 and D2 once per grid.
 
 scipy.sparse is imported inside derivative_matrix and bordered_matrix, the
 two functions that build a matrix, so the lattice layer, which needs only
-rk4_step, energy_drift and IntegrationError from here, never loads scipy.
+rk4_step, energy_drift, winding_number and IntegrationError from here, never
+loads scipy.
 """
 from __future__ import annotations
 
@@ -184,3 +185,23 @@ def energy_drift(energies):
     large initial energy, absolute for a small one, finite at E[0] = 0."""
     E = np.asarray(energies, dtype=float)
     return float(np.max(np.abs(E - E[0])) / (abs(E[0]) + 1.0))
+
+
+def winding_number(theta):
+    """round((theta[-1] - theta[0]) / 2 pi), the topological charge of a
+    field or chain sampled end to end; ValueError when the boundary values
+    are not a clean multiple of 2 pi apart (off by a quarter turn or more)."""
+    w = (theta[-1] - theta[0]) / (2 * np.pi)
+    n = round(float(w))
+    if abs(w - n) >= 0.25:
+        raise ValueError("non-topological boundary data")
+    return int(n)
+
+
+def _winding_or_none(theta):
+    """winding_number, or None when the boundary data carries no clean
+    winding number."""
+    try:
+        return winding_number(theta)
+    except ValueError:
+        return None

@@ -88,8 +88,8 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
                                      index=pde.get("index", 1))
     snaps = continuum.evolve(grid, integ["t_end"], integ["dt"], params,
                              snapshot_every=integ.get("snapshot_every"))
-    outputs = ["pde-fields.csv", "pde-energy.csv"]
-    continuum.export_fields_csv(snaps, os.path.join(out_dir, outputs[0]))
+    outputs = ["pde-fields.npy", "pde-energy.csv"]
+    continuum.export_fields(snaps, os.path.join(out_dir, outputs[0]))
     energies = continuum.export_energy_csv(snaps, params,
                                            os.path.join(out_dir, outputs[1]))
 
@@ -99,8 +99,8 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
         "energy_initial": energies[0],
         "energy_final": energies[-1],
         "max_energy_drift": _stencils.energy_drift(energies),
-        "charge_initial": continuum._charge_or_none(snaps[0]),
-        "charge_final": continuum._charge_or_none(snaps[-1]),
+        "charge_initial": _stencils._winding_or_none(snaps[0].Theta),
+        "charge_final": _stencils._winding_or_none(snaps[-1].Theta),
     }
     return results, outputs
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils
-from ._io import write_csv, write_snapshots_csv
+from ._io import write_csv, write_history_npy
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
@@ -169,21 +169,9 @@ def energy_total(grid: FieldGrid, params: ChainParams):
 
 
 def topological_charge(grid: FieldGrid):
-    """Round((Theta(end) - Theta(start)) / 2 pi); rejects ragged boundary data."""
-    w = (grid.Theta[-1] - grid.Theta[0]) / (2 * np.pi)
-    n = round(float(w))
-    if abs(w - n) >= 0.25:
-        raise ValueError("non-topological boundary data")
-    return int(n)
-
-
-def _charge_or_none(grid: FieldGrid):
-    """topological_charge, or None when the boundary data carries no clean
-    winding number."""
-    try:
-        return topological_charge(grid)
-    except ValueError:
-        return None
+    """Winding number of Theta over the grid (_stencils.winding_number);
+    rejects ragged boundary data."""
+    return _stencils.winding_number(grid.Theta)
 
 
 def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
@@ -194,16 +182,23 @@ def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
     return FieldGrid(x, Theta, z, Theta_t, z.copy(), 0.0)
 
 
-def export_fields_csv(snaps, path):
-    write_snapshots_csv(path, "pde-fields v1", "t,x,Theta,Phi,Theta_t,Phi_t",
-                        ((g.t, list(map(repr, g.x.tolist())), g.Theta, g.Phi,
-                          g.Theta_t, g.Phi_t) for g in snaps))
+def export_fields(snaps, path):
+    """Write the snapshots as one .npy record (_io.write_history_npy): t,
+    the grid x once, and Theta, Phi, Theta_t, Phi_t with one row per
+    snapshot. The snapshots must share one grid."""
+    x = snaps[0].x
+    if not all(np.array_equal(g.x, x) for g in snaps[1:]):
+        raise ValueError("snapshots must share one grid")
+    write_history_npy(path, [g.t for g in snaps],
+                      {name: [getattr(g, name) for g in snaps]
+                       for name in ("Theta", "Phi", "Theta_t", "Phi_t")}, x=x)
 
 
 def export_energy_csv(snaps, params: ChainParams, path):
     """Write t, total energy and charge per snapshot; return the energies."""
     energies = [energy_total(g, params) for g in snaps]
+    charges = (_stencils._winding_or_none(g.Theta) for g in snaps)
     write_csv(path, "pde-energy v1", "t,E,N",
               ((float(g.t), E, "" if q is None else q) for g, E, q
-               in zip(snaps, energies, map(_charge_or_none, snaps))))
+               in zip(snaps, energies, charges)))
     return energies

@@ -110,8 +110,14 @@ def export_energy_csv(report: SimulationReport, path):
 
 
 def summary_dict(report: SimulationReport):
+    """Headline numbers of a run; the charges are the winding numbers of
+    theta over the chain (None when ragged) at the first and last
+    snapshots."""
+    traj = report.trajectory
     return {
+        "charge_initial": _stencils._winding_or_none(traj[0].theta),
+        "charge_final": _stencils._winding_or_none(traj[-1].theta),
         "max_energy_drift": report.max_energy_drift,
-        "n_snapshots": len(report.trajectory),
-        "t_final": report.trajectory[-1].t,
+        "n_snapshots": len(traj),
+        "t_final": traj[-1].t,
     }

@@ -77,11 +77,13 @@ def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
     coefficient mismatch: about 1e-16 at the selected speed, order one off it.
     """
     res1, res2 = reduced_equations_residual(theta, z, params, v)
+    if params.r <= 0:
+        raise ValueError("r = 0 leaves the second equation trivially satisfied")
+    if travelwave._on_sonic_line(v, params):
+        raise ValueError("second equation loses its curvature term (mu = 0)")
     # the curvature coefficients: the field equations at unit theta'' alone
     c1, c2 = _field_equations(0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
                               *travelwave.tw_coefficients(v, params), params)
-    if c2 == 0.0:
-        raise ValueError("second equation loses its curvature term (mu = 0)")
     scale = params.g * (params.m * params.r + (params.M + params.m) * params.R)
     return float(np.max(np.abs(res1 - (c1 / c2) * res2)) / scale)
 

@@ -1,5 +1,6 @@
 """Configuration loading and the command-line harness: strict key checking,
 exit codes, artifact schemas, and byte-identical reruns."""
+import hashlib
 import json
 import math
 import os
@@ -360,7 +361,13 @@ t_end = 0.05
                      "--out", str(out2)]) == 0
     assert (out1 / "lattice-trajectory.csv").exists()
     assert (out1 / "lattice-energy.csv").exists()
+    summary = json.loads((out1 / "summary.json").read_text())
+    assert summary["results"]["charge_initial"] == 1
+    assert summary["results"]["charge_final"] == 1
+    assert summary["outputs"] == ["lattice-trajectory.csv",
+                                  "lattice-energy.csv"]
     summary = json.loads((out2 / "summary.json").read_text())
+    assert summary["outputs"] == ["pde-fields.npy", "pde-energy.csv"]
     assert summary["results"]["charge_initial"] == 1
     assert summary["results"]["charge_final"] == 1
     assert summary["results"]["max_energy_drift"] < 1e-6
@@ -529,6 +536,24 @@ def test_simulate_pde_drift_is_energy_drift_of_its_energy_csv(tmp_path):
     assert summary["results"]["max_energy_drift"] == _stencils.energy_drift(E)
     # finite when the series starts at zero energy
     assert _stencils.energy_drift([0.0, 1e-3, -2e-3]) == 2e-3
+
+
+def test_simulate_pde_reruns_are_byte_identical(tmp_path):
+    cfg = _write(tmp_path, "pde.ini", CHAIN_INI
+                 + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+                 "snapshot_every = 2\n" + _SIM_SECTIONS["simulate-pde"])
+    digests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["simulate-pde", "--config", cfg,
+                         "--out", str(out)]) == 0
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.iterdir()})
+    assert sorted(digests[0]) == ["pde-energy.csv", "pde-fields.npy",
+                                  "summary.json"]
+    assert digests[0] == digests[1]
+    fields = np.load(tmp_path / "a" / "pde-fields.npy", allow_pickle=False)
+    assert fields["Theta"].shape == (4, 101)
 
 
 def test_verify_lagrangian_reproducible(tmp_path):

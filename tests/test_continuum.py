@@ -134,11 +134,15 @@ def test_export_schemas(tmp_path):
     x = np.linspace(0, 20, 101)
     grid = kink_field_grid(p, 1.0, 0.2, x)
     snaps = evolve(grid, 0.01, 1e-3, p, snapshot_every=5)
-    f1 = tmp_path / "fields.csv"
+    f1 = tmp_path / "fields.npy"
     f2 = tmp_path / "energy.csv"
-    continuum.export_fields_csv(snaps, f1)
+    continuum.export_fields(snaps, f1)
     continuum.export_energy_csv(snaps, p, f2)
-    assert f1.read_text().splitlines()[0] == "# schema: pde-fields v1"
+    fields = np.load(f1, allow_pickle=False)
+    assert fields.dtype == np.dtype(
+        [("t", "<f8", (3,)), ("x", "<f8", (101,))]
+        + [(name, "<f8", (3, 101)) for name in
+           ("Theta", "Phi", "Theta_t", "Phi_t")])
     lines = f2.read_text().splitlines()
     assert lines[0] == "# schema: pde-energy v1"
     assert lines[2].endswith(",1")  # winding number column

@@ -1,5 +1,6 @@
 """Artifact writers: every CSV exporter against the per-row f-string writer it
-replaced, kept here as the reference, byte for byte on small random reports."""
+replaced, kept here as the reference, byte for byte on small random reports;
+the PDE field history as an exact .npy round trip with a pinned header."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,17 +48,6 @@ def _reference_lattice_energy(report, path):
         f.write("t,E\n")
         for t, e in report.energy_series:
             f.write(f"{float(t)!r},{float(e)!r}\n")
-
-
-def _reference_fields(snaps, path):
-    with open(path, "w") as f:
-        f.write("# schema: pde-fields v1\n")
-        f.write("t,x,Theta,Phi,Theta_t,Phi_t\n")
-        for g in snaps:
-            for j in range(len(g.x)):
-                f.write(f"{float(g.t)!r},{float(g.x[j])!r},"
-                        f"{float(g.Theta[j])!r},{float(g.Phi[j])!r},"
-                        f"{float(g.Theta_t[j])!r},{float(g.Phi_t[j])!r}\n")
 
 
 def _reference_pde_energy(snaps, params, path):
@@ -109,18 +99,46 @@ def test_lattice_csvs_match_reference(tmp_path_factory, seed, n, snaps):
                 lambda p: _reference_lattice_energy(report, p))
 
 
+def _bits(a):
+    """The float64 bit patterns of a, so -0.0 and 0.0 stay distinct."""
+    return np.asarray(a, dtype="<f8").view(np.uint64)
+
+
 @SEEDS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 12),
        snaps=st.integers(1, 4))
-def test_pde_fields_csv_matches_reference(tmp_path_factory, seed, n, snaps):
+def test_pde_fields_npy_round_trips_every_bit(tmp_path_factory, seed, n,
+                                              snaps):
     rng = np.random.default_rng(seed)
     x = np.linspace(-1.0, 1.0, n) * 10.0 ** rng.integers(-5, 5)
     grids = [continuum.FieldGrid(x, *(_values(rng, n) for _ in range(4)),
                                  t=float(_values(rng, 1)[0]))
              for _ in range(snaps)]
-    _same_bytes(tmp_path_factory.mktemp("pde"),
-                lambda p: continuum.export_fields_csv(grids, p),
-                lambda p: _reference_fields(grids, p))
+    path = tmp_path_factory.mktemp("pde") / "fields.npy"
+    continuum.export_fields(grids, path)
+    with open(path, "rb") as f:
+        assert np.lib.format.read_magic(f) == (1, 0)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+    assert (shape, fortran) == ((), False)
+    assert dtype == np.dtype([("t", "<f8", (snaps,)), ("x", "<f8", (n,))]
+                             + [(name, "<f8", (snaps, n)) for name in
+                                ("Theta", "Phi", "Theta_t", "Phi_t")])
+    record = np.load(path, allow_pickle=False)
+    assert np.array_equal(_bits(record["t"]), _bits([g.t for g in grids]))
+    assert np.array_equal(_bits(record["x"]), _bits(x))
+    for name in ("Theta", "Phi", "Theta_t", "Phi_t"):
+        for j, g in enumerate(grids):
+            assert np.array_equal(_bits(record[name][j]),
+                                  _bits(getattr(g, name)))
+
+
+def test_pde_fields_need_one_grid(tmp_path):
+    x = np.linspace(0.0, 1.0, 6)
+    a = continuum.FieldGrid(x, *np.zeros((4, 6)))
+    b = continuum.FieldGrid(2 * x, *np.zeros((4, 6)))
+    continuum.export_fields([a, a], tmp_path / "same.npy")
+    with pytest.raises(ValueError, match="one grid"):
+        continuum.export_fields([a, b], tmp_path / "two.npy")
 
 
 def test_pde_energy_csv_matches_reference_with_blank_charge(tmp_path):

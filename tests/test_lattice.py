@@ -89,6 +89,19 @@ def test_unstable_step_raises(generic_chain, rng):
         simulate(st, 2000.0, 9.0, generic_chain)
 
 
+def test_summary_charges(generic_chain):
+    st = moving_kink_state(generic_chain, 0.7, 0.3, 120)
+    rep = simulate(st, 0.5, 1e-2, generic_chain, snapshot_every=10)
+    summary = lattice.summary_dict(rep)
+    assert (summary["charge_initial"], summary["charge_final"]) == (1, 1)
+    ragged = LatticeState(np.linspace(0.0, np.pi, 120), *np.zeros((3, 120)),
+                          0.0)
+    summary = lattice.summary_dict(
+        lattice.SimulationReport([ragged], np.zeros((1, 2)), 0.0))
+    assert summary["charge_initial"] is None
+    assert summary["charge_final"] is None
+
+
 def test_exports_and_reproducibility(tmp_path, generic_chain, rng):
     st = _smooth_state(rng, 6)
     rep = simulate(st, 0.05, 1e-2, generic_chain, snapshot_every=2)

@@ -11,7 +11,7 @@ from pendulon.reductions import (StiffReport, compatibility_mu,
                                  reduced_proportionality_gap, selected_speed,
                                  selected_kink_width, selected_speed_kink,
                                  stiff_limit_experiment)
-from pendulon.travelwave import tw_residual
+from pendulon.travelwave import kink_profile, tw_coefficients, tw_residual
 
 
 def _stiff_chain(**overrides):
@@ -81,6 +81,23 @@ def test_proportionality_gap_detects_speed():
     assert reduced_proportionality_gap(prof.theta, z, p, sel.v_star) < 1e-10
     assert reduced_proportionality_gap(prof.theta, z, p,
                                        1.2 * sel.v_star) > 1e-2
+
+
+def test_proportionality_gap_rejects_the_sonic_speed():
+    """At v = sqrt(K_s/m) the derived mu is -2.2e-16, not exactly 0, on the
+    README chain without torsion; the gap must still refuse the speed."""
+    p = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.0,
+                    kappa_s=0.985, g=1.0, delta=1.0,
+                    h_spec=ConfiningPotential(family="quadratic", c2=2.0))
+    v = float(np.sqrt(p.Ks / p.m))
+    assert tw_coefficients(v, p)[1] != 0.0
+    z = np.linspace(-10, 10, 401)
+    theta = kink_profile(z, 1.05, v, with_curvature=False).theta
+    with pytest.raises(ValueError, match="mu = 0"):
+        reduced_proportionality_gap(theta, z, p, v)
+    with pytest.raises(ValueError, match="r = 0"):
+        reduced_proportionality_gap(theta, z, dataclasses.replace(
+            p, r=0.0, m=0.0), v)
 
 
 def test_width_map_to_expansion_parameters():
