@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "params": "ChainParams ConfiningPotential ExpansionParams",
     "_stencils": "IntegrationError TWSolveError energy_drift",
-    "chain": "LatticeState alpha_beta discrete_forces discrete_lagrangian "
+    "chain": "LatticeState discrete_forces discrete_lagrangian "
              "kinetic_energy lagrangian_coordinate_gradient mass_matrix "
              "potential_energy tip_position",
     "lattice": "SimulationReport kink_center moving_kink_state simulate "

@@ -8,7 +8,9 @@ bob tip sits at
     y = R sin(theta) + r sin(theta + phi)
 
 Neighboring sites couple through a torsional spring in theta and a harmonic
-"stacking" spring between tips.
+"stacking" spring between tips. The mass matrix, kinetic and gravity energies
+are the params kernels the continuum and travelling wave share; the bond
+energies stay exact trigonometry.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ChainParams, _inertia
+from .params import ChainParams, _coefficients, _pendant, _quadratic
 
 
 @dataclass(frozen=True)
@@ -43,19 +45,6 @@ class LatticeState:
         return self.theta.shape[0]
 
 
-def alpha_beta(phi, params: ChainParams):
-    """Dimensionless mass-matrix factors alpha(phi), beta(phi).
-
-    alpha = 1 + (R/r) cos phi, beta = 1 + (R/r)^2 + 2 (R/r) cos phi.
-    Undefined at r = 0.
-    """
-    if params.r == 0:
-        raise ValueError("alpha/beta undefined at r = 0 (R/r ratio)")
-    q = params.R / params.r
-    c = np.cos(phi)
-    return 1.0 + q * c, 1.0 + q * q + 2.0 * q * c
-
-
 def tip_position(theta, phi, params: ChainParams):
     """Cartesian position of the inner bob tip."""
     x = params.R * np.cos(theta) + params.r * np.cos(theta + phi)
@@ -64,13 +53,11 @@ def tip_position(theta, phi, params: ChainParams):
 
 
 def kinetic_energy_site(theta_dot, phi, phi_dot, params: ChainParams):
-    """Kinetic energy of one site; independent of theta itself."""
-    M, m, R, r = params.M, params.m, params.R, params.r
-    td, pd = np.asarray(theta_dot, float), np.asarray(phi_dot, float)
-    return (0.5 * M * R**2 * td**2
-            + 0.5 * m * (R**2 * td**2
-                         + 2 * R * r * np.cos(phi) * (td**2 + td * pd)
-                         + r**2 * (td + pd) ** 2))
+    """Kinetic energy 1/2 qdot^T M(phi) qdot of one site, with the matrix
+    of mass_matrix; independent of theta itself."""
+    return _quadratic(params.M * params.R**2, params.m, phi, params.r,
+                      params.R, np.asarray(theta_dot, float),
+                      np.asarray(phi_dot, float))
 
 
 def torsional_potential(theta_i, theta_ip1, params: ChainParams):
@@ -94,21 +81,17 @@ def stacking_potential(theta_i, phi_i, theta_ip1, phi_ip1, params: ChainParams):
 
 def external_potential(theta, phi, params: ChainParams):
     """Gravitational energy relative to the rest configuration."""
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    return g * (M * R * (1 - np.cos(theta))
-                + m * (R + r - R * np.cos(theta) - r * np.cos(phi + theta)))
+    consts = params.M, params.m, params.R, params.r, params.g
+    return _pendant(0.0, 0.0, *consts) - _pendant(theta, phi, *consts)
 
 
 def mass_matrix(phi, params: ChainParams):
-    """Entries (m11, m12, m22) of the per-site 2x2 kinetic matrix.
-
-    m11 = M R^2 + m r^2 beta(phi), m12 = m r^2 alpha(phi), m22 = m r^2,
-    written via the products r^2 alpha = r (r + R cos phi) and
-    r^2 beta = r^2 + R^2 + 2 r R cos phi so that r = 0 stays finite.
-    """
-    M, m, R, r = params.M, params.m, params.R, params.r
-    r2a, r2b = _inertia(phi, r, R)
-    return M * R**2 + m * r2b, m * r2a, np.full_like(np.asarray(phi, float), m * r**2)
+    """Entries (m11, m12, m22) = (M R^2 + m r^2 beta(phi), m r^2 alpha(phi),
+    m r^2) of the per-site 2x2 kinetic matrix, params._coefficients at
+    (M R^2, m); finite at r = 0."""
+    m11, m12, m22 = _coefficients(params.M * params.R**2, params.m, phi,
+                                  params.r, params.R)
+    return m11, m12, np.full_like(np.asarray(phi, float), m22)
 
 
 def _bond_ends(a, topology):

@@ -218,7 +218,7 @@ def cmd_verify_expansion(cp, args, out_dir, dry):
 def cmd_speed_select(cp, args, out_dir, dry):
     params = config.chain_from_config(cp)
     stiff_sec = config.read_section(
-        cp, "stiff", {"ladder": config.parse_floats,
+        cp, "stiff", {"ladder": config.parse_ladder,
                       "v_probe": config.parse_floats,
                       "n_points": config.parse_int_at_least(MIN_NODES)})
     if dry:

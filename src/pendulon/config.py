@@ -54,9 +54,20 @@ def parse_order(raw: str) -> int:
 
 
 def parse_floats(raw: str):
+    """A nonempty comma-separated list of finite numbers."""
     vals = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not vals:
         raise ValueError("empty list")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("values must be finite")
+    return vals
+
+
+def parse_ladder(raw: str):
+    """Positive, finite, strictly increasing values (a stiffness ladder)."""
+    vals = parse_floats(raw)
+    if not (vals[0] > 0 and all(a < b for a, b in zip(vals, vals[1:]))):
+        raise ValueError("need positive, strictly increasing values")
     return vals
 
 

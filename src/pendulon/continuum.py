@@ -3,8 +3,10 @@
 Fields Theta(x, t), Phi(x, t) obey M(Phi) (Theta_tt, Phi_tt) = (S1, S2), with
 the 2x2 kinetic matrix M of the discrete chain (chain.mass_matrix) and the
 sources stated in params._field_equations, where K_s = kappa_s delta^2 and
-K_t = kappa_t delta^2. Spatial derivatives are 4th-order finite differences;
-evolve() clamps the two boundary nodes (Dirichlet far-field values).
+K_t = kappa_t delta^2; the energy density shares the chain's kinetic and
+gravity energies and the params kernels.
+Spatial derivatives are 4th-order finite differences; evolve() clamps the two
+boundary nodes (Dirichlet far-field values).
 
 Each FieldGrid owns its stencil operators D1, D2, built once per grid; the
 grids derived from it by _with_fields (the RK4 stages and the snapshots of
@@ -16,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _stencils
+from . import _stencils, chain
 from ._io import write_csv, write_history_npy
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
-from .params import ChainParams, _field_equations, _inertia, _moving_kink
+from .params import ChainParams, _field_equations, _moving_kink, _quadratic
 
 
 class PDEInstabilityError(IntegrationError):
@@ -146,22 +148,16 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
 
 
 def energy_density(grid: FieldGrid, params: ChainParams):
-    """H = T + U_t + U_s + U_p + U_c per unit length."""
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    Ks, Kt = params.Ks, params.Kt
+    """H = T + U_grad + U_p + U_c per unit length: the chain's per-site
+    kinetic and gravity energies, and U_grad the params._quadratic form at
+    (K_t, K_s) in the slopes."""
+    Theta, Phi = grid.Theta, grid.Phi
     D1 = grid._D[0]
-    Theta_x = D1 @ grid.Theta
-    Phi_x = D1 @ grid.Phi
-    r2a, r2b = _inertia(grid.Phi, r, R)
-    T = (0.5 * (M * R**2 + m * r2b) * grid.Theta_t**2
-         + 0.5 * m * r * r * grid.Phi_t**2 + m * r2a * grid.Theta_t * grid.Phi_t)
-    U_grad = (0.5 * Kt * Theta_x**2
-              + 0.5 * Ks * (r * r * Phi_x**2 + 2 * r2a * Theta_x * Phi_x
-                            + r2b * Theta_x**2))
-    U_p = g * ((M + m) * R * (1 - np.cos(grid.Theta))
-               + m * r * (1 - np.cos(grid.Phi + grid.Theta)))
-    U_c = params.h_spec.h(grid.Phi)
-    return T + U_grad + U_p + U_c
+    T = chain.kinetic_energy_site(grid.Theta_t, Phi, grid.Phi_t, params)
+    U_grad = _quadratic(params.Kt, params.Ks, Phi, params.r, params.R,
+                        D1 @ Theta, D1 @ Phi)
+    U_p = chain.external_potential(Theta, Phi, params)
+    return T + U_grad + U_p + params.h_spec.h(Phi)
 
 
 def energy_total(grid: FieldGrid, params: ChainParams):

@@ -227,9 +227,10 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
         theta_z = sample.theta0_z + e * sample.theta1_z + e * e * sample.theta2_z
         phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2
         phi_z = sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z
-        vals.append(_density_raw(theta, phi, theta_z, phi_z, v,
-                                 Ks - m * v * v, p.Mhat - m, m, p.A - r, r,
-                                 Kt, p.g, p.h_spec))
+        M, R = p.Mhat - m, p.A - r
+        vals.append(_density_raw(theta, phi, theta_z, phi_z,
+                                 Kt - M * R**2 * v**2, Ks - m * v * v, M, m,
+                                 R, r, p.g, p.h_spec))
     return _eps_fit(nodes, vals, h_eps, (0, 1, 2))
 
 

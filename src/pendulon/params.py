@@ -1,6 +1,8 @@
 """Physical parameters of the chain, the confining-potential families, the
-constants of the eps expansion, and the unit kink profile every layer seeds
-from."""
+constants of the eps expansion, the unit kink profile every layer seeds from,
+and the kernels every layer shares: one phi-dependent coefficient matrix
+(_coefficients) with its quadratic form (_quadratic), the gravity term
+(_pendant), and the two field equations (_field_equations)."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,6 +12,15 @@ from typing import Optional
 import numpy as np
 
 _FAMILIES = ("quadratic", "tangent-barrier")
+
+
+def _require_finite(obj):
+    """ValueError naming the first number field of the dataclass obj that
+    is nan or infinite; a range check written with < lets both through."""
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if isinstance(val, (int, float)) and not np.isfinite(val):
+            raise ValueError(f"{f.name} must be finite, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +41,7 @@ class ConfiningPotential:
     b: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown confining family {self.family!r}")
         if not self.phi0 > 0:
@@ -113,6 +125,7 @@ class ChainParams:
     topology: str = "open"
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.M > 0:
             raise ValueError("M must be positive")
         if self.m < 0 or self.r < 0 or self.R < 0:
@@ -162,6 +175,7 @@ class ExpansionParams:
     h_spec: ConfiningPotential = field(default_factory=ConfiningPotential)
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("A", "Mhat", "Khat", "g"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -214,16 +228,39 @@ def _inertia(phi, r, R):
     return r * (r + R * c), r * r + R * R + 2 * r * R * c
 
 
+def _coefficients(c_outer, c_inner, phi, r, R):
+    """(c11, c12, c22) = (c_outer + c_inner r^2 beta, c_inner r^2 alpha,
+    c_inner r^2), the symmetric matrix C(c_outer, c_inner; phi) of the chain
+    with the products of _inertia. (M R^2, m) gives the mass matrix, (K_t,
+    K_s) the gradient stiffness, tw_coefficients the travelling-wave
+    operator. Bare coefficients, so eps < 0 needs no ChainParams."""
+    r2a, r2b = _inertia(phi, r, R)
+    return c_outer + c_inner * r2b, c_inner * r2a, c_inner * r * r
+
+
+def _quadratic(c_outer, c_inner, phi, r, R, x, y):
+    """1/2 (x, y) C (x, y)^T for the C of _coefficients: kinetic energy,
+    gradient energy, or minus the travelling-wave slope energy."""
+    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, r, R)
+    return 0.5 * c11 * x**2 + 0.5 * c22 * y**2 + c12 * x * y
+
+
+def _pendant(theta, phi, M, m, R, r, g):
+    """g ((M + m) R cos theta + m r cos(phi + theta)); the gravity energy
+    is _pendant(0, 0, ...) - _pendant(theta, phi, ...)."""
+    return g * ((M + m) * R * np.cos(theta) + m * r * np.cos(phi + theta))
+
+
 def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
                      c_outer, c_inner, params: ChainParams):
     """The chain's two field equations, the one copy every layer calls.
 
-    With ' the caller's spatial derivative and r^2 alpha, r^2 beta the
-    inertia products of _inertia:
-        F1 = c_inner r^2 alpha phi'' + (c_outer + c_inner r^2 beta) theta''
+    With ' the caller's spatial derivative and c11, c12, c22 the entries of
+    C(c_outer, c_inner; phi) of _coefficients:
+        F1 = c12 phi'' + c11 theta''
              - c_inner r R phi' (phi' + 2 theta') sin(phi)
              - g (R (M + m) sin(theta) + m r sin(phi + theta))
-        F2 = c_inner r^2 phi'' + c_inner r^2 alpha theta'' - h'(phi)
+        F2 = c22 phi'' + c12 theta'' - h'(phi)
              + c_inner r R theta'^2 sin(phi) - m g r sin(phi + theta)
     The PDE (' = d/dx) takes (c_outer, c_inner) = (K_t, K_s) and reads
     M(Phi) (Theta_tt, Phi_tt) = (F1, F2) + m r R sin(Phi) (Phi_t (Phi_t +
@@ -233,13 +270,11 @@ def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
     """
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     s = np.sin(phi)
-    r2a, r2b = _inertia(phi, r, R)
-    F1 = (c_inner * r2a * phi_dd
-          + (c_outer + c_inner * r2b) * theta_dd
+    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, r, R)
+    F1 = (c12 * phi_dd + c11 * theta_dd
           - c_inner * r * R * phi_d * (phi_d + 2 * theta_d) * s
           - g * (R * (M + m) * np.sin(theta) + m * r * np.sin(phi + theta)))
-    F2 = (c_inner * r * r * phi_dd + c_inner * r2a * theta_dd
-          - params.h_spec.dh(phi)
+    F2 = (c22 * phi_dd + c12 * theta_dd - params.h_spec.dh(phi)
           + c_inner * r * R * theta_d**2 * s
           - m * g * r * np.sin(phi + theta))
     return F1, F2

@@ -3,7 +3,8 @@ and a collocation Newton solver for the two-point boundary-value problem.
 
 A wave is fixed by the chain and its speed v: with z = x - v t the profile
 equations are params._field_equations with the coefficients of
-tw_coefficients, and their residuals are res1, res2.
+tw_coefficients, whose params._coefficients matrix also gives the Newton
+Jacobian's curvature entries and the density's slope energy.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from scipy.sparse.linalg import splu
 from . import _stencils
 from ._io import write_csv
 from ._stencils import TWSolveError
-from .params import ChainParams, _field_equations, _inertia, _kink
+from .params import (ChainParams, _coefficients, _field_equations, _kink,
+                     _pendant, _quadratic)
 
 
 def tw_coefficients(v, params: ChainParams):
@@ -73,20 +75,15 @@ def tw_residual(profile: TWProfile, params: ChainParams):
                             *tw_coefficients(profile.v, params), params)
 
 
-def _density_parts(theta, phi, theta_z, phi_z, v, mu, M, m, R, r, Kt, g,
-                   h_spec):
-    """(Q, G, H) of the travelling-wave density L = Q + G - H:
-        Q = 1/2 (M R^2 v^2 - K_t - mu r^2 beta) theta'^2 - (mu r^2 / 2) phi'^2
-            - mu r^2 alpha theta' phi'
-        G = g ((M + m) R cos theta + m r cos(phi + theta)),   H = h(phi).
+def _density_parts(theta, phi, theta_z, phi_z, c_outer, c_inner, M, m, R, r,
+                   g, h_spec):
+    """(Q, G, H) of the travelling-wave density L = Q + G - H at the
+    (c_outer, c_inner) of tw_coefficients: Q = -params._quadratic in the
+    slopes, = T(-v theta', -v phi') - U_grad; G = params._pendant; H = h(phi).
     Takes bare coefficient values: callers may pass continuations that no
     valid ChainParams represents."""
-    r2a, r2b = _inertia(phi, r, R)
-    C_theta = M * R**2 * v**2 - Kt - mu * r2b
-    Q = (0.5 * C_theta * theta_z**2 - 0.5 * mu * r * r * phi_z**2
-         - mu * r2a * theta_z * phi_z)
-    G = g * ((M + m) * R * np.cos(theta) + m * r * np.cos(phi + theta))
-    return Q, G, h_spec.h(phi)
+    return (-_quadratic(c_outer, c_inner, phi, r, R, theta_z, phi_z),
+            _pendant(theta, phi, M, m, R, r, g), h_spec.h(phi))
 
 
 def _density_raw(*args):
@@ -97,8 +94,8 @@ def _density_raw(*args):
 
 def _chain_values(v, params: ChainParams):
     """The coefficient arguments of _density_parts for a chain and speed."""
-    return (v, tw_coefficients(v, params)[1], params.M, params.m, params.R,
-            params.r, params.Kt, params.g, params.h_spec)
+    return (*tw_coefficients(v, params), params.M, params.m, params.R,
+            params.r, params.g, params.h_spec)
 
 
 def tw_lagrangian_density(theta, phi, theta_z, phi_z, v, params: ChainParams):
@@ -139,28 +136,28 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
     params._field_equations."""
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     c, s = np.cos(phi), np.sin(phi)
-    r2a, r2b = _inertia(phi, r, R)
+    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, r, R)
     d_r2a = -r * R * s
     d_r2b = -2 * r * R * s
 
     j = {}
     j["r1_t0"] = -g * (R * (M + m) * np.cos(theta) + m * r * np.cos(phi + theta))
     j["r1_t1"] = -2 * c_inner * r * R * phi_z * s
-    j["r1_t2"] = c_outer + c_inner * r2b
+    j["r1_t2"] = c11
     j["r1_p0"] = (c_inner * d_r2a * phi_zz + c_inner * d_r2b * theta_zz
                   - c_inner * r * R * phi_z * (phi_z + 2 * theta_z) * c
                   - g * m * r * np.cos(phi + theta))
     j["r1_p1"] = -2 * c_inner * r * R * (phi_z + theta_z) * s
-    j["r1_p2"] = c_inner * r2a
+    j["r1_p2"] = c12
 
     j["r2_t0"] = -m * g * r * np.cos(phi + theta)
     j["r2_t1"] = 2 * c_inner * r * R * theta_z * s
-    j["r2_t2"] = c_inner * r2a
+    j["r2_t2"] = c12
     j["r2_p0"] = (c_inner * d_r2a * theta_zz - params.h_spec.d2h(phi)
                   + c_inner * r * R * theta_z**2 * c
                   - m * g * r * np.cos(phi + theta))
     j["r2_p1"] = np.zeros_like(theta)
-    j["r2_p2"] = np.full_like(theta, c_inner * r * r)
+    j["r2_p2"] = np.full_like(theta, c22)
     return j
 
 

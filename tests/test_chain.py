@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from pendulon.chain import (LatticeState, _potential_gradient,
-                            alpha_beta, discrete_forces,
+                            discrete_forces,
                             discrete_lagrangian, external_potential,
                             kinetic_energy_site,
                             lagrangian_coordinate_gradient, mass_matrix,
@@ -26,17 +26,6 @@ def _cartesian_kinetic(theta, phi, theta_dot, phi_dot, p):
     vtx = vex - p.r * np.sin(theta + phi) * (theta_dot + phi_dot)
     vty = vey + p.r * np.cos(theta + phi) * (theta_dot + phi_dot)
     return 0.5 * p.M * (vex**2 + vey**2) + 0.5 * p.m * (vtx**2 + vty**2)
-
-
-def test_alpha_beta_products(generic_chain, rng):
-    p = generic_chain
-    phi = rng.normal(0, 2, 50)
-    alpha, beta = alpha_beta(phi, p)
-    assert np.allclose(p.r**2 * alpha, p.r * (p.r + p.R * np.cos(phi)),
-                       atol=1e-14)
-    assert np.allclose(p.r**2 * beta,
-                       p.r**2 + p.R**2 + 2 * p.r * p.R * np.cos(phi),
-                       atol=1e-14)
 
 
 def test_kinetic_energy_matches_cartesian(generic_chain, rng):

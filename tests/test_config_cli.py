@@ -1,5 +1,6 @@
 """Configuration loading and the command-line harness: strict key checking,
 exit codes, artifact schemas, and byte-identical reruns."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,8 +16,9 @@ from pendulon import (_stencils, cli, continuum, lagrangian_orders,
 from pendulon.config import (ConfigError, chain_from_config,
                              expansion_from_config, load_config, parse_bool,
                              parse_eps_list, parse_floats, parse_int_at_least,
-                             parse_order, parse_positive_float,
+                             parse_ladder, parse_order, parse_positive_float,
                              parse_positive_int, read_section)
+from pendulon.params import ChainParams, ConfiningPotential, ExpansionParams
 
 CHAIN_INI = """\
 [chain]
@@ -82,8 +84,13 @@ def test_parse_helpers():
     with pytest.raises(ValueError):
         parse_bool("maybe")
     assert parse_floats("1, 2.5,3") == [1.0, 2.5, 3.0]
-    with pytest.raises(ValueError):
-        parse_floats(" , ")
+    for bad in (" , ", "nan", "0.3, inf", "-inf"):
+        with pytest.raises(ValueError):
+            parse_floats(bad)
+    assert parse_ladder("40, 400") == [40.0, 400.0]
+    for bad in ("-1, 2", "0, 1", "2, 1", "1, 1", "1, inf", "nan", " , "):
+        with pytest.raises(ValueError):
+            parse_ladder(bad)
     assert parse_positive_int(" 3") == 3
     assert parse_positive_float("2.5e-3") == 2.5e-3
     for bad in ("0", "-2", "1.5", "x"):
@@ -104,6 +111,25 @@ def test_parse_helpers():
     for bad in ("0.1", " , ", "0.0, 0.1", "-0.1, 0.1", "0.1, nan", "0.1, x"):
         with pytest.raises(ValueError):
             parse_eps_list(bad)
+
+
+# a valid instance of each parameter class, the base of the non-finite probes
+_VALID_PARAMS = {
+    ChainParams: dict(M=1.3, m=0.6, R=1.1, r=0.5, kappa_t=0.7, kappa_s=1.9,
+                      g=0.9, delta=0.8),
+    ExpansionParams: dict(A=1.0, Mhat=1.0, Khat=1.0, g=1.0),
+    ConfiningPotential: {},
+}
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in _VALID_PARAMS for f in dataclasses.fields(cls)
+    if f.type == "float"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_numbers(cls, name, bad):
+    cls(**_VALID_PARAMS[cls])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**{**_VALID_PARAMS[cls], name: bad})
 
 
 def test_unknown_key_names_section_and_key(tmp_path):
@@ -319,6 +345,34 @@ def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
     mode = ["--dry-run"] if dry else ["--out", str(tmp_path / "out")]
     extra = ["--stiff"] if command == "speed-select" else []
     rc = cli.main([command, "--config", cfg, *mode, *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"[{section}]" in captured.err and key in captured.err
+    assert "config ok" not in captured.out
+
+
+@pytest.mark.parametrize("command, text, section, key", [
+    ("simulate-pde", CHAIN_INI.replace("kappa_t = 0.015", "kappa_t = nan")
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-pde"], "chain", "kappa_t"),
+    ("speed-select", SPEED_INI.replace("\ng = 1.0", "\ng = inf"), "chain",
+     "g"),
+    ("speed-select", SPEED_INI + "\n[confinement]\nphi0 = -inf\n",
+     "confinement", "phi0"),
+    ("verify-expansion", EXPANSION_INI.replace("\nA = 1.0", "\nA = nan"),
+     "expansion", "A"),
+    ("speed-select", SPEED_INI + "\n[stiff]\nladder = -1, 2\n", "stiff",
+     "'ladder'"),
+    ("speed-select", SPEED_INI + "\n[stiff]\nladder = 400, 40\n", "stiff",
+     "'ladder'"),
+    ("speed-select", SPEED_INI + "\n[stiff]\nv_probe = nan\n", "stiff",
+     "'v_probe'"),
+])
+def test_dry_run_rejects_non_finite_constants_and_bad_stiff_lists(
+        tmp_path, capsys, command, text, section, key):
+    cfg = _write(tmp_path, "bad.ini", text)
+    extra = ["--stiff"] if command == "speed-select" else []
+    rc = cli.main([command, "--config", cfg, "--dry-run", *extra])
     captured = capsys.readouterr()
     assert rc == 1
     assert f"[{section}]" in captured.err and key in captured.err

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pendulon import _stencils, continuum
-from pendulon.chain import _mass_solve
+from pendulon.chain import _mass_solve, external_potential, kinetic_energy_site
 from pendulon.continuum import (FieldGrid, PDEInstabilityError,
                                 energy_total, evolve, kink_field_grid,
                                 max_wave_speed, pde_rhs, topological_charge)
-from pendulon.params import ChainParams, _field_equations, _inertia
+from pendulon.params import ChainParams, _field_equations, _quadratic
 from pendulon._stencils import derivative, derivative_matrix
 
 
@@ -169,22 +169,16 @@ def _reference_pde_rhs(grid, params):
 
 
 def _reference_energy_density(grid, params):
-    """energy_density as it was before the grid owned its operators."""
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    Ks, Kt = params.Ks, params.Kt
+    """energy_density with the slopes of the derivative path, as before the
+    grid owned its operators, through the same kernels."""
     dx = grid.dx
     Theta_x = derivative(grid.Theta, dx, 1)
     Phi_x = derivative(grid.Phi, dx, 1)
-    r2a, r2b = _inertia(grid.Phi, r, R)
-    T = (0.5 * (M * R**2 + m * r2b) * grid.Theta_t**2
-         + 0.5 * m * r * r * grid.Phi_t**2 + m * r2a * grid.Theta_t * grid.Phi_t)
-    U_grad = (0.5 * Kt * Theta_x**2
-              + 0.5 * Ks * (r * r * Phi_x**2 + 2 * r2a * Theta_x * Phi_x
-                            + r2b * Theta_x**2))
-    U_p = g * ((M + m) * R * (1 - np.cos(grid.Theta))
-               + m * r * (1 - np.cos(grid.Phi + grid.Theta)))
-    U_c = params.h_spec.h(grid.Phi)
-    return T + U_grad + U_p + U_c
+    T = kinetic_energy_site(grid.Theta_t, grid.Phi, grid.Phi_t, params)
+    U_grad = _quadratic(params.Kt, params.Ks, grid.Phi, params.r, params.R,
+                        Theta_x, Phi_x)
+    U_p = external_potential(grid.Theta, grid.Phi, params)
+    return T + U_grad + U_p + params.h_spec.h(grid.Phi)
 
 
 @settings(max_examples=60, deadline=None)

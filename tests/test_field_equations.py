@@ -1,21 +1,25 @@
-"""The one field-equation kernel, params._field_equations, against the
-separate formulas each layer used to write out: the travelling-wave residual,
-Lagrangian density and first integral (bit for bit), and the PDE sources and
-frozen-phi residuals (within a few ulps, since their terms are summed in a
-different order)."""
+"""The params kernels against the separate formulas each layer used to write
+out. The one field-equation kernel, params._field_equations: the
+travelling-wave residual, Lagrangian density and first integral (bit for
+bit), and the PDE sources and frozen-phi residuals (within a few ulps, since
+their terms are summed in a different order). The coefficient-matrix and
+gravity kernels (_coefficients, _quadratic, _pendant): the chain's kinetic
+and gravity energies and the continuum's energy density, within a few ulps,
+and the identities that link the layers through them."""
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pendulon import continuum
+from pendulon.chain import external_potential, kinetic_energy_site, mass_matrix
 from pendulon.continuum import FieldGrid
 from pendulon.params import (ChainParams, ConfiningPotential,
                              _field_equations, _inertia)
 from pendulon.reductions import reduced_equations_residual
-from pendulon.travelwave import (TWProfile, tw_coefficients,
-                                 tw_first_integral, tw_lagrangian_density,
-                                 tw_residual)
+from pendulon.travelwave import (TWProfile, _chain_values, _density_parts,
+                                 tw_coefficients, tw_first_integral,
+                                 tw_lagrangian_density, tw_residual)
 
 # agreement bound for the reordered sums: ULPS units of rounding of a bound
 # on the sum of the absolute values of each equation's terms
@@ -203,3 +207,122 @@ def test_frozen_residual_agrees_within_ulps(p, ratio, seed, n):
     _assert_within_ulps(got, _frozen_reference(theta_zz, theta, p, v),
                         *tw_coefficients(v, p), p,
                         np.abs(theta_zz), zero, zero)
+
+
+# --------------------------------------- coefficient-matrix energy kernels ---
+
+def _kinetic_reference(theta_dot, phi, phi_dot, params):
+    """chain.kinetic_energy_site as the chain wrote it out on its own."""
+    M, m, R, r = params.M, params.m, params.R, params.r
+    td, pd = theta_dot, phi_dot
+    return (0.5 * M * R**2 * td**2
+            + 0.5 * m * (R**2 * td**2
+                         + 2 * R * r * np.cos(phi) * (td**2 + td * pd)
+                         + r**2 * (td + pd) ** 2))
+
+
+def _gravity_reference(theta, phi, params):
+    """chain.external_potential as the chain wrote it out on its own."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    return g * (M * R * (1 - np.cos(theta))
+                + m * (R + r - R * np.cos(theta) - r * np.cos(phi + theta)))
+
+
+def _energy_density_reference(grid, params):
+    """continuum.energy_density as the continuum wrote it out on its own."""
+    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    Ks, Kt = params.Ks, params.Kt
+    D1 = grid._D[0]
+    Theta_x = D1 @ grid.Theta
+    Phi_x = D1 @ grid.Phi
+    r2a, r2b = _inertia(grid.Phi, r, R)
+    T = (0.5 * (M * R**2 + m * r2b) * grid.Theta_t**2
+         + 0.5 * m * r * r * grid.Phi_t**2 + m * r2a * grid.Theta_t * grid.Phi_t)
+    U_grad = (0.5 * Kt * Theta_x**2
+              + 0.5 * Ks * (r * r * Phi_x**2 + 2 * r2a * Theta_x * Phi_x
+                            + r2b * Theta_x**2))
+    U_p = g * ((M + m) * R * (1 - np.cos(grid.Theta))
+               + m * r * (1 - np.cos(grid.Phi + grid.Theta)))
+    U_c = params.h_spec.h(grid.Phi)
+    return T + U_grad + U_p + U_c
+
+
+def _form_bound(c_outer, c_inner, params, x, y):
+    """Bound on the absolute terms of 1/2 (x, y) C (x, y)^T: every entry of
+    C(c_outer, c_inner; phi) is at most |c_outer| + |c_inner| (r + R)^2."""
+    r, R = params.r, params.R
+    return (0.5 * (abs(c_outer) + abs(c_inner) * (r + R) ** 2)
+            * (np.abs(x) + np.abs(y)) ** 2)
+
+
+def _gravity_bound(params):
+    """Bound on the absolute terms of either gravity formula."""
+    p = params
+    return 2 * p.g * ((p.M + p.m) * p.R + p.m * p.r)
+
+
+def _assert_ulps(got, ref, bound):
+    assert np.all(np.abs(got - ref) <= ULPS * np.finfo(float).eps * bound)
+
+
+_energy_cases = dict(p=chains(), seed=st.integers(0, 2**32 - 1),
+                     n=st.integers(6, 60))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_energy_cases)
+def test_chain_energies_agree_within_ulps(p, seed, n):
+    theta, theta_dot, phi_dot, phi = _fields(p, seed, n, 3)
+    _assert_ulps(kinetic_energy_site(theta_dot, phi, phi_dot, p),
+                 _kinetic_reference(theta_dot, phi, phi_dot, p),
+                 _form_bound(p.M * p.R**2, p.m, p, theta_dot, phi_dot))
+    _assert_ulps(external_potential(theta, phi, p),
+                 _gravity_reference(theta, phi, p), _gravity_bound(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_energy_cases, length=st.floats(0.5, 4.0))
+def test_energy_density_agrees_within_ulps(p, seed, n, length):
+    Theta, Theta_t, Phi_t, Phi = _fields(p, seed, n, 3)
+    # length sets the grid spacing, and with it the size of the slopes
+    grid = FieldGrid(np.linspace(0.0, length, n), Theta, Phi, Theta_t, Phi_t)
+    D1 = grid._D[0]
+    bound = (_form_bound(p.M * p.R**2, p.m, p, Theta_t, Phi_t)
+             + _form_bound(p.Kt, p.Ks, p, D1 @ Theta, D1 @ Phi)
+             + _gravity_bound(p) + p.h_spec.h(Phi))
+    _assert_ulps(continuum.energy_density(grid, p),
+                 _energy_density_reference(grid, p), bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_energy_cases)
+def test_kinetic_energy_is_the_mass_matrix_form(p, seed, n):
+    """kinetic_energy_site = 1/2 qdot^T M(phi) qdot with mass_matrix."""
+    theta_dot, phi_dot, phi = _fields(p, seed, n, 2)
+    m11, m12, m22 = mass_matrix(phi, p)
+    ref = 0.5 * (m11 * theta_dot**2 + 2 * m12 * theta_dot * phi_dot
+                 + m22 * phi_dot**2)
+    _assert_ulps(kinetic_energy_site(theta_dot, phi, phi_dot, p), ref,
+                 _form_bound(p.M * p.R**2, p.m, p, theta_dot, phi_dot))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_cases)
+def test_slope_energy_is_kinetic_minus_gradient_energy(p, ratio, seed, n):
+    """The slope energy Q of the travelling-wave density is the chain's
+    kinetic energy at the co-moving velocities (-v theta', -v phi') minus
+    the continuum's gradient energy, here the energy density of the resting
+    fields less their gravity and confinement energies."""
+    v = _speed(p, ratio)
+    theta, phi = _fields(p, seed, n, 1)
+    zero = np.zeros(n)
+    grid = FieldGrid(np.linspace(-3.0, 3.0, n), theta, phi, zero, zero)
+    thz, phz = grid._D[0] @ theta, grid._D[0] @ phi
+    Q = _density_parts(theta, phi, thz, phz, *_chain_values(v, p))[0]
+    T = kinetic_energy_site(-v * thz, phi, -v * phz, p)
+    U_grad = (continuum.energy_density(grid, p)
+              - external_potential(theta, phi, p) - p.h_spec.h(phi))
+    bound = (_form_bound(p.M * p.R**2, p.m, p, v * thz, v * phz)
+             + _form_bound(p.Kt, p.Ks, p, thz, phz)
+             + _gravity_bound(p) + p.h_spec.h(phi))
+    _assert_ulps(Q, T - U_grad, bound)

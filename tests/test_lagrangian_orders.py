@@ -168,7 +168,8 @@ def test_taylor_coefficients_match_reference_fit(exp_params, zgrid):
                 sample.theta0_z + e * sample.theta1_z
                 + e * e * sample.theta2_z,
                 sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z,
-                v, p.Khat - Kt - m * v * v, p.Mhat - m, m, p.A - r, r, Kt,
+                Kt - (p.Mhat - m) * (p.A - r)**2 * v**2,
+                p.Khat - Kt - m * v * v, p.Mhat - m, m, p.A - r, r,
                 p.g, p.h_spec))
         coeffs = np.linalg.solve(np.vander(nodes, n_points, increasing=True),
                                  np.asarray(vals))
