@@ -128,9 +128,8 @@ def cmd_solve_tw(cp, args, out_dir, dry):
                                     index=sec.get("index", 1))
     prof = travelwave.solve_tw_bvp(guess, params)
     outputs = ["tw-profile.csv"]
-    travelwave.export_profile_csv(prof, params, os.path.join(out_dir, outputs[0]))
-    res1, res2 = travelwave.tw_residual(prof, params)
-    first = travelwave.tw_first_integral(prof, params)
+    res1, res2, first = travelwave.export_profile_csv(
+        prof, params, os.path.join(out_dir, outputs[0]))
     results = {
         "v": prof.v,
         "mu": travelwave.tw_coefficients(prof.v, params)[1],
@@ -162,8 +161,8 @@ def cmd_build_perturbative(cp, args, out_dir, dry):
               "z,theta0,theta1,phi1,phi2",
               zip(sol.z.tolist(), sol.theta0.tolist(), sol.theta1.tolist(),
                   sol.phi1.tolist(), sol.phi2.tolist()))
-    travelwave.export_profile_csv(prof, chain, os.path.join(out_dir, outputs[1]))
-    res1, res2 = travelwave.tw_residual(prof, chain)
+    res1, res2, _ = travelwave.export_profile_csv(
+        prof, chain, os.path.join(out_dir, outputs[1]))
     results = {
         "k": sol.k,
         "B": sol.B,

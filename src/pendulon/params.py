@@ -32,7 +32,8 @@ class ConfiningPotential:
       tangent-barrier  h = (c2 (2 phi0/pi)^2 / 2) tan^2(pi phi/(2 phi0))
                            + b tan^4(pi phi/(2 phi0)), diverging at +-phi0
 
-    Both satisfy h(0) = 0, h'(0) = 0, h''(0) = c2, h'''(0) = 0.
+    Both satisfy h(0) = 0, h'(0) = 0, h''(0) = c2, h'''(0) = 0. h to d3h
+    keep a complex phi complex, as _field_equations requires of dh.
     """
 
     family: str = "quadratic"
@@ -62,21 +63,21 @@ class ConfiningPotential:
         return 0.5 * self.c2 * (2 * self.phi0 / np.pi) ** 2
 
     def h(self, phi):
-        phi = np.asarray(phi, dtype=float)
+        phi = np.asarray(phi) * 1.0
         if self.family == "quadratic":
             return 0.5 * self.c2 * phi**2
         t = np.tan(self._c * phi)
         return self._a2 * t**2 + self.b * t**4
 
     def dh(self, phi):
-        phi = np.asarray(phi, dtype=float)
+        phi = np.asarray(phi) * 1.0
         if self.family == "quadratic":
             return self.c2 * phi
         t = np.tan(self._c * phi)
         return self._c * (2 * self._a2 * t + 4 * self.b * t**3) * (1 + t**2)
 
     def d2h(self, phi):
-        phi = np.asarray(phi, dtype=float)
+        phi = np.asarray(phi) * 1.0
         if self.family == "quadratic":
             return np.full_like(phi, self.c2)
         t = np.tan(self._c * phi)
@@ -85,7 +86,7 @@ class ConfiningPotential:
         return self._c**2 * (1 + t**2) * (dP * (1 + t**2) + 2 * t * P)
 
     def d3h(self, phi):
-        phi = np.asarray(phi, dtype=float)
+        phi = np.asarray(phi) * 1.0
         if self.family == "quadratic":
             return np.zeros_like(phi)
         t = np.tan(self._c * phi)
@@ -267,6 +268,10 @@ def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
     2 Theta_t), -Theta_t^2). The travelling wave (z = x - v t, ' = d/dz,
     d/dt = -v d/dz) takes travelwave.tw_coefficients (K_t - M R^2 v^2, mu =
     K_s - m v^2) and solves F1 = F2 = 0; the frozen limit is that at phi = 0.
+
+    Every term is complex-analytic in the six fields: no float cast, abs or
+    comparison touches them, so travelwave._jacobian_blocks differentiates
+    this function by complex step, Im F(u + i h e_k) / h with h = 2**-100.
     """
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     s = np.sin(phi)

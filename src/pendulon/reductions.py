@@ -151,8 +151,9 @@ def stiff_limit_experiment(params: ChainParams,
     ladder = [float(h) for h in stiffness_ladder]
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("stiffness ladder must be strictly increasing")
-    if v_probe is None:
-        v_probe = [sel.v_star]
+    v_probe = [float(v) for v in ([sel.v_star] if v_probe is None else v_probe)]
+    if not np.all(np.isfinite(v_probe)):
+        raise ValueError(f"v_probe must be finite, got {v_probe}")
     kappa = selected_kink_width(params)
     if z is None:
         z = np.linspace(-20.0 / kappa, 20.0 / kappa, n_points)
@@ -167,12 +168,11 @@ def stiff_limit_experiment(params: ChainParams,
                 prof = travelwave.solve_tw_bvp(guess, stiff)
             except TWSolveError as exc:
                 bad = exc.residual if exc.residual is not None else float("nan")
-                cells.append(StiffCell(h2, float(v), False, float("nan"),
-                                       float(bad)))
+                cells.append(StiffCell(h2, v, False, float("nan"), float(bad)))
                 continue
             r1, r2 = travelwave.tw_residual(prof, stiff)
             res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-            cells.append(StiffCell(h2, float(v), True,
+            cells.append(StiffCell(h2, v, True,
                                    float(np.max(np.abs(prof.phi))), res))
     return StiffReport(v_star=sel.v_star, cells=tuple(cells))
 

@@ -3,8 +3,8 @@ and a collocation Newton solver for the two-point boundary-value problem.
 
 A wave is fixed by the chain and its speed v: with z = x - v t the profile
 equations are params._field_equations with the coefficients of
-tw_coefficients, whose params._coefficients matrix also gives the Newton
-Jacobian's curvature entries and the density's slope energy.
+tw_coefficients; their complex step gives the Newton Jacobian but for its
+curvature entries, C(phi) of params._coefficients, as is the slope energy.
 """
 from __future__ import annotations
 
@@ -133,30 +133,22 @@ def kink_profile(z, k, v, pi_shift=False, with_curvature=True, index=1):
 def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
                      c_outer, c_inner, params: ChainParams):
     """Pointwise d(res)/d(field, field', field'') coefficients of
-    params._field_equations."""
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    c, s = np.cos(phi), np.sin(phi)
-    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, r, R)
-    d_r2a = -r * R * s
-    d_r2b = -2 * r * R * s
-
+    params._field_equations. The curvature entries are its C(phi); the others
+    are its complex step Im F(u + i h e_k) / h, one call per direction u_k in
+    (theta, phi, theta', phi'), exact to rounding since the kernel is
+    complex-analytic and h = 2**-100 is a power of two."""
+    h = 2.0**-100
+    fields = [theta, phi, theta_z, phi_z]
     j = {}
-    j["r1_t0"] = -g * (R * (M + m) * np.cos(theta) + m * r * np.cos(phi + theta))
-    j["r1_t1"] = -2 * c_inner * r * R * phi_z * s
-    j["r1_t2"] = c11
-    j["r1_p0"] = (c_inner * d_r2a * phi_zz + c_inner * d_r2b * theta_zz
-                  - c_inner * r * R * phi_z * (phi_z + 2 * theta_z) * c
-                  - g * m * r * np.cos(phi + theta))
-    j["r1_p1"] = -2 * c_inner * r * R * (phi_z + theta_z) * s
-    j["r1_p2"] = c12
-
-    j["r2_t0"] = -m * g * r * np.cos(phi + theta)
-    j["r2_t1"] = 2 * c_inner * r * R * theta_z * s
-    j["r2_t2"] = c12
-    j["r2_p0"] = (c_inner * d_r2a * theta_zz - params.h_spec.d2h(phi)
-                  + c_inner * r * R * theta_z**2 * c
-                  - m * g * r * np.cos(phi + theta))
-    j["r2_p1"] = np.zeros_like(theta)
+    for k, key in enumerate(("t0", "p0", "t1", "p1")):
+        shifted = list(fields)
+        shifted[k] = fields[k] + 1j * h
+        F1, F2 = _field_equations(*shifted, theta_zz, phi_zz,
+                                  c_outer, c_inner, params)
+        j[f"r1_{key}"] = np.imag(F1) / h
+        j[f"r2_{key}"] = np.imag(F2) / h
+    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, params.r, params.R)
+    j["r1_t2"], j["r1_p2"], j["r2_t2"] = c11, c12, c12
     j["r2_p2"] = np.full_like(theta, c22)
     return j
 
@@ -258,9 +250,11 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
 
 
 def export_profile_csv(profile: TWProfile, params: ChainParams, path):
+    """Write tw-profile.csv; return its (res1, res2, E_tw) columns."""
     res1, res2 = tw_residual(profile, params)
     E = tw_first_integral(profile, params)
     columns = (profile.z, profile.theta, profile.phi, profile.theta_z,
                profile.phi_z, res1, res2, E)
     write_csv(path, "tw-profile v1", "z,theta,phi,theta_z,phi_z,res1,res2,E_tw",
               zip(*(c.tolist() for c in columns)))
+    return res1, res2, E

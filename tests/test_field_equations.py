@@ -5,10 +5,13 @@ bit), and the PDE sources and frozen-phi residuals (within a few ulps, since
 their terms are summed in a different order). The coefficient-matrix and
 gravity kernels (_coefficients, _quadratic, _pendant): the chain's kinetic
 and gravity energies and the continuum's energy density, within a few ulps,
-and the identities that link the layers through them."""
+and the identities that link the layers through them. The confining
+potential's derivatives against its own complex step, which the Newton
+Jacobian takes of the field equations."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pendulon import continuum
@@ -326,3 +329,20 @@ def test_slope_energy_is_kinetic_minus_gradient_energy(p, ratio, seed, n):
              + _form_bound(p.Kt, p.Ks, p, thz, phz)
              + _gravity_bound(p) + p.h_spec.h(phi))
     _assert_ulps(Q, T - U_grad, bound)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "tangent-barrier"])
+def test_confining_derivatives_are_complex_steps_of_each_other(family):
+    """Im f(phi + i h) / h of h, h' and h'' equals h', h'' and h''' across
+    +-0.9 phi0, where the tangent barrier's terms grow past 1e7: within 16
+    ulps of |value| + 1, since both sides carry tan's rounding amplified
+    near the pole (up to 10 ulps seen). d3h feeds E20 and phi2."""
+    hs = ConfiningPotential(family=family, phi0=1.2, c2=2.0,
+                            b=0.3 if family == "tangent-barrier" else 0.0)
+    phi = np.linspace(-0.9, 0.9, 181) * hs.phi0
+    step = 2.0**-100
+    for f, df in ((hs.h, hs.dh), (hs.dh, hs.d2h), (hs.d2h, hs.d3h)):
+        want = df(phi)
+        got = np.imag(f(phi + 1j * step)) / step
+        assert np.all(np.abs(got - want)
+                      <= 16 * np.finfo(float).eps * (np.abs(want) + 1))

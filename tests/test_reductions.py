@@ -140,6 +140,13 @@ def test_stiff_ladder_validation():
         stiff_limit_experiment(p, stiffness_ladder=[100.0, 10.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stiff_experiment_rejects_non_finite_probe_speeds(bad):
+    with pytest.raises(ValueError, match="v_probe"):
+        stiff_limit_experiment(_stiff_chain(), stiffness_ladder=[40.0],
+                               v_probe=[bad], n_points=201)
+
+
 def test_export_stiff_csv(tmp_path):
     p = _stiff_chain()
     rep = stiff_limit_experiment(p, stiffness_ladder=[40.0, 400.0])
