@@ -12,12 +12,12 @@ it, so both agree bit for bit.
 
 derivative builds its operator on each call and is meant for one-off use.
 Code that differentiates on the same grid many times keeps the operator
-instead: continuum.FieldGrid builds D1 and D2 once per grid.
+instead: continuum.FieldGrid builds D1, D2 and their stacked_operator once
+per grid. rk4_step advances one state array, one array operation per stage.
 
-scipy.sparse is imported inside derivative_matrix and bordered_matrix, the
-two functions that build a matrix, so the lattice layer, which needs only
-rk4_step, energy_drift, winding_number and IntegrationError from here, never
-loads scipy.
+scipy.sparse is imported inside the functions that build a matrix, so the
+lattice layer, which needs only rk4_step, energy_drift, winding_number and
+IntegrationError from here, never loads scipy.
 """
 from __future__ import annotations
 
@@ -108,6 +108,13 @@ def derivative_matrix(n, h, deriv):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
+def stacked_operator(D1, D2):
+    """CSR [[D1, 0], [0, D1], [D2, 0], [0, D2]]: times concatenate([f, g]) it
+    is D1 f, D1 g, D2 f, D2 g bit for bit, each row in D1's or D2's order."""
+    import scipy.sparse as sp
+    return sp.vstack([sp.block_diag((D, D)) for D in (D1, D2)], format="csr")
+
+
 def bordered_matrix(D1, D2, blocks, fixed, column, row):
     """CSC matrix of the bordered collocation system [[J, column], [row, 0]].
 
@@ -164,18 +171,18 @@ def derivative(f, h, deriv):
 
 
 def rk4_step(rhs, y, t, dt):
-    """One classic RK4 step of y' = rhs(y, t) on a tuple of arrays.
+    """One classic RK4 step of y' = rhs(y, t) on one state array, (4, n)
+    rows q1, q2, q1', q2' in both integrators.
 
-    Returns the new state as a tuple; raises IntegrationError when any of
-    its entries is not finite, so no integrator carries NaN forward.
+    Returns the new array; raises IntegrationError when any entry is not
+    finite, so no integrator carries NaN forward.
     """
     k1 = rhs(y, t)
-    k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)), t + 0.5 * dt)
-    k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)), t + 0.5 * dt)
-    k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)), t + dt)
-    out = tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-    if not all(np.all(np.isfinite(a)) for a in out):
+    k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(y + dt * k3, t + dt)
+    out = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(out)):
         raise IntegrationError("non-finite state after step", t + dt)
     return out
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ChainParams, _coefficients, _pendant, _quadratic
+from .params import (ChainParams, _coefficients, _pendant, _phi_factors,
+                     _quadratic)
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,10 @@ def external_potential(theta, phi, params: ChainParams):
 def mass_matrix(phi, params: ChainParams):
     """Entries (m11, m12, m22) = (M R^2 + m r^2 beta(phi), m r^2 alpha(phi),
     m r^2) of the per-site 2x2 kinetic matrix, params._coefficients at
-    (M R^2, m); finite at r = 0."""
+    (M R^2, m), which also takes phi as its _phi_factors; finite at r = 0."""
     m11, m12, m22 = _coefficients(params.M * params.R**2, params.m, phi,
                                   params.r, params.R)
-    return m11, m12, np.full_like(np.asarray(phi, float), m22)
+    return m11, m12, np.full_like(m11, m22)
 
 
 def _bond_ends(a, topology):
@@ -200,10 +201,10 @@ def discrete_forces(state: LatticeState, params: ChainParams):
     gth, gph = _potential_gradient(state, params)
     m, R, r = params.m, params.R, params.r
     td, pd = state.theta_dot, state.phi_dot
-    sphi = np.sin(state.phi)
-    b_th = -gth + m * r * R * sphi * (pd**2 + 2 * td * pd)
-    b_ph = -gph - m * r * R * sphi * td**2
-    return _mass_solve(state.phi, b_th, b_ph, params)
+    factors = _phi_factors(state.phi, r, R)
+    b_th = -gth + m * r * R * factors.sin * (pd**2 + 2 * td * pd)
+    b_ph = -gph - m * r * R * factors.sin * td**2
+    return _mass_solve(factors, b_th, b_ph, params)
 
 
 def _mass_solve(phi, b_th, b_ph, params: ChainParams):

@@ -14,6 +14,7 @@ dry run loads scipy.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -299,6 +300,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pendulon",

@@ -8,9 +8,10 @@ gravity energies and the params kernels.
 Spatial derivatives are 4th-order finite differences; evolve() clamps the two
 boundary nodes (Dirichlet far-field values).
 
-Each FieldGrid owns its stencil operators D1, D2, built once per grid; the
-grids derived from it by _with_fields (the RK4 stages and the snapshots of
-evolve) share them.
+Each FieldGrid owns its stencil operators, built once per grid and shared by
+the grids _with_fields derives (RK4 stages, snapshots). One RK4 stage is one
+pass: one stacked-operator product gives all four derivatives, the phi-only
+factors are taken once, and evolve steps one (4, n) state array.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from ._io import write_csv, write_history_npy
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
-from .params import ChainParams, _field_equations, _moving_kink, _quadratic
+from .params import (ChainParams, _field_equations, _moving_kink,
+                     _phi_factors, _quadratic)
 
 
 class PDEInstabilityError(IntegrationError):
@@ -35,9 +37,9 @@ class FieldGrid:
     """Fields Theta, Phi and their time derivatives on a uniform grid x.
 
     Construction checks x and builds the grid's stencil operators
-    D1 = d/dx and D2 = d^2/dx^2 once. They are private attributes, not
-    dataclass fields, so == and repr ignore them; _with_fields hands the
-    same two matrices to every grid it derives.
+    _D = (D1, D2) = (d/dx, d^2/dx^2) and their stacked form _DD once. They
+    are private attributes, not dataclass fields, so == and repr ignore
+    them; _with_fields hands the same matrices to every grid it derives.
     """
 
     x: np.ndarray
@@ -56,10 +58,10 @@ class FieldGrid:
         if any(a.shape != (n,) for a in arrays):
             raise ValueError("field arrays must match the grid length")
         dx = _stencils.uniform_spacing(arrays[0])
-        object.__setattr__(self, "_D", (_stencils.derivative_matrix(n, dx, 1),
-                                        _stencils.derivative_matrix(n, dx, 2)))
-        for name, a in zip(("x", "Theta", "Phi", "Theta_t", "Phi_t"), arrays):
-            object.__setattr__(self, name, a)
+        D = tuple(_stencils.derivative_matrix(n, dx, d) for d in (1, 2))
+        self.__dict__.update(  # frozen: bypass __setattr__
+            zip(("x", "Theta", "Phi", "Theta_t", "Phi_t"), arrays),
+            _D=D, _DD=_stencils.stacked_operator(*D))
 
     def _with_fields(self, Theta, Phi, Theta_t, Phi_t, t):
         """This grid with new fields; skips the checks of x and shares its
@@ -81,16 +83,14 @@ def pde_rhs(grid: FieldGrid, params: ChainParams):
     reported as zero and Theta follows the single-field equation.
     """
     params.require_dynamic()
-    D1, D2 = grid._D
-    Theta_x = D1 @ grid.Theta
-    Phi_x = D1 @ grid.Phi
-    Theta_xx = D2 @ grid.Theta
-    Phi_xx = D2 @ grid.Phi
+    Theta_x, Phi_x, Theta_xx, Phi_xx = (
+        grid._DD @ np.concatenate([grid.Theta, grid.Phi])).reshape(4, -1)
+    factors = _phi_factors(grid.Phi, params.r, params.R)
     S1, S2 = _field_equations(grid.Theta, grid.Phi, Theta_x, Phi_x, Theta_xx,
-                              Phi_xx, params.Kt, params.Ks, params)
+                              Phi_xx, params.Kt, params.Ks, params, factors)
     Theta_t, Phi_t = grid.Theta_t, grid.Phi_t
-    centripetal = params.m * params.r * params.R * np.sin(grid.Phi)
-    return _mass_solve(grid.Phi,
+    centripetal = params.m * params.r * params.R * factors.sin
+    return _mass_solve(factors,
                        S1 + centripetal * Phi_t * (Phi_t + 2 * Theta_t),
                        S2 - centripetal * Theta_t**2, params)
 
@@ -125,14 +125,12 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
         snapshot_every = n_steps
 
     def rhs(y, t):
-        Theta, Phi, Theta_t, Phi_t = y
-        acc = pde_rhs(grid._with_fields(Theta, Phi, Theta_t, Phi_t, t), params)
-        out = (Theta_t.copy(), Phi_t.copy(), acc[0], acc[1])
-        for a in out:  # clamp boundary nodes
-            a[0] = a[-1] = 0.0
+        acc = pde_rhs(grid._with_fields(*y, t), params)
+        out = np.concatenate((y[2:], acc))
+        out[:, 0] = out[:, -1] = 0.0  # clamp boundary nodes
         return out
 
-    y = (grid.Theta.copy(), grid.Phi.copy(), grid.Theta_t.copy(), grid.Phi_t.copy())
+    y = np.array([grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t])
     snaps = [grid]
     for i in range(n_steps):
         try:
@@ -140,10 +138,10 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
         except IntegrationError as exc:
             raise PDEInstabilityError("non-finite fields", exc.t) from exc
         t = grid.t + (i + 1) * dt
-        if max(np.max(np.abs(y[0])), np.max(np.abs(y[1]))) > 1e6:
+        if np.max(np.abs(y[:2])) > 1e6:
             raise PDEInstabilityError("fields blew up", t)
         if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            snaps.append(grid._with_fields(*[a.copy() for a in y], t=t))
+            snaps.append(grid._with_fields(*y.copy(), t=t))
     return snaps
 
 

@@ -1,11 +1,12 @@
 """Physical parameters of the chain, the confining-potential families, the
 constants of the eps expansion, the unit kink profile every layer seeds from,
-and the kernels every layer shares: one phi-dependent coefficient matrix
-(_coefficients) with its quadratic form (_quadratic), the gravity term
-(_pendant), and the two field equations (_field_equations)."""
+and the kernels every layer shares: the phi-only factors (_phi_factors), the
+coefficient matrix C(phi) (_coefficients) with its quadratic form
+(_quadratic), the gravity term (_pendant) and the field equations."""
 from __future__ import annotations
 
 import dataclasses
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -229,13 +230,23 @@ def _inertia(phi, r, R):
     return r * (r + R * c), r * r + R * R + 2 * r * R * c
 
 
+_PhiFactors = namedtuple("_PhiFactors", "sin r2a r2b")  # see _phi_factors
+
+
+def _phi_factors(phi, r, R):
+    """The phi-only factors of _field_equations and of C(phi). A PDE stage or
+    lattice force takes them once and hands them on, as the phi of
+    _coefficients and the mass solve and the factors of _field_equations."""
+    return _PhiFactors(np.sin(phi), *_inertia(phi, r, R))
+
+
 def _coefficients(c_outer, c_inner, phi, r, R):
     """(c11, c12, c22) = (c_outer + c_inner r^2 beta, c_inner r^2 alpha,
     c_inner r^2), the symmetric matrix C(c_outer, c_inner; phi) of the chain
-    with the products of _inertia. (M R^2, m) gives the mass matrix, (K_t,
-    K_s) the gradient stiffness, tw_coefficients the travelling-wave
-    operator. Bare coefficients, so eps < 0 needs no ChainParams."""
-    r2a, r2b = _inertia(phi, r, R)
+    with the products of _inertia, or of phi if it is _phi_factors. M R^2, m
+    give the mass matrix, K_t, K_s the gradient stiffness, tw_coefficients
+    the travelling-wave operator; bare, so eps < 0 needs no ChainParams."""
+    r2a, r2b = phi[1:] if isinstance(phi, _PhiFactors) else _inertia(phi, r, R)
     return c_outer + c_inner * r2b, c_inner * r2a, c_inner * r * r
 
 
@@ -253,7 +264,7 @@ def _pendant(theta, phi, M, m, R, r, g):
 
 
 def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
-                     c_outer, c_inner, params: ChainParams):
+                     c_outer, c_inner, params: ChainParams, factors=None):
     """The chain's two field equations, the one copy every layer calls.
 
     With ' the caller's spatial derivative and c11, c12, c22 the entries of
@@ -274,12 +285,12 @@ def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
     this function by complex step, Im F(u + i h e_k) / h with h = 2**-100.
     """
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
-    s = np.sin(phi)
-    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, r, R)
+    factors = _phi_factors(phi, r, R) if factors is None else factors
+    s, spt = factors.sin, np.sin(phi + theta)
+    c11, c12, c22 = _coefficients(c_outer, c_inner, factors, r, R)
     F1 = (c12 * phi_dd + c11 * theta_dd
           - c_inner * r * R * phi_d * (phi_d + 2 * theta_d) * s
-          - g * (R * (M + m) * np.sin(theta) + m * r * np.sin(phi + theta)))
+          - g * (R * (M + m) * np.sin(theta) + m * r * spt))
     F2 = (c22 * phi_dd + c12 * theta_dd - params.h_spec.dh(phi)
-          + c_inner * r * R * theta_d**2 * s
-          - m * g * r * np.sin(phi + theta))
+          + c_inner * r * R * theta_d**2 * s - m * g * r * spt)
     return F1, F2

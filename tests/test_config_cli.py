@@ -263,6 +263,29 @@ def test_dry_run_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_parser_is_built_once_and_survives_a_bad_argv(tmp_path, capsys):
+    """main reuses one parser per process; an argv it rejects (exit 2)
+    leaves nothing behind for the next call."""
+    assert cli._build_parser() is cli._build_parser()
+    cfg = _write(tmp_path, "speed.ini", SPEED_INI)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["speed-select", "--config", cfg, "--stiff", "--bogus"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["speed-select"])
+    assert info.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert cli.main(["speed-select", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("v_star = ±2.0\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert "stiff_cells" not in summary["results"]  # --stiff did not stick
+    assert summary["outputs"] == []
+    assert cli.main(["speed-select", "--config", cfg, "--dry-run"]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
 def test_dry_run_still_validates(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", SPEED_INI + "\n[stiff]\nwhat = 1\n")
     rc = cli.main(["speed-select", "--config", cfg, "--dry-run"])

@@ -120,3 +120,22 @@ def test_exports_and_reproducibility(tmp_path, generic_chain, rng):
     text = s.read_text()
     assert text.endswith("\n")
     assert "max_energy_drift" in text
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+def test_time_stamps_are_exact_multiples_of_dt(tmp_path, generic_chain, t0):
+    """Step i is stamped t0 + i dt, as the PDE stamps its steps; summing dt
+    step by step would end a 100-step run of dt = 0.01 at 1.0000000000000007."""
+    st = moving_kink_state(generic_chain, 0.7, 0.3, 12)
+    st = LatticeState(st.theta, st.phi, st.theta_dot, st.phi_dot, t0)
+    rep = simulate(st, 1.0, 0.01, generic_chain, snapshot_every=10)
+    want = [t0 + i * 0.01 for i in range(101)]
+    assert rep.energy_series[:, 0].tolist() == want
+    assert [s.t for s in rep.trajectory] == want[::10]
+    assert lattice.summary_dict(rep)["t_final"] == t0 + 1.0
+    path = tmp_path / "energy.csv"
+    lattice.export_energy_csv(rep, path)
+    rows = path.read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [repr(t) for t in want]
+    if t0 == 0.0:
+        assert rows[1].startswith("0.01,") and rows[-1].startswith("1.0,")
