@@ -209,7 +209,8 @@ def discrete_forces(state: LatticeState, params: ChainParams):
 
 def _mass_solve(phi, b_th, b_ph, params: ChainParams):
     """Solve M(phi) qdd = (b_th, b_ph) pointwise; qdd_phi = 0 when m r^2 = 0."""
-    m11, m12, m22 = mass_matrix(phi, params)
+    m11, m12, m22 = _coefficients(params.M * params.R**2, params.m, phi,
+                                  params.r, params.R)
     if params.m * params.r**2 == 0:
         return b_th / m11, np.zeros_like(b_ph)
     det = m11 * m22 - m12 * m12  # = m r^2 R^2 (M + m sin^2 phi) > 0

@@ -252,9 +252,7 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
         cp, "lagrangian",
         {"n_samples": config.parse_positive_int, "seed": int,
          "n_points": config.parse_int_at_least(2),
-         "half_width": config.parse_positive_float,
-         "h_eps": config.parse_positive_float,
-         "taylor_points": config.parse_int_at_least(3)})
+         "half_width": config.parse_positive_float})
     if dry:
         return None, None
     from . import lagrangian_orders as lagexp
@@ -264,8 +262,7 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
     z = np.linspace(-lag.get("half_width", 8.0), lag.get("half_width", 8.0),
                     lag.get("n_points", 257))
     oracle_max, aux_max, el_gap_max = lagexp.sample_maxima(
-        exp, z, range(seed, seed + n_samples), h_eps=lag.get("h_eps", 0.05),
-        taylor_points=lag.get("taylor_points", 9))
+        exp, z, range(seed, seed + n_samples))
     for name, val in (("oracle_rel_max", oracle_max),
                       ("auxiliary_max", aux_max),
                       ("el_identity_gap_max", el_gap_max)):

@@ -14,8 +14,9 @@ facts verified numerically in this module:
 
 Every formula here is cross-checked against an eps-Taylor extraction of the
 full density, which is the only defense against transcription slips in
-expressions this dense. It shares its eps fit with perturbation.taylor_extract,
-and expansion_sample takes its fields from perturbation.build_perturbative.
+expressions this dense; it and field_derivative are analytic rules, exact to
+rounding on the complex-analytic density kernels. expansion_sample takes its
+fields from perturbation.build_perturbative.
 
 Every function here takes one sample, whose field arrays have shape
 (n_points,), or a batch of samples stacked along leading axes, shape
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import perturbation
 from .params import ExpansionParams
-from .perturbation import _eps_fit, _theta1_zz
+from .perturbation import _theta1_zz
 from .travelwave import _density_raw
 
 
@@ -205,46 +206,49 @@ def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
     return L0, L1, L2
 
 
-def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample,
-                                   h_eps: float = 0.05, n_points: int = 9):
-    """eps-Taylor coefficients 0..2 of the full density along the sampled
-    expansion, by centered polynomial fitting.
+CONTOUR_RADIUS = 0.05
+CONTOUR_NODES = 12
 
-    The density is composed from bare series values (ExpansionParams.series),
-    which remain algebraically meaningful at eps < 0, so the stencil can be
-    centered; truncation falls as h_eps^(n_points-2).
-    """
-    if n_points < 3:
-        raise ValueError("need at least 3 eps samples")
+
+def _series_density(sample: ExpandedLagrangianSample, e):
+    """The full density along the sampled expansion at eps = e, composed from
+    bare series values (ExpansionParams.series), so e may be negative or
+    complex."""
     p = sample.params
-    half = n_points // 2
-    nodes = np.arange(n_points, dtype=float) - half
-    vals = []
-    for s in nodes:
-        e = s * h_eps
-        r, m, Kt, Ks, v = p.series(e)
-        theta = sample.theta0 + e * sample.theta1 + e * e * sample.theta2
-        theta_z = sample.theta0_z + e * sample.theta1_z + e * e * sample.theta2_z
-        phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2
-        phi_z = sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z
-        M, R = p.Mhat - m, p.A - r
-        vals.append(_density_raw(theta, phi, theta_z, phi_z,
-                                 Kt - M * R**2 * v**2, Ks - m * v * v, M, m,
-                                 R, r, p.g, p.h_spec))
-    return _eps_fit(nodes, vals, h_eps, (0, 1, 2))
+    r, m, Kt, Ks, v = p.series(e)
+    theta = sample.theta0 + e * sample.theta1 + e * e * sample.theta2
+    theta_z = sample.theta0_z + e * sample.theta1_z + e * e * sample.theta2_z
+    phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2
+    phi_z = sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z
+    M, R = p.Mhat - m, p.A - r
+    return _density_raw(theta, phi, theta_z, phi_z, Kt - M * R**2 * v**2,
+                        Ks - m * v * v, M, m, R, r, p.g, p.h_spec)
+
+
+def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):
+    """eps-Taylor coefficients 0..2 of the full density along the sampled
+    expansion: the density at eps = 0, then the Cauchy integrals on |eps| =
+    CONTOUR_RADIUS by the trapezoid rule on CONTOUR_NODES nodes (Lyness and
+    Moler). The density is real at real eps, so hfft mirrors the upper half
+    circle, nodes 0 to CONTOUR_NODES/2, the first and last real."""
+    rho, n = CONTOUR_RADIUS, CONTOUR_NODES
+    nodes = rho * np.exp(2j * np.pi * np.arange(1, n // 2) / n)
+    vals = np.stack([_series_density(sample, e)
+                     for e in (rho, *nodes, -rho)])
+    coeffs = np.fft.hfft(vals, n, axis=0) / n
+    return _series_density(sample, 0.0), coeffs[1] / rho, coeffs[2] / rho**2
 
 
 def field_derivative(sample: ExpandedLagrangianSample, k: int,
                      name: str) -> np.ndarray:
-    """Pointwise dL_k/d(sample.<name>) by central differences in field space,
-    with one step per sample."""
+    """Pointwise dL_k/d(sample.<name>) by complex step, Im L_k(f + i h) / h
+    with h = 2**-100 (Squire and Trapp): eval_L0_L1_L2 is complex-analytic
+    in every field, so no difference cancels and no step needs choosing."""
     if k not in (0, 1, 2):
         raise ValueError("order k must be 0, 1 or 2")
-    arr = getattr(sample, name)
-    step = 1e-6 * (np.max(np.abs(arr), axis=-1, keepdims=True) + 1.0)
-    plus = eval_L0_L1_L2(replace(sample, **{name: arr + step}))[k]
-    minus = eval_L0_L1_L2(replace(sample, **{name: arr - step}))[k]
-    return (plus - minus) / (2.0 * step)
+    h = 2.0**-100
+    stepped = replace(sample, **{name: getattr(sample, name) + 1j * h})
+    return np.imag(eval_L0_L1_L2(stepped)[k]) / h
 
 
 def auxiliary_check(sample: ExpandedLagrangianSample, k: int):
@@ -350,8 +354,7 @@ class SampleMaxima(NamedTuple):
     el_identity_gap: float
 
 
-def sample_maxima(params: ExpansionParams, z, seeds, h_eps: float = 0.05,
-                  taylor_points: int = 9) -> SampleMaxima:
+def sample_maxima(params: ExpansionParams, z, seeds) -> SampleMaxima:
     """Worst cases over the smooth samples smooth_sample(params, z, seed) of
     seeds: per order, the gap between eval_L0_L1_L2 and the Taylor oracle
     relative to the oracle's max on the sample, and auxiliary_check; and
@@ -369,8 +372,7 @@ def sample_maxima(params: ExpansionParams, z, seeds, h_eps: float = 0.05,
         batch = stack_samples([smooth_sample(params, z, seed=s)
                                for s in seeds[start:start + per_block]])
         exact = eval_L0_L1_L2(batch)
-        taylor = taylor_lagrangian_coefficients(batch, h_eps=h_eps,
-                                                n_points=taylor_points)
+        taylor = taylor_lagrangian_coefficients(batch)
         for k in range(3):
             scale = np.max(np.abs(taylor[k]), axis=-1) + 1e-300
             rel = np.max(np.abs(exact[k] - taylor[k]), axis=-1) / scale

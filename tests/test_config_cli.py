@@ -507,15 +507,16 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     ("verify-expansion", "verify", "h_eps = nan", "'h_eps'"),
     ("verify-expansion", "verify", "n_points = 0", "'n_points'"),
     ("verify-expansion", "verify", "extract_points = 3", "'extract_points'"),
-    ("verify-lagrangian", "lagrangian", "h_eps = 0", "'h_eps'"),
-    ("verify-lagrangian", "lagrangian", "h_eps = inf", "'h_eps'"),
+    # removed keys: any value, valid ones too, is an unknown key
+    ("verify-lagrangian", "lagrangian", "h_eps = 0.05", "'h_eps'"),
+    ("verify-lagrangian", "lagrangian", "h_eps = 1e-3", "'h_eps'"),
     ("verify-lagrangian", "lagrangian", "n_samples = 0", "'n_samples'"),
     ("verify-lagrangian", "lagrangian", "n_points = -3", "'n_points'"),
     ("verify-lagrangian", "lagrangian", "n_points = 1", "'n_points'"),
     ("verify-lagrangian", "lagrangian", "half_width = 0", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "half_width = -3", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "half_width = nan", "'half_width'"),
-    ("verify-lagrangian", "lagrangian", "taylor_points = 2",
+    ("verify-lagrangian", "lagrangian", "taylor_points = 9",
      "'taylor_points'"),
     ("verify-expansion", "verify", "order = 3", "'order'"),
     ("verify-expansion", "verify", "eps_list = 0.0, 0.1", "'eps_list'"),
@@ -537,15 +538,19 @@ def test_dry_run_rejects_bad_oracle_values(tmp_path, capsys, command, section,
 
 
 @pytest.mark.parametrize("patch, name", [
-    (None, "oracle_rel_max"),
+    ("taylor_lagrangian_coefficients", "oracle_rel_max"),
     ("auxiliary_check", "auxiliary_max"),
     ("el_identities", "el_identity_gap_max"),
 ])
 def test_verify_lagrangian_non_finite_is_exit_2(tmp_path, capsys, monkeypatch,
                                                 patch, name):
-    h_eps = 0.05
-    if patch is None:
-        h_eps = 1e100  # the density overflows: the Taylor fit turns nan
+    if patch == "taylor_lagrangian_coefficients":
+        real = lagrangian_orders.taylor_lagrangian_coefficients
+
+        def nan_oracle(sample):
+            L0, L1, L2 = real(sample)
+            return L0, L1 + np.nan, L2
+        monkeypatch.setattr(lagrangian_orders, patch, nan_oracle)
     elif patch == "auxiliary_check":
         monkeypatch.setattr(lagrangian_orders, patch,
                             lambda sample, k: float("nan"))
@@ -557,8 +562,7 @@ def test_verify_lagrangian_non_finite_is_exit_2(tmp_path, capsys, monkeypatch,
             return e10, e21 + np.nan, e20
         monkeypatch.setattr(lagrangian_orders, patch, nan_gap)
     cfg = _write(tmp_path, "exp.ini",
-                 EXPANSION_INI + "\n[lagrangian]\nn_samples = 2\n"
-                 f"h_eps = {h_eps!r}\n")
+                 EXPANSION_INI + "\n[lagrangian]\nn_samples = 2\n")
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         rc = cli.main(["verify-lagrangian", "--config", cfg,
@@ -567,17 +571,6 @@ def test_verify_lagrangian_non_finite_is_exit_2(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert "non-finite" in err and name in err
     assert not (out / "verify-lagrangian.json").exists()
-
-
-def test_verify_lagrangian_overflowing_step_is_exit_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "exp.ini",
-                 EXPANSION_INI + "\n[lagrangian]\nn_samples = 1\n"
-                 "h_eps = 1e300\n")
-    with np.errstate(all="ignore"):
-        rc = cli.main(["verify-lagrangian", "--config", cfg,
-                       "--out", str(tmp_path)])
-    assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_simulate_pde_computes_each_energy_once(tmp_path, monkeypatch):

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from pendulon import lagrangian_orders as lx
 from pendulon.params import ConfiningPotential, ExpansionParams
 from pendulon._stencils import derivative
-from pendulon.perturbation import (_forcing_coefficient, _phi1_coefficient,
-                                   kink_grid, kink_parameter, order1_phi,
-                                   order1_theta, order2_phi, sg_kink)
-from pendulon.travelwave import _density_raw
+from pendulon.perturbation import (_eps_fit, _forcing_coefficient,
+                                   _phi1_coefficient, kink_grid,
+                                   kink_parameter, order1_phi, order1_theta,
+                                   order2_phi, sg_kink)
 
 
 _EXP = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, v1=0.1,
@@ -54,6 +54,17 @@ def test_auxiliary_at_every_order(exp_params, zgrid):
             assert lx.auxiliary_check(sample, k) < 1e-10
 
 
+def test_auxiliary_check_is_exactly_zero():
+    # no order reads its own phi_k', so the complex step leaves no residue
+    z = np.linspace(-8.0, 8.0, 257)
+    for family in sorted(_CONFINEMENTS):
+        params = dataclasses.replace(_EXP, h_spec=_CONFINEMENTS[family])
+        batch = lx.stack_samples([lx.smooth_sample(params, z, seed=s)
+                                  for s in range(10)])
+        for k in range(3):
+            assert np.all(lx.auxiliary_check(batch, k) == 0.0), (family, k)
+
+
 def test_cross_order_gradient_is_not_zero(exp_params, zgrid):
     # the second-order density DOES feel the base tip-angle gradient, so a
     # vanishing auxiliary_check is not an artifact of dead parameters
@@ -66,7 +77,7 @@ def test_own_order_variation_is_confining_force(exp_params, zgrid):
     for k in range(3):
         got = lx.field_derivative(sample, k, f"phi{k}")
         want = -exp_params.h_spec.dh(sample.phi0)
-        assert np.max(np.abs(got - want)) < 1e-6
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_el_identity_orders_1_and_2(exp_params, zgrid):
@@ -146,44 +157,13 @@ def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
                 assert np.array_equal(a, b), f.name
 
 
-def test_taylor_coefficients_match_reference_fit(exp_params, zgrid):
-    """The shared eps fit returns what the centered Vandermonde solve with
-    coeffs[k] / h^k returned, bit for bit."""
-    sample = lx.smooth_sample(exp_params, zgrid, seed=4)
-    for h_eps, n_points in ((0.05, 9), (0.1, 5), (0.02, 3)):
-        got = lx.taylor_lagrangian_coefficients(sample, h_eps, n_points)
-        half = n_points // 2
-        nodes = np.arange(n_points, dtype=float) - half
-        p = sample.params
-        vals = []
-        for s in nodes:
-            e = s * h_eps
-            r = e * p.r1 + e * e * p.r2
-            m = e * p.m1 + e * e * p.m2
-            Kt = e * p.k1 + e * e * p.k2
-            v = p.v0 + e * p.v1 + e * e * p.v2
-            vals.append(_density_raw(
-                sample.theta0 + e * sample.theta1 + e * e * sample.theta2,
-                sample.phi0 + e * sample.phi1 + e * e * sample.phi2,
-                sample.theta0_z + e * sample.theta1_z
-                + e * e * sample.theta2_z,
-                sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z,
-                Kt - (p.Mhat - m) * (p.A - r)**2 * v**2,
-                p.Khat - Kt - m * v * v, p.Mhat - m, m, p.A - r, r,
-                p.g, p.h_spec))
-        coeffs = np.linalg.solve(np.vander(nodes, n_points, increasing=True),
-                                 np.asarray(vals))
-        ref = (coeffs[0], coeffs[1] / h_eps, coeffs[2] / h_eps**2)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
-    with pytest.raises(ValueError, match="at least 3"):
-        lx.taylor_lagrangian_coefficients(sample, 0.05, 2)
-
-
 def test_eps_fit_warns_when_poorly_conditioned(exp_params, zgrid):
+    # 13 centred eps nodes are too many for one well-conditioned solve
     sample = lx.smooth_sample(exp_params, zgrid, seed=1)
+    nodes = np.arange(13, dtype=float) - 6
+    vals = [lx._series_density(sample, 0.05 * s) for s in nodes]
     with pytest.warns(RuntimeWarning, match="poorly conditioned"):
-        lx.taylor_lagrangian_coefficients(sample, 0.05, 13)
+        _eps_fit(nodes, vals, 0.05, (0, 1, 2))
 
 
 def test_expansion_sample_identities(exp_params):
@@ -196,15 +176,14 @@ def test_expansion_sample_identities(exp_params):
     assert np.max(np.abs(e20)) < 1e-6
 
 
-def _per_sample_maxima(params, z, seeds, h_eps, taylor_points):
+def _per_sample_maxima(params, z, seeds):
     """The random-sample maxima as verify-lagrangian computed them before it
     batched: one sample per call, 1-D arrays throughout."""
     oracle, aux, gap = [0.0] * 3, [0.0] * 3, 0.0
     for s in seeds:
         sample = lx.smooth_sample(params, z, seed=s)
         exact = lx.eval_L0_L1_L2(sample)
-        taylor = lx.taylor_lagrangian_coefficients(sample, h_eps=h_eps,
-                                                   n_points=taylor_points)
+        taylor = lx.taylor_lagrangian_coefficients(sample)
         for k in range(3):
             scale = np.max(np.abs(taylor[k])) + 1e-300
             oracle[k] = np.maximum(
@@ -225,11 +204,9 @@ _CONFINEMENTS = {
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), per_block=st.integers(1, 3),
        extra=st.integers(1, 4), n_points=st.integers(2, 65),
-       family=st.sampled_from(sorted(_CONFINEMENTS)),
-       taylor_points=st.integers(3, 9))
+       family=st.sampled_from(sorted(_CONFINEMENTS)))
 def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
-                                                 n_points, family,
-                                                 taylor_points):
+                                                 n_points, family):
     """sample_maxima over blocks of per_block samples, with n_samples past
     the first block boundary, against one sample per call; and every row of
     a batch against its sample alone. Equality is bit for bit."""
@@ -237,10 +214,8 @@ def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
     z = np.linspace(-8.0, 8.0, n_points)
     seeds = range(seed, seed + per_block + extra)
     with mock.patch.object(lx, "BLOCK_VALUES", per_block * n_points):
-        got = lx.sample_maxima(params, z, seeds, h_eps=0.05,
-                               taylor_points=taylor_points)
-    oracle, aux, gap = _per_sample_maxima(params, z, seeds, 0.05,
-                                          taylor_points)
+        got = lx.sample_maxima(params, z, seeds)
+    oracle, aux, gap = _per_sample_maxima(params, z, seeds)
     assert got.oracle_rel.tolist() == oracle
     assert got.auxiliary.tolist() == aux
     assert got.el_identity_gap == gap
@@ -251,16 +226,14 @@ def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
         for name in ("eval_L0_L1_L2", "el_identities"):
             for b, a in zip(getattr(lx, name)(batch), getattr(lx, name)(one)):
                 assert np.array_equal(b[row], a)
-        pairs = zip(lx.taylor_lagrangian_coefficients(
-                        batch, n_points=taylor_points),
-                    lx.taylor_lagrangian_coefficients(
-                        one, n_points=taylor_points))
+        pairs = zip(lx.taylor_lagrangian_coefficients(batch),
+                    lx.taylor_lagrangian_coefficients(one))
         for b, a in pairs:
             assert np.array_equal(b[row], a)
         for k in range(3):
             assert lx.auxiliary_check(batch, k)[row] == lx.auxiliary_check(
                 one, k)
-            # a field the density depends on, so the step size shows
+            # a field the density depends on, so the derivative is not 0
             assert np.array_equal(lx.field_derivative(batch, k, "phi0_z")[row],
                                   lx.field_derivative(one, k, "phi0_z"))
 
@@ -270,7 +243,16 @@ def test_sample_maxima_blocks_hold_at_least_one_sample(exp_params):
     z = np.linspace(-8.0, 8.0, 33)
     with mock.patch.object(lx, "BLOCK_VALUES", 1):
         got = lx.sample_maxima(exp_params, z, range(3))
-    oracle, aux, gap = _per_sample_maxima(exp_params, z, range(3), 0.05, 9)
+    oracle, aux, gap = _per_sample_maxima(exp_params, z, range(3))
     assert got.oracle_rel.tolist() == oracle
     assert got.auxiliary.tolist() == aux
     assert got.el_identity_gap == gap
+
+
+def test_contour_oracle_on_tangent_barrier():
+    """Criterion 05's 1e-6 bound over 100 samples on the tangent-barrier
+    confinement, whose tan makes the density far from polynomial in eps."""
+    params = dataclasses.replace(_EXP, h_spec=_CONFINEMENTS["tangent-barrier"])
+    z = np.linspace(-8.0, 8.0, 257)
+    got = lx.sample_maxima(params, z, range(100))
+    assert np.all(got.oracle_rel < 1e-6), got.oracle_rel
