@@ -27,17 +27,30 @@ def write_snapshots_csv(path, schema, header, snapshots):
 
     A snapshot is (t, keys, *columns): row k of its block reads t, keys[k]
     and then element k of each column. keys are strings; t and the columns
-    are written as repr of Python floats, the same bytes as write_csv. Each
-    column is turned into strings once and each block goes out in one write,
-    so only one snapshot's text is held at a time.
+    are written as repr of Python floats, the same bytes as write_csv. The
+    columns of a snapshot share one length; _snapshot_rows formats each
+    distinct value once. Each block goes out in one write, so only one
+    snapshot's text is held at a time.
     """
     with open(path, "w") as f:
         f.write(f"# schema: {schema}\n{header}\n")
         for t, keys, *columns in snapshots:
             lead = f"{float(t)!r},"
-            rows = map(",".join, zip(keys, *(map(repr, c.tolist())
-                                              for c in columns)))
-            f.write("".join([lead + row + "\n" for row in rows]))
+            f.write("".join([lead + row + "\n"
+                             for row in _snapshot_rows(keys, columns)]))
+
+
+def _snapshot_rows(keys, columns):
+    """keys[k] and the repr of element k of each column, joined by commas,
+    for every row k. repr depends only on a float's bits, so each distinct
+    float64 bit pattern is formatted once (np.unique of the bits, which
+    keeps 0.0 and -0.0 and NaN payloads apart) and its text gathered back
+    to every place it occurs; the gathered text is freed on return."""
+    bits = np.array(columns, dtype=np.float64).view(np.uint64)
+    unique, inverse = np.unique(bits.ravel(), return_inverse=True)
+    text = np.array(list(map(repr, unique.view(np.float64).tolist())),
+                    dtype=object)[inverse].reshape(bits.shape)
+    return list(map(",".join, zip(keys, *text.tolist())))
 
 
 def write_history_npy(path, t, fields, x=None):

@@ -152,7 +152,7 @@ def _potential_gradient(state: LatticeState, params: ChainParams):
     x = R * cth + r * ctp  # tip_position, per site
     y = R * sth + r * stp
 
-    gth = g * (M * R * sth + m * (R * sth + r * stp))
+    gth = g * (M * R * sth + m * y)
     gph = g * m * r * stp + params.h_spec.dh(ph)
 
     top = params.topology
@@ -167,12 +167,12 @@ def _potential_gradient(state: LatticeState, params: ChainParams):
     dx, dy = x_j - x_i, y_j - y_i
     ks = params.kappa_s
     # d tip/d theta = (-y, x); d tip/d phi = (-r sin(th+ph), r cos(th+ph))
-    _scatter_bonds(gth, ks * (dx * -y_i + dy * x_i),
-                   ks * (dx * -y_j + dy * x_j), top)
+    _scatter_bonds(gth, ks * (dy * x_i - dx * y_i),
+                   ks * (dy * x_j - dx * y_j), top)
     stp_i, stp_j = _bond_ends(stp, top)
     ctp_i, ctp_j = _bond_ends(ctp, top)
-    _scatter_bonds(gph, ks * r * (-dx * stp_i + dy * ctp_i),
-                   ks * r * (-dx * stp_j + dy * ctp_j), top)
+    _scatter_bonds(gph, ks * r * (dy * ctp_i - dx * stp_i),
+                   ks * r * (dy * ctp_j - dx * stp_j), top)
     return gth, gph
 
 
@@ -202,8 +202,9 @@ def discrete_forces(state: LatticeState, params: ChainParams):
     m, R, r = params.m, params.R, params.r
     td, pd = state.theta_dot, state.phi_dot
     factors = _phi_factors(state.phi, r, R)
-    b_th = -gth + m * r * R * factors.sin * (pd**2 + 2 * td * pd)
-    b_ph = -gph - m * r * R * factors.sin * td**2
+    coupling = m * r * R * factors.sin
+    b_th = coupling * (pd**2 + 2 * td * pd) - gth
+    b_ph = -gph - coupling * td**2
     return _mass_solve(factors, b_th, b_ph, params)
 
 

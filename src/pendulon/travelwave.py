@@ -161,7 +161,8 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
     pi-shifted connections are both supported); the translation zero mode is
     removed by a bordered pinning row theta(z_mid) = mean of the end values.
     Each iteration assembles the bordered Jacobian in one pass, straight into
-    CSC arrays (_stencils.bordered_matrix), and factors it with splu.
+    CSC arrays (_stencils.bordered_matrix), and factors it with splu; the
+    factors are dropped after their solve, so no two are held at once.
     Raises TWSolveError on non-convergence, with the final residual attached,
     and on the sonic line (_on_sonic_line).
     """
@@ -204,6 +205,18 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
     def norm(F):
         return float(np.max(np.abs(F)))
 
+    def jacobian(theta, phi, tz, pz, tzz, pzz):
+        # a function of its own, so the blocks are freed before splu runs
+        jb = _jacobian_blocks(theta, phi, tz, pz, tzz, pzz, *coef, params)
+        # block (equation, field) is jb["r<equation>_<t|p><derivative>"];
+        # the unknowns interleave theta and phi, the four end rows are the
+        # Dirichlet conditions, the border column is the translation mode
+        blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
+                  for eq in "12"]
+        return _stencils.bordered_matrix(
+            D1, D2, blocks, [0, 1, 2 * n - 2, 2 * n - 1],
+            np.column_stack([tz, pz]).ravel(), pin_row)
+
     r1, r2, tz, pz, tzz, pzz = full_residual(theta, phi)
     F = packed(theta, phi, r1, r2)
     best = norm(F)
@@ -211,20 +224,16 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
     for iteration in range(max_iter):
         if best < tol:
             break
-        jb = _jacobian_blocks(theta, phi, tz, pz, tzz, pzz, *coef, params)
-        # block (equation, field) is jb["r<equation>_<t|p><derivative>"];
-        # the unknowns interleave theta and phi, the four end rows are the
-        # Dirichlet conditions, the border column is the translation mode
-        blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
-                  for eq in "12"]
-        A = _stencils.bordered_matrix(
-            D1, D2, blocks, [0, 1, 2 * n - 2, 2 * n - 1],
-            np.column_stack([tz, pz]).ravel(), pin_row)
+        A = jacobian(theta, phi, tz, pz, tzz, pzz)
         try:
             lu = splu(A)
         except RuntimeError as exc:
             raise TWSolveError(f"singular Jacobian: {exc}", best) from exc
         delta = lu.solve(-F)
+        # dropping A here too would lower the peak a little more, but its
+        # freed pages go back to the system and the next assembly faults
+        # them in again (65 % more page faults on the tw_newton commands)
+        del lu
 
         lam = 1.0
         while lam >= 1e-3:

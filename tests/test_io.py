@@ -23,6 +23,19 @@ def _values(rng, n):
     return v
 
 
+def _snapshot_values(rng, n):
+    """_values with half its entries drawn from a small pool: three values,
+    0.0, -0.0 and NaNs of two payloads, so a snapshot repeats bit patterns
+    within and across its columns."""
+    v = _values(rng, n)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001],
+                    dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([_values(rng, 3), [0.0, -0.0], nans])
+    pick = rng.random(n) < 0.5
+    v[pick] = rng.choice(pool, int(pick.sum()))
+    return v
+
+
 def _reference_rows(path, schema, header, rows):
     with open(path, "w") as f:
         f.write(f"# schema: {schema}\n")
@@ -87,7 +100,7 @@ SEEDS = settings(max_examples=25, deadline=None)
        snaps=st.integers(1, 4))
 def test_lattice_csvs_match_reference(tmp_path_factory, seed, n, snaps):
     rng = np.random.default_rng(seed)
-    traj = [LatticeState(*(_values(rng, n) for _ in range(4)),
+    traj = [LatticeState(*(_snapshot_values(rng, n) for _ in range(4)),
                          t=float(_values(rng, 1)[0]))
             for _ in range(snaps)]
     report = lattice.SimulationReport(traj, _values(rng, 2 * snaps).reshape(-1, 2),

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pendulon._io import write_json
 from pendulon.chain import LatticeState
 from pendulon.lattice import (kink_center, moving_kink_state, simulate,
                               total_energy)
-from pendulon.params import ChainParams
+from pendulon.params import ChainParams, ConfiningPotential
 
 
 def _smooth_state(rng, n, amp=0.4):
@@ -22,6 +23,25 @@ def test_energy_conserved(generic_chain, rng):
     st = _smooth_state(rng, 24)
     rep = simulate(st, 2.0, 1e-3, generic_chain)
     assert rep.max_energy_drift < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["open", "periodic", "tangent-barrier",
+                                     "r = 0"])
+def test_energy_series_is_total_energy_of_every_state(generic_chain, rng,
+                                                      variant):
+    """simulate's energy series is total_energy of every recorded state,
+    bit for bit, stamped with the state's time."""
+    p = {"open": generic_chain,
+         "periodic": replace(generic_chain, topology="periodic"),
+         "tangent-barrier": replace(generic_chain, h_spec=ConfiningPotential(
+             family="tangent-barrier", phi0=1.2, c2=1.7, b=0.2)),
+         "r = 0": replace(generic_chain, r=0.0)}[variant]
+    st = _smooth_state(rng, 15)
+    rep = simulate(st, 0.07, 1e-2, p)
+    assert len(rep.trajectory) == len(rep.energy_series) == 8
+    for state, (t, E) in zip(rep.trajectory, rep.energy_series):
+        assert state.t == t
+        assert total_energy(state, p) == E
 
 
 def test_rk4_energy_drift_is_fourth_order(generic_chain, rng):
