@@ -1,8 +1,8 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
-that both boundary-value solvers factor, the classic RK4 step, the energy
-drift and the winding number both integrators report, and the two error
-classes every command maps to exit code 2.
+that both boundary-value solvers factor, the classic RK4 step and the loop
+that drives it, the energy drift, winding number and summary both integrators
+report, and the two error classes every command maps to exit code 2.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -16,8 +16,8 @@ instead: continuum.FieldGrid builds D1, D2 and their stacked_operator once
 per grid. rk4_step advances one state array, one array operation per stage.
 
 scipy.sparse is imported inside the functions that build a matrix, so the
-lattice layer, which needs only rk4_step, energy_drift, winding_number and
-IntegrationError from here, never loads scipy.
+lattice layer, which needs only rk4_run, energy_drift and run_summary from
+here, never loads scipy.
 """
 from __future__ import annotations
 
@@ -171,12 +171,8 @@ def derivative(f, h, deriv):
 
 
 def rk4_step(rhs, y, t, dt):
-    """One classic RK4 step of y' = rhs(y, t) on one state array, (4, n)
-    rows q1, q2, q1', q2' in both integrators.
-
-    Returns the new array; raises IntegrationError when any entry is not
-    finite, so no integrator carries NaN forward.
-    """
+    """One classic RK4 step of y' = rhs(y, t); raises IntegrationError when
+    any entry of the new array is not finite, so no integrator carries NaN."""
     k1 = rhs(y, t)
     k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
@@ -187,11 +183,36 @@ def rk4_step(rhs, y, t, dt):
     return out
 
 
+def rk4_run(rhs, y, t0, t_end, dt, snapshot_every=None):
+    """rk4_step from (y, t0), n = max(1, round(t_end / dt)) times: yields
+    (t0 + i dt, y, snap) after step i, snap true every snapshot_every-th step
+    and at the last (None: the last only). y is (4, n), rows q1, q2, q1', q2'
+    in both integrators. Checks its arguments before any rhs call."""
+    if not (t_end > 0 and dt > 0):
+        raise ValueError("t_end and dt must be positive")
+    if snapshot_every is not None and snapshot_every < 1:
+        raise ValueError("snapshot_every must be a positive integer")
+    n = max(1, round(t_end / dt))
+    every = n if snapshot_every is None else snapshot_every
+    for i in range(1, n + 1):
+        y = rk4_step(rhs, y, t0 + (i - 1) * dt, dt)
+        yield t0 + i * dt, y, i % every == 0 or i == n
+
+
 def energy_drift(energies):
     """max |E - E[0]| / (|E[0]| + 1) of an energy series: relative for a
     large initial energy, absolute for a small one, finite at E[0] = 0."""
     E = np.asarray(energies, dtype=float)
     return float(np.max(np.abs(E - E[0])) / (abs(E[0]) + 1.0))
+
+
+def run_summary(theta_first, theta_last, t_final, n_snapshots, drift):
+    """The headline numbers of a run, one set of keys for both integrators;
+    the charges are winding numbers of theta (None when ragged)."""
+    return {"charge_initial": _winding_or_none(theta_first),
+            "charge_final": _winding_or_none(theta_last),
+            "max_energy_drift": drift, "n_snapshots": n_snapshots,
+            "t_final": t_final}
 
 
 def winding_number(theta):

@@ -14,6 +14,7 @@ dry run loads scipy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -39,6 +40,9 @@ _INTEGRATION_SCHEMA = {"dt": config.parse_positive_float,
                        "t_end": config.parse_positive_float,
                        "snapshot_every": config.parse_positive_int}
 
+_KINK_SCHEMA = {"k": config.parse_finite_float, "v": config.parse_finite_float,
+                "center": config.parse_finite_float, "index": int}
+
 # the grid of the eps expansion: [grid] of build-perturbative, and [verify]
 _EXPANSION_GRID_SCHEMA = {
     "n_points": config.parse_int_at_least(MIN_EXPANSION_NODES),
@@ -48,8 +52,8 @@ _EXPANSION_GRID_SCHEMA = {
 def cmd_simulate_lattice(cp, args, out_dir, dry):
     params = config.chain_from_config(cp)
     lat = config.read_section(
-        cp, "lattice", {"n_sites": config.parse_int_at_least(2), "k": float,
-                        "v": float, "center": float, "index": int},
+        cp, "lattice", {"n_sites": config.parse_int_at_least(2),
+                        **_KINK_SCHEMA},
         required=("n_sites", "k", "v"))
     integ = config.read_section(cp, "integration", _INTEGRATION_SCHEMA,
                                 required=("dt", "t_end"))
@@ -71,12 +75,11 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
     from . import continuum
     params = config.chain_from_config(cp)
     dom = config.read_section(
-        cp, "domain", {"x_min": float, "x_max": float,
+        cp, "domain", {"x_min": config.parse_finite_float,
+                       "x_max": config.parse_finite_float,
                        "n_points": config.parse_int_at_least(MIN_NODES)},
         required=("x_min", "x_max", "n_points"))
-    pde = config.read_section(
-        cp, "pde", {"k": float, "v": float, "center": float, "index": int},
-        required=("k", "v"))
+    pde = config.read_section(cp, "pde", _KINK_SCHEMA, required=("k", "v"))
     integ = config.read_section(cp, "integration", _INTEGRATION_SCHEMA,
                                 required=("dt", "t_end"))
     x = np.linspace(dom["x_min"], dom["x_max"], dom["n_points"])
@@ -93,16 +96,10 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
     continuum.export_fields(snaps, os.path.join(out_dir, outputs[0]))
     energies = continuum.export_energy_csv(snaps, params,
                                            os.path.join(out_dir, outputs[1]))
-
-    results = {
-        "t_final": snaps[-1].t,
-        "n_snapshots": len(snaps),
-        "energy_initial": energies[0],
-        "energy_final": energies[-1],
-        "max_energy_drift": _stencils.energy_drift(energies),
-        "charge_initial": _stencils._winding_or_none(snaps[0].Theta),
-        "charge_final": _stencils._winding_or_none(snaps[-1].Theta),
-    }
+    results = _stencils.run_summary(snaps[0].Theta, snaps[-1].Theta,
+                                    snaps[-1].t, len(snaps),
+                                    _stencils.energy_drift(energies))
+    results.update(energy_initial=energies[0], energy_final=energies[-1])
     return results, outputs
 
 
@@ -110,10 +107,11 @@ def cmd_solve_tw(cp, args, out_dir, dry):
     params = config.chain_from_config(cp)
     sec = config.read_section(
         cp, "tw",
-        {"v": float, "k": float, "pi_shift": config.parse_bool, "index": int},
+        {"v": config.parse_finite_float, "k": config.parse_finite_float,
+         "pi_shift": config.parse_bool, "index": int},
         required=("v", "k"))
     dom = config.read_section(
-        cp, "domain", {"half_width": float,
+        cp, "domain", {"half_width": config.parse_positive_float,
                        "n_points": config.parse_int_at_least(MIN_NODES)})
     k = sec["k"]
     if k == 0 and "half_width" not in dom:
@@ -121,7 +119,7 @@ def cmd_solve_tw(cp, args, out_dir, dry):
     if dry:
         return None, None
     from . import travelwave
-    half = dom["half_width"] if "half_width" in dom else 20.0 / k
+    half = dom["half_width"] if "half_width" in dom else 20.0 / abs(k)
     z = np.linspace(-half, half, dom.get("n_points", 2001))
     guess = travelwave.kink_profile(z, k, sec["v"],
                                     pi_shift=sec.get("pi_shift", False),
@@ -146,7 +144,8 @@ def cmd_build_perturbative(cp, args, out_dir, dry):
     exp = config.expansion_from_config(cp)
     grid = config.read_section(cp, "grid", _EXPANSION_GRID_SCHEMA)
     comp = config.read_section(cp, "compose",
-                               {"eps": float, "order": config.parse_order})
+                               {"eps": config.parse_finite_float,
+                                "order": config.parse_order})
     if dry:
         return None, None
     from . import perturbation, travelwave
@@ -239,10 +238,7 @@ def cmd_speed_select(cp, args, out_dir, dry):
             n_points=stiff_sec.get("n_points", 2001))
         outputs.append("stiff-limit.csv")
         reductions.export_stiff_csv(report, os.path.join(out_dir, outputs[0]))
-        results["stiff_cells"] = [
-            {"h2": c.h2, "v": c.v, "converged": c.converged,
-             "max_abs_phi": c.max_abs_phi, "residual": c.residual}
-            for c in report.cells]
+        results["stiff_cells"] = [dataclasses.asdict(c) for c in report.cells]
     return results, outputs
 
 

@@ -38,6 +38,13 @@ def parse_int_at_least(low: int):
 parse_positive_int = parse_int_at_least(1)
 
 
+def parse_finite_float(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return val
+
+
 def parse_positive_float(raw: str) -> float:
     val = float(raw)
     if not 0 < val < math.inf:  # also rejects nan
@@ -55,11 +62,9 @@ def parse_order(raw: str) -> int:
 
 def parse_floats(raw: str):
     """A nonempty comma-separated list of finite numbers."""
-    vals = [float(tok) for tok in raw.split(",") if tok.strip()]
+    vals = [parse_finite_float(tok) for tok in raw.split(",") if tok.strip()]
     if not vals:
         raise ValueError("empty list")
-    if not all(map(math.isfinite, vals)):
-        raise ValueError("values must be finite")
     return vals
 
 

@@ -114,15 +114,9 @@ def check_time_step(dt, dx, params: ChainParams):
 
 
 def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None):
-    """RK4 method-of-lines evolution with clamped (Dirichlet) end nodes."""
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
-    if snapshot_every is not None and snapshot_every < 1:
-        raise ValueError("snapshot_every must be a positive integer")
+    """RK4 method-of-lines evolution (_stencils.rk4_run) with clamped
+    (Dirichlet) end nodes: the initial grid, then one grid per snapshot."""
     check_time_step(dt, grid.dx, params)
-    n_steps = max(1, int(round(t_end / dt)))
-    if snapshot_every is None:
-        snapshot_every = n_steps
 
     def rhs(y, t):
         acc = pde_rhs(grid._with_fields(*y, t), params)
@@ -132,16 +126,17 @@ def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None)
 
     y = np.array([grid.Theta, grid.Phi, grid.Theta_t, grid.Phi_t])
     snaps = [grid]
-    for i in range(n_steps):
-        try:
-            y = _stencils.rk4_step(rhs, y, grid.t + i * dt, dt)
-        except IntegrationError as exc:
-            raise PDEInstabilityError("non-finite fields", exc.t) from exc
-        t = grid.t + (i + 1) * dt
-        if np.max(np.abs(y[:2])) > 1e6:
-            raise PDEInstabilityError("fields blew up", t)
-        if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            snaps.append(grid._with_fields(*y.copy(), t=t))
+    try:
+        for t, y, snap in _stencils.rk4_run(rhs, y, grid.t, t_end, dt,
+                                            snapshot_every):
+            if np.max(np.abs(y[:2])) > 1e6:
+                raise PDEInstabilityError("fields blew up", t)
+            if snap:
+                snaps.append(grid._with_fields(*y, t=t))
+    except PDEInstabilityError:
+        raise
+    except IntegrationError as exc:
+        raise PDEInstabilityError("non-finite fields", exc.t) from exc
     return snaps
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import perturbation
 from .params import ExpansionParams
 from .perturbation import _theta1_zz
-from .travelwave import _density_raw
+from .travelwave import _density_raw, _wave_coefficients
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,8 @@ def _series_density(sample: ExpandedLagrangianSample, e):
     phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2
     phi_z = sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z
     M, R = p.Mhat - m, p.A - r
-    return _density_raw(theta, phi, theta_z, phi_z, Kt - M * R**2 * v**2,
-                        Ks - m * v * v, M, m, R, r, p.g, p.h_spec)
+    return _density_raw(theta, phi, theta_z, phi_z, *_wave_coefficients(
+        Kt, Ks, M, m, R, v), M, m, R, r, p.g, p.h_spec)
 
 
 def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):

@@ -1,4 +1,4 @@
-"""Time evolution of the discrete chain with a fixed-step RK4 integrator.
+"""Time evolution of the discrete chain by _stencils.rk4_run, fixed-step RK4.
 
 The mass matrix depends on the configuration, so the Hamiltonian is not
 separable and a symplectic splitting is not available; energy drift is
@@ -6,7 +6,7 @@ monitored instead of structurally eliminated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,39 +29,23 @@ def total_energy(state: LatticeState, params: ChainParams):
             + chain.potential_energy(state, params))
 
 
-def step(state: LatticeState, dt, params: ChainParams) -> LatticeState:
-    """One classic RK4 step on (q, q_dot). Deterministic."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-
+def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
+             snapshot_every=1) -> SimulationReport:
+    """Evolve to t_end by _stencils.rk4_run, recording the energy of every
+    step (drift: _stencils.energy_drift) and the states it snapshots."""
     def rhs(y, t):
         acc = chain.discrete_forces(LatticeState(*y, t), params)
         return np.concatenate((y[2:], acc))
 
-    y = np.array([state.theta, state.phi, state.theta_dot, state.phi_dot])
-    y = _stencils.rk4_step(rhs, y, state.t, dt)
-    return LatticeState(*y, t=state.t + dt)
-
-
-def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
-             snapshot_every=1) -> SimulationReport:
-    """Evolve to t_end (rounded to a whole number of steps) recording energy.
-
-    Step i is stamped t0 + i dt, as in evolve. Drift is reported as
-    _stencils.energy_drift of the energy series.
-    """
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be a positive integer")
-    n_steps = max(1, int(round(t_end / dt)))
-    state = initial
-    energies = [(state.t, total_energy(state, params))]
-    traj = [state]
-    for i in range(n_steps):
-        state = replace(step(state, dt, params), t=initial.t + (i + 1) * dt)
-        energies.append((state.t, total_energy(state, params)))
-        if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
+    y = np.array([initial.theta, initial.phi, initial.theta_dot,
+                  initial.phi_dot])
+    energies = [(initial.t, total_energy(initial, params))]
+    traj = [initial]
+    for t, y, snap in _stencils.rk4_run(rhs, y, initial.t, t_end, dt,
+                                        snapshot_every):
+        state = LatticeState(*y, t)
+        energies.append((t, total_energy(state, params)))
+        if snap:
             traj.append(state)
     energies = np.array(energies)
     return SimulationReport(traj, energies,
@@ -111,14 +95,7 @@ def export_energy_csv(report: SimulationReport, path):
 
 
 def summary_dict(report: SimulationReport):
-    """Headline numbers of a run; the charges are the winding numbers of
-    theta over the chain (None when ragged) at the first and last
-    snapshots."""
+    """Headline numbers of a run (_stencils.run_summary)."""
     traj = report.trajectory
-    return {
-        "charge_initial": _stencils._winding_or_none(traj[0].theta),
-        "charge_final": _stencils._winding_or_none(traj[-1].theta),
-        "max_energy_drift": report.max_energy_drift,
-        "n_snapshots": len(traj),
-        "t_final": traj[-1].t,
-    }
+    return _stencils.run_summary(traj[0].theta, traj[-1].theta, traj[-1].t,
+                                 len(traj), report.max_energy_drift)

@@ -24,8 +24,13 @@ from .params import (ChainParams, _coefficients, _field_equations, _kink,
 def tw_coefficients(v, params: ChainParams):
     """(c_outer, c_inner) = (K_t - M R^2 v^2, mu = K_s - m v^2) of
     params._field_equations for a wave of speed v."""
-    return (params.Kt - params.M * params.R**2 * v**2,
-            params.Ks - params.m * v * v)
+    return _wave_coefficients(params.Kt, params.Ks, params.M, params.m,
+                              params.R, v)
+
+
+def _wave_coefficients(Kt, Ks, M, m, R, v):
+    """tw_coefficients from bare constants, which may be complex."""
+    return Kt - M * R**2 * v**2, Ks - m * v * v
 
 
 def _on_sonic_line(v, params: ChainParams):

@@ -206,15 +206,18 @@ def test_speed_select_stiff_flag(tmp_path):
     assert len(summary["results"]["stiff_cells"]) == 2
 
 
-def test_solve_tw_command(tmp_path):
+@pytest.mark.parametrize("k", [1.05, -1.05])
+def test_solve_tw_command(tmp_path, k):
+    """A negative k (an antikink) keeps the default grid increasing."""
     cfg = _write(tmp_path, "tw.ini",
-                 CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n"
+                 CHAIN_INI + f"\n[tw]\nv = 0.305\nk = {k}\n"
                  "\n[domain]\nn_points = 1201\n")
     rc = cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "tw-profile.csv").read_text().splitlines()
     assert lines[0] == "# schema: tw-profile v1"
     assert len(lines) == 2 + 1201
+    assert float(lines[2].split(",")[0]) == -20.0 / abs(k)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["results"]["first_integral_rel_variance"] < 1e-8
 
@@ -390,6 +393,27 @@ def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
      "'ladder'"),
     ("speed-select", SPEED_INI + "\n[stiff]\nv_probe = nan\n", "stiff",
      "'v_probe'"),
+    ("simulate-lattice", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-lattice"].replace("k = 1.0", "k = nan"),
+     "lattice", "'k'"),
+    ("simulate-lattice", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-lattice"] + "center = -inf\n", "lattice",
+     "'center'"),
+    ("simulate-pde", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-pde"].replace("v = 0.4", "v = inf"), "pde",
+     "'v'"),
+    ("simulate-pde", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-pde"].replace("x_max = 30", "x_max = nan"),
+     "domain", "'x_max'"),
+    ("solve-tw", CHAIN_INI + "\n[tw]\nv = nan\nk = 1.0\n", "tw", "'v'"),
+    ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.3\nk = 1.0\n\n[domain]\n"
+     "half_width = -5\n", "domain", "'half_width'"),
+    ("build-perturbative", EXPANSION_INI + "\n[compose]\neps = nan\n",
+     "compose", "'eps'"),
 ])
 def test_dry_run_rejects_non_finite_constants_and_bad_stiff_lists(
         tmp_path, capsys, command, text, section, key):

@@ -61,7 +61,7 @@ def test_instability_detected():
     x = np.linspace(0, 10, 101)
     grid = FieldGrid(x, np.full(101, 2e6), np.zeros(101), np.zeros(101),
                      np.zeros(101), 0.0)
-    with pytest.raises(PDEInstabilityError):
+    with pytest.raises(PDEInstabilityError, match="blew up"):
         evolve(grid, 1.0, 1e-4, p)
 
 

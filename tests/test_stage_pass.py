@@ -1,6 +1,7 @@
 """One pass per integrator stage: the stacked stencil operator against D1
-and D2, the array RK4 step against the tuple form it replaced, and the
-phi-only factors taken once per stage. Every comparison is bit for bit."""
+and D2, the array RK4 step against the tuple form it replaced, the one RK4
+stepping loop both integrators share, and the phi-only factors taken once
+per stage. Every comparison is bit for bit."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,17 +99,53 @@ def test_evolve_matches_tuple_rk4(seed):
 
 @pytest.mark.parametrize("topology", ["open", "periodic"])
 def test_lattice_step_matches_tuple_rk4(topology):
+    """Every state simulate records at snapshot_every=1 against the tuple
+    form, bit for bit."""
     p = ChainParams(M=1.3, m=0.6, R=1.1, r=0.5, kappa_t=0.7, kappa_s=1.9,
                     g=0.9, delta=0.8, topology=topology)
     rng = np.random.default_rng(5)
     state = LatticeState(*rng.normal(0.0, 0.5, (4, 30)), 0.0)
+    rep = lattice.simulate(state, 5 * 0.02, 0.02, p, snapshot_every=1)
+    assert len(rep.trajectory) == 6
     rhs = _lattice_tuple_rhs(p)
     y = (state.theta, state.phi, state.theta_dot, state.phi_dot)
-    for i in range(5):
-        state = lattice.step(state, 0.02, p)
+    for i, got in enumerate(rep.trajectory[1:]):
         y = _tuple_rk4(rhs, y, i * 0.02, 0.02)
-        got = (state.theta, state.phi, state.theta_dot, state.phi_dot)
+        got = (got.theta, got.phi, got.theta_dot, got.phi_dot)
         assert all(np.array_equal(a, b) for a, b in zip(got, y))
+
+
+def test_rk4_run_owns_steps_stamps_and_snapshots():
+    """rk4_run: n = max(1, round(t_end / dt)) steps, step i staged from
+    t0 + (i - 1) dt and stamped t0 + i dt, snap on every k-th step and the
+    last (None: the last only), and bad arguments refused before any rhs
+    call."""
+    stages = []
+
+    def rhs(y, t):
+        stages.append(t)
+        return np.ones_like(y)
+
+    t0, dt = 0.25, 0.1
+    run = list(_stencils.rk4_run(rhs, np.zeros((4, 3)), t0, 1.0, dt, 3))
+    assert [t for t, _, _ in run] == [t0 + i * dt for i in range(1, 11)]
+    assert stages[::4] == [t0 + i * dt for i in range(10)]
+    snaps = [i for i, (_, _, snap) in enumerate(run, 1) if snap]
+    assert snaps == [3, 6, 9, 10]
+    assert np.array_equal(run[-1][1], _stencils.rk4_step(
+        rhs, run[-2][1], t0 + 9 * dt, dt))
+    last = list(_stencils.rk4_run(rhs, np.zeros(2), 0.0, 1.0, 0.25))
+    assert [snap for _, _, snap in last] == [False, False, False, True]
+    for t_end, n in ((1.04, 10), (1.06, 11), (0.01, 1)):
+        assert len(list(_stencils.rk4_run(rhs, np.zeros(2), 0.0, t_end,
+                                          0.1))) == n
+    stages.clear()
+    for t_end, dt_bad, every in ((0.0, 0.1, 1), (1.0, -0.1, 1),
+                                 (1.0, float("nan"), 1), (1.0, 0.1, 0)):
+        with pytest.raises(ValueError):
+            next(_stencils.rk4_run(rhs, np.zeros(2), 0.0, t_end, dt_bad,
+                                   every))
+    assert stages == []
 
 
 def test_rk4_step_matches_tuple_form_on_any_rhs():
