@@ -18,7 +18,7 @@ params = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
 
 v, k = 0.305, 1.05
 z = np.linspace(-20.0 / k, 20.0 / k, 2001)
-guess = kink_profile(z, k, v, with_curvature=False)
+guess = kink_profile(z, k, v)
 mu = tw_coefficients(v, params)[1]
 print(f"speed v = {v}, mu = K_s - m v^2 = {mu:.6f}")
 

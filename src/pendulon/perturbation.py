@@ -18,7 +18,6 @@ zero.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -274,20 +273,21 @@ def project_zero_mode(f, z, params: ExpansionParams) -> np.ndarray:
     return f - (np.trapezoid(f * mode, z) / np.trapezoid(mode * mode, z)) * mode
 
 
-def _eps_fit(nodes, samples, h_eps, orders):
+EXTRACT_STEP = 0.02
+EXTRACT_POINTS = 6
+
+
+def _eps_fit(samples, orders):
     """Coefficients of eps^k, k in orders, of the polynomial through
-    samples[j] at eps = nodes[j] h_eps, per entry of samples[j], which may
-    have any shape: one Vandermonde solve in eps / h_eps with a column per
-    entry, warning when it is poorly conditioned."""
-    V = np.vander(nodes, len(nodes), increasing=True)
-    cond = np.linalg.cond(V)
-    if cond > 1e8:
-        warnings.warn(f"eps-extraction poorly conditioned (cond={cond:.2e})",
-                      RuntimeWarning, stacklevel=3)
+    samples[j] at eps = j EXTRACT_STEP, j < EXTRACT_POINTS, per entry of
+    samples[j], which may have any shape: one Vandermonde solve in
+    eps / EXTRACT_STEP with a column per entry (condition number 5.8e4)."""
+    V = np.vander(np.arange(EXTRACT_POINTS, dtype=float), EXTRACT_POINTS,
+                  increasing=True)
     samples = np.asarray(samples)
-    coeffs = np.linalg.solve(V, samples.reshape(len(nodes), -1)).reshape(
+    coeffs = np.linalg.solve(V, samples.reshape(EXTRACT_POINTS, -1)).reshape(
         samples.shape)
-    return tuple(coeffs[k] / h_eps**k for k in orders)
+    return tuple(coeffs[k] / EXTRACT_STEP**k for k in orders)
 
 
 class TaylorCoefficients(NamedTuple):
@@ -296,33 +296,28 @@ class TaylorCoefficients(NamedTuple):
     phi2: np.ndarray
 
 
-def taylor_extract(params: ExpansionParams, z, h_eps: float = 0.02,
-                   n_points: int = 6) -> TaylorCoefficients:
+def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
     """Coefficients theta1, phi1 and phi2 of the exact travelling-wave family,
     by differencing full BVP solutions in eps.
 
-    Solves the nonlinear problem once at each of eps = 0, h, ...,
-    (n_points-1) h on one shared grid, all pinned at the same midpoint value,
-    then fits theta and phi separately per grid node. One-sided in eps
-    because eps < 0 reconstructs negative rod lengths.
+    Solves the nonlinear problem once at each of eps = j EXTRACT_STEP,
+    j = 0 .. EXTRACT_POINTS - 1, on one shared grid, all pinned at the same
+    midpoint value, then fits theta and phi separately per grid node.
+    One-sided in eps because eps < 0 reconstructs negative rod lengths.
     """
-    if n_points < 4:
-        raise ValueError("need at least 4 eps samples")
     z = np.asarray(z, dtype=float)
     k = kink_parameter(params)
 
     thetas, phis = [], []
-    for j in range(n_points):
-        e = j * h_eps
-        guess = travelwave.kink_profile(z, k, params.speed(e),
-                                        with_curvature=False)
+    for j in range(EXTRACT_POINTS):
+        e = j * EXTRACT_STEP
+        guess = travelwave.kink_profile(z, k, params.speed(e))
         solved = travelwave.solve_tw_bvp(guess, params.to_chain_params(eps=e))
         thetas.append(solved.theta)
         phis.append(solved.phi)
 
-    nodes = np.arange(n_points, dtype=float)
-    theta1 = _eps_fit(nodes, thetas, h_eps, (1,))[0]
-    phi1, phi2 = _eps_fit(nodes, phis, h_eps, (1, 2))
+    theta1 = _eps_fit(thetas, (1,))[0]
+    phi1, phi2 = _eps_fit(phis, (1, 2))
     return TaylorCoefficients(theta1, phi1, phi2)
 
 

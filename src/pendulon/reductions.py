@@ -134,11 +134,11 @@ class StiffReport:
 def stiff_limit_experiment(params: ChainParams,
                            stiffness_ladder: Optional[Sequence[float]] = None,
                            v_probe: Optional[Sequence[float]] = None,
-                           z: Optional[np.ndarray] = None,
                            n_points: int = 2001) -> StiffReport:
     """Solve the full travelling-wave problem along a rising ladder of
     confinement stiffnesses h''(0), at each probe speed, and record how far
-    the inner angle is pushed from zero.
+    the inner angle is pushed from zero. The grid is n_points nodes on
+    |z| <= 20 / kappa, kappa the selected kink width.
 
     Individual solve failures are recorded as non-converged cells, not raised.
     Cells are ordered ladder-major, probe-speed-minor, deterministically.
@@ -155,15 +155,13 @@ def stiff_limit_experiment(params: ChainParams,
     if not np.all(np.isfinite(v_probe)):
         raise ValueError(f"v_probe must be finite, got {v_probe}")
     kappa = selected_kink_width(params)
-    if z is None:
-        z = np.linspace(-20.0 / kappa, 20.0 / kappa, n_points)
+    z = np.linspace(-20.0 / kappa, 20.0 / kappa, n_points)
 
     cells = []
     for h2 in ladder:
         stiff = replace(params, h_spec=params.h_spec.with_stiffness(h2))
         for v in v_probe:
-            guess = travelwave.kink_profile(z, kappa, v, pi_shift=True,
-                                            with_curvature=False)
+            guess = travelwave.kink_profile(z, kappa, v, pi_shift=True)
             try:
                 prof = travelwave.solve_tw_bvp(guess, stiff)
             except TWSolveError as exc:

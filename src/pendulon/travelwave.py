@@ -42,9 +42,10 @@ def _on_sonic_line(v, params: ChainParams):
 
 @dataclass(frozen=True)
 class TWProfile:
-    """Profiles of a wave of speed v on a uniform z-grid. theta_zz/phi_zz are
-    optional exact curvature samples; when absent, residuals fall back to
-    finite differences."""
+    """Profiles of a wave of speed v on a uniform z-grid, with curvature
+    samples theta_zz/phi_zz: exact from kink_profile and compose_series, the
+    solver's D2 products from solve_tw_bvp. Only a profile built outside the
+    package lacks them (None); tw_residual then takes finite differences."""
 
     z: np.ndarray
     theta: np.ndarray
@@ -65,8 +66,8 @@ def tw_residual(profile: TWProfile, params: ChainParams):
     """Left-hand sides of the two profile equations along z.
 
     First derivatives come from the profile (its builder is responsible for
-    their consistency); second derivatives use stored exact samples when the
-    profile carries them and 4th-order finite differences otherwise.
+    their consistency); second derivatives are the profile's curvature
+    samples, or 4th-order finite differences for a profile without them.
     """
     dz = profile.dz
     tzz = profile.theta_zz
@@ -117,8 +118,9 @@ def tw_first_integral(profile: TWProfile, params: ChainParams):
     return Q - G + H
 
 
-def kink_profile(z, k, v, pi_shift=False, with_curvature=True, index=1):
-    """Analytic single-kink profile (phi = 0) usable as data or solver guess.
+def kink_profile(z, k, v, pi_shift=False, index=1):
+    """Analytic single-kink profile (phi = 0) usable as data or solver guess,
+    with its exact curvature attached.
 
     pi_shift moves the connection to (-pi, pi) instead of (0, 2 pi).
     """
@@ -129,10 +131,9 @@ def kink_profile(z, k, v, pi_shift=False, with_curvature=True, index=1):
     theta = index * base - (np.pi if pi_shift else 0.0)
     theta_z = index * 2.0 * k * sech
     zeros = np.zeros_like(z)
-    tzz = index * (-2.0) * k * k * sech * tanh if with_curvature else None
-    pzz = zeros.copy() if with_curvature else None
     return TWProfile(z, theta, zeros, theta_z, zeros.copy(), v,
-                     theta_zz=tzz, phi_zz=pzz)
+                     theta_zz=index * (-2.0) * k * k * sech * tanh,
+                     phi_zz=zeros.copy())
 
 
 def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
@@ -158,8 +159,11 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
     return j
 
 
-def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
-                 max_iter=60) -> TWProfile:
+MAX_ITER = 60  # Newton iterations of solve_tw_bvp
+
+
+def solve_tw_bvp(guess: TWProfile, params: ChainParams,
+                 tol=1e-10) -> TWProfile:
     """Damped Newton on the 4th-order collocation system at the guess's speed.
 
     Dirichlet values are taken from the ends of the guess (so 0 -> 2 pi N and
@@ -167,7 +171,9 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
     removed by a bordered pinning row theta(z_mid) = mean of the end values.
     Each iteration assembles the bordered Jacobian in one pass, straight into
     CSC arrays (_stencils.bordered_matrix), and factors it with splu; the
-    factors are dropped after their solve, so no two are held at once.
+    factors are dropped after their solve, so no two are held at once. The
+    solution carries the D1 and D2 products of its last residual as its
+    slopes and curvature; the guess's curvature is never read.
     Raises TWSolveError on non-convergence, with the final residual attached,
     and on the sonic line (_on_sonic_line).
     """
@@ -226,7 +232,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
     F = packed(theta, phi, r1, r2)
     best = norm(F)
 
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         if best < tol:
             break
         A = jacobian(theta, phi, tz, pz, tzz, pzz)
@@ -257,10 +263,11 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams, tol=1e-10,
                 f"line search stalled at residual {best:.3e}", best)
     else:
         raise TWSolveError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {MAX_ITER} iterations "
             f"(residual {best:.3e})", best)
 
-    return TWProfile(z, theta, phi, D1 @ theta, D1 @ phi, guess.v)
+    return TWProfile(z, theta, phi, tz, pz, guess.v, theta_zz=tzz,
+                     phi_zz=pzz)
 
 
 def export_profile_csv(profile: TWProfile, params: ChainParams, path):

@@ -273,8 +273,7 @@ def test_criterion_10_first_integral_is_flat_on_every_converged_solve(exp_params
     kappa = selected_kink_width(stiff)
     v_star = selected_speed(stiff).v_star
     zs = np.linspace(-20.0 / kappa, 20.0 / kappa, 2001)
-    guess = kink_profile(zs, kappa, v_star, pi_shift=True,
-                         with_curvature=False)
+    guess = kink_profile(zs, kappa, v_star, pi_shift=True)
     prof = solve_tw_bvp(guess, stiff)
     worst = max(worst, rel_var(prof, stiff))
     print(f"first-integral rel variance max: {worst:.3e}")

@@ -130,7 +130,7 @@ def test_newton_matrix_matches_sparse_pipeline(n, seed, v, flat_phi, zeros):
 def test_newton_matrix_on_a_kink_guess():
     """The solver's first matrix on the README chain and grid."""
     z = np.linspace(-20.0, 20.0, 2001)
-    guess = kink_profile(z, 1.05, 0.305, with_curvature=False)
+    guess = kink_profile(z, 1.05, 0.305)
     _newton_case(guess.theta, guess.phi, 0.305, half_width=20.0)
 
 

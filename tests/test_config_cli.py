@@ -409,6 +409,10 @@ def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
      + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
      + _SIM_SECTIONS["simulate-pde"].replace("x_max = 30", "x_max = nan"),
      "domain", "'x_max'"),
+    ("simulate-pde", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-pde"].replace("x_max = 30", "x_max = -30"),
+     "domain", "'x_min' = 0.0 must be below 'x_max' = -30.0"),
     ("solve-tw", CHAIN_INI + "\n[tw]\nv = nan\nk = 1.0\n", "tw", "'v'"),
     ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.3\nk = 1.0\n\n[domain]\n"
      "half_width = -5\n", "domain", "'half_width'"),
@@ -519,19 +523,20 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
             return _real(*a, **kw)
         monkeypatch.setattr(module, name, counting)
     cfg = _write(tmp_path, "exp.ini",
-                 EXPANSION_INI + "\n[verify]\nn_points = 801\n"
-                 "extract_points = 5\n")
+                 EXPANSION_INI + "\n[verify]\nn_points = 801\n")
     assert cli.main(["verify-expansion", "--config", cfg,
                      "--out", str(tmp_path)]) == 0
-    assert calls == {"solve_tw_bvp": 5, "order1_theta": 1}
+    assert calls == {"solve_tw_bvp": 6, "order1_theta": 1}
 
 
 @pytest.mark.parametrize("command, section, line, key", [
+    ("verify-expansion", "verify", "n_points = 0", "'n_points'"),
+    # removed keys: any value, valid ones too, is an unknown key
     ("verify-expansion", "verify", "h_eps = 0", "'h_eps'"),
     ("verify-expansion", "verify", "h_eps = nan", "'h_eps'"),
-    ("verify-expansion", "verify", "n_points = 0", "'n_points'"),
+    ("verify-expansion", "verify", "h_eps = 0.02", "'h_eps'"),
     ("verify-expansion", "verify", "extract_points = 3", "'extract_points'"),
-    # removed keys: any value, valid ones too, is an unknown key
+    ("verify-expansion", "verify", "extract_points = 6", "'extract_points'"),
     ("verify-lagrangian", "lagrangian", "h_eps = 0.05", "'h_eps'"),
     ("verify-lagrangian", "lagrangian", "h_eps = 1e-3", "'h_eps'"),
     ("verify-lagrangian", "lagrangian", "n_samples = 0", "'n_samples'"),

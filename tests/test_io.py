@@ -168,7 +168,7 @@ def test_pde_energy_csv_matches_reference_with_blank_charge(tmp_path):
 @pytest.mark.parametrize("n", [6, 41])
 def test_tw_profile_csv_matches_reference(tmp_path, n):
     z = np.linspace(-8.0, 8.0, n)
-    prof = travelwave.kink_profile(z, 1.05, 0.305, with_curvature=False)
+    prof = travelwave.kink_profile(z, 1.05, 0.305)
     res1, res2 = travelwave.tw_residual(prof, CHAIN)
     E = travelwave.tw_first_integral(prof, CHAIN)
     rows = zip(prof.z, prof.theta, prof.phi, prof.theta_z, prof.phi_z,

@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from pendulon import lagrangian_orders as lx
 from pendulon.params import ConfiningPotential, ExpansionParams
 from pendulon._stencils import derivative
-from pendulon.perturbation import (_eps_fit, _forcing_coefficient,
-                                   _phi1_coefficient, kink_grid,
-                                   kink_parameter, order1_phi, order1_theta,
-                                   order2_phi, sg_kink)
+from pendulon.perturbation import (_forcing_coefficient, _phi1_coefficient,
+                                   kink_grid, kink_parameter, order1_phi,
+                                   order1_theta, order2_phi, sg_kink)
 
 
 _EXP = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, v1=0.1,
@@ -155,15 +154,6 @@ def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
                 assert a == b
             else:
                 assert np.array_equal(a, b), f.name
-
-
-def test_eps_fit_warns_when_poorly_conditioned(exp_params, zgrid):
-    # 13 centred eps nodes are too many for one well-conditioned solve
-    sample = lx.smooth_sample(exp_params, zgrid, seed=1)
-    nodes = np.arange(13, dtype=float) - 6
-    vals = [lx._series_density(sample, 0.05 * s) for s in nodes]
-    with pytest.warns(RuntimeWarning, match="poorly conditioned"):
-        _eps_fit(nodes, vals, 0.05, (0, 1, 2))
 
 
 def test_expansion_sample_identities(exp_params):

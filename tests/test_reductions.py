@@ -92,7 +92,7 @@ def test_proportionality_gap_rejects_the_sonic_speed():
     v = float(np.sqrt(p.Ks / p.m))
     assert tw_coefficients(v, p)[1] != 0.0
     z = np.linspace(-10, 10, 401)
-    theta = kink_profile(z, 1.05, v, with_curvature=False).theta
+    theta = kink_profile(z, 1.05, v).theta
     with pytest.raises(ValueError, match="mu = 0"):
         reduced_proportionality_gap(theta, z, p, v)
     with pytest.raises(ValueError, match="r = 0"):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pendulon._stencils import derivative
 from pendulon.params import ChainParams, ConfiningPotential, _field_equations
 from pendulon.travelwave import (TWProfile, TWSolveError, _jacobian_blocks,
                                  export_profile_csv, kink_profile,
@@ -22,6 +23,14 @@ def _coupled_chain():
                        h_spec=ConfiningPotential(family="quadratic", c2=2.0))
 
 
+def _star_chain():
+    """The chain of v* = 2 (M = R = 3, m = r = 1, no torsion), with
+    h''(0) = 400."""
+    return ChainParams(M=3.0, m=1.0, R=3.0, r=1.0, kappa_t=0.0, kappa_s=1.0,
+                       g=1.0, delta=1.0,
+                       h_spec=ConfiningPotential(family="quadratic", c2=400.0))
+
+
 def test_kink_profile_exact_with_curvature():
     p = _single_angle_chain()
     v = 0.3
@@ -34,11 +43,14 @@ def test_kink_profile_exact_with_curvature():
 
 
 def test_kink_profile_fd_floor_without_curvature():
+    """A profile built without curvature samples takes them by finite
+    differences."""
     p = _single_angle_chain()
     v = 0.3
     k = np.sqrt(1.0 / (1.0 - v**2))
     z = np.linspace(-20 / k, 20 / k, 2001)
-    prof = kink_profile(z, k, v, with_curvature=False)
+    prof = dataclasses.replace(kink_profile(z, k, v), theta_zz=None,
+                               phi_zz=None)
     r1, _ = tw_residual(prof, p)
     assert np.max(np.abs(r1)) < 1e-6  # 4th-order differencing floor
 
@@ -84,7 +96,7 @@ def test_solver_recovers_analytic_kink():
     v = 0.3
     k = np.sqrt(1.0 / (1.0 - v**2))
     z = np.linspace(-20 / k, 20 / k, 1501)
-    exact = kink_profile(z, k, v, with_curvature=False)
+    exact = kink_profile(z, k, v)
     bump = 0.08 * np.exp(-(z / 2.0) ** 2)
     guess = TWProfile(z, exact.theta + bump, exact.phi, exact.theta_z,
                       exact.phi_z, v)
@@ -102,12 +114,29 @@ def test_solver_on_coupled_chain_and_first_integral():
     v = 0.305
     k = 1.05
     z = np.linspace(-20 / k, 20 / k, 2001)
-    guess = kink_profile(z, k, v, with_curvature=False)
+    guess = kink_profile(z, k, v)
     sol = solve_tw_bvp(guess, p)
     assert np.max(np.abs(sol.phi)) > 1e-4  # genuinely two-field
     E = tw_first_integral(sol, p)
     rel_var = np.var(E) / np.mean(E) ** 2
     assert rel_var < 1e-8
+
+
+@pytest.mark.parametrize("chain, v, k, pi_shift", [
+    (_coupled_chain(), 0.305, 1.05, False),  # the README chain
+    (_star_chain(), 2.2, 1.0 / np.sqrt(12.0), True),  # 1.1 v*, stiff
+])
+def test_solved_profile_carries_its_stencil_derivatives(chain, v, k,
+                                                        pi_shift):
+    """The solution's slopes and curvature are the D1 and D2 products of its
+    last residual, bit for bit what tw_residual would rebuild without them."""
+    z = np.linspace(-20.0 / k, 20.0 / k, 2001)
+    prof = solve_tw_bvp(kink_profile(z, k, v, pi_shift=pi_shift), chain)
+    assert np.max(np.abs(prof.phi)) > 1e-5  # phi is not identically 0
+    for field, d1, d2 in ((prof.theta, prof.theta_z, prof.theta_zz),
+                          (prof.phi, prof.phi_z, prof.phi_zz)):
+        assert np.array_equal(d1, derivative(field, prof.dz, 1))
+        assert np.array_equal(d2, derivative(field, prof.dz, 2))
 
 
 def test_first_integral_is_legendre_transform(rng):
@@ -136,7 +165,7 @@ def test_sonic_speed_rejected():
     p = _coupled_chain()
     v_sonic = np.sqrt(p.Ks / p.m)
     z = np.linspace(-10, 10, 301)
-    guess = kink_profile(z, 1.0, v_sonic, with_curvature=False)
+    guess = kink_profile(z, 1.0, v_sonic)
     with pytest.raises(TWSolveError, match="mu = 0"):
         solve_tw_bvp(guess, p)
 
@@ -144,9 +173,9 @@ def test_sonic_speed_rejected():
 def test_nonconvergence_reports_residual():
     p = _coupled_chain()
     z = np.linspace(-15, 15, 501)
-    guess = kink_profile(z, 1.0, 40.0, with_curvature=False)
+    guess = kink_profile(z, 1.0, 40.0)
     with pytest.raises(TWSolveError) as info:
-        solve_tw_bvp(guess, p, max_iter=8)
+        solve_tw_bvp(guess, p)
     assert info.value.residual is not None
 
 
@@ -177,14 +206,15 @@ def test_export_profile_roundtrip(tmp_path):
 
 def test_refined_grid_accepted_and_warped_grid_rejected():
     p = _coupled_chain()
-    fine = kink_profile(np.linspace(-20.0, 20.0, 16001), 1.05, 0.305,
-                        with_curvature=False)
+    # no curvature samples, so the residual applies the stencils
+    fine = dataclasses.replace(
+        kink_profile(np.linspace(-20.0, 20.0, 16001), 1.05, 0.305),
+        theta_zz=None, phi_zz=None)
     r1, r2 = tw_residual(fine, p)
     assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
     # a warped grid used to "converge" on the wrong stencil spacing
     u = np.linspace(-1.0, 1.0, 2001)
-    warped = kink_profile(20.0 * (u + 0.05 * np.sin(np.pi * u)), 1.05, 0.305,
-                          with_curvature=False)
+    warped = kink_profile(20.0 * (u + 0.05 * np.sin(np.pi * u)), 1.05, 0.305)
     with pytest.raises(ValueError, match="grid must be uniform"):
         solve_tw_bvp(warped, p)
     with pytest.raises(ValueError, match="grid must be uniform"):
