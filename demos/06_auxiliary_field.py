@@ -35,7 +35,8 @@ for order, val in worst.items():
 print(f"two derivations of the same identity agree to {worst_el:.2e}")
 print()
 
-rep = slaving_consistency(p, kink_grid(p, n=2001, half_width=25.0))
+rep = slaving_consistency(p, kink_grid(p, n_points=2001,
+                                      half_width_factor=25.0))
 print("slaving on the kink branch (h'(0) = {:.1f}):".format(rep["h_prime_at_0"]))
 print(f"  phi1 from the order-1 identity vs closed form: "
       f"{rep['phi1_from_E10_max_abs_diff']:.2e} "

@@ -32,7 +32,10 @@ def _rel_l2(a, b):
 
 
 # ---------------------------------------------------------------------------
-# commands: each does all config parsing first, bails before compute on dry run
+# commands: each parses its whole config first and returns before any compute
+# when out is None (a dry run). out(name) is the path of artifact `name` in the
+# output directory, and lists it in the summary. A section's keys are the
+# keywords of the layer call it feeds, so each default lives in that call.
 # ---------------------------------------------------------------------------
 
 _INTEGRATION_SCHEMA = {"dt": config.parse_positive_float,
@@ -40,7 +43,7 @@ _INTEGRATION_SCHEMA = {"dt": config.parse_positive_float,
                        "snapshot_every": config.parse_positive_int}
 
 _KINK_SCHEMA = {"k": config.parse_finite_float, "v": config.parse_finite_float,
-                "center": config.parse_finite_float, "index": int}
+                "center": config.parse_finite_float}
 
 # the grid of the eps expansion: [grid] of build-perturbative, and [verify]
 _EXPANSION_GRID_SCHEMA = {
@@ -48,7 +51,7 @@ _EXPANSION_GRID_SCHEMA = {
     "half_width_factor": config.parse_positive_float}
 
 
-def cmd_simulate_lattice(cp, args, out_dir, dry):
+def cmd_simulate_lattice(cp, args, out):
     params = config.chain_from_config(cp)
     lat = config.read_section(
         cp, "lattice", {"n_sites": config.parse_int_at_least(2),
@@ -56,21 +59,17 @@ def cmd_simulate_lattice(cp, args, out_dir, dry):
         required=("n_sites", "k", "v"))
     integ = config.read_section(cp, "integration", _INTEGRATION_SCHEMA,
                                 required=("dt", "t_end"))
-    if dry:
-        return None, None
+    if out is None:
+        return
     from . import lattice
-    state = lattice.moving_kink_state(params, lat["k"], lat["v"],
-                                      lat["n_sites"], center=lat.get("center"),
-                                      index=lat.get("index", 1))
-    report = lattice.simulate(state, integ["t_end"], integ["dt"], params,
-                              snapshot_every=integ.get("snapshot_every", 1))
-    outputs = ["lattice-trajectory.csv", "lattice-energy.csv"]
-    lattice.export_trajectory_csv(report, os.path.join(out_dir, outputs[0]))
-    lattice.export_energy_csv(report, os.path.join(out_dir, outputs[1]))
-    return lattice.summary_dict(report), outputs
+    state = lattice.moving_kink_state(params, **lat)
+    report = lattice.simulate(state, params=params, **integ)
+    lattice.export_trajectory_csv(report, out("lattice-trajectory.csv"))
+    lattice.export_energy_csv(report, out("lattice-energy.csv"))
+    return lattice.summary_dict(report)
 
 
-def cmd_simulate_pde(cp, args, out_dir, dry):
+def cmd_simulate_pde(cp, args, out):
     from . import continuum
     params = config.chain_from_config(cp)
     dom = config.read_section(
@@ -87,50 +86,42 @@ def cmd_simulate_pde(cp, args, out_dir, dry):
     x = np.linspace(dom["x_min"], dom["x_max"], dom["n_points"])
     continuum.check_time_step(integ["dt"], _stencils.uniform_spacing(x),
                               params)
-    if dry:
-        return None, None
-    grid = continuum.kink_field_grid(params, pde["k"], pde["v"], x,
-                                     center=pde.get("center"),
-                                     index=pde.get("index", 1))
-    snaps = continuum.evolve(grid, integ["t_end"], integ["dt"], params,
-                             snapshot_every=integ.get("snapshot_every"))
-    outputs = ["pde-fields.npy", "pde-energy.csv"]
-    continuum.export_fields(snaps, os.path.join(out_dir, outputs[0]))
+    if out is None:
+        return
+    grid = continuum.kink_field_grid(params, x=x, **pde)
+    snaps = continuum.evolve(grid, params=params, **integ)
+    continuum.export_fields(snaps, out("pde-fields.npy"))
     energies = continuum.export_energy_csv(snaps, params,
-                                           os.path.join(out_dir, outputs[1]))
+                                           out("pde-energy.csv"))
     results = _stencils.run_summary(snaps[0].Theta, snaps[-1].Theta,
                                     snaps[-1].t, len(snaps),
                                     _stencils.energy_drift(energies))
     results.update(energy_initial=energies[0], energy_final=energies[-1])
-    return results, outputs
+    return results
 
 
-def cmd_solve_tw(cp, args, out_dir, dry):
+def cmd_solve_tw(cp, args, out):
     params = config.chain_from_config(cp)
-    sec = config.read_section(
+    tw = config.read_section(
         cp, "tw",
         {"v": config.parse_finite_float, "k": config.parse_finite_float,
-         "pi_shift": config.parse_bool, "index": int},
+         "pi_shift": config.parse_bool},
         required=("v", "k"))
     dom = config.read_section(
         cp, "domain", {"half_width": config.parse_positive_float,
                        "n_points": config.parse_int_at_least(MIN_NODES)})
-    k = sec["k"]
+    k = tw["k"]
     if k == 0 and "half_width" not in dom:
         raise ValueError("[tw] k = 0 needs an explicit [domain] half_width")
-    if dry:
-        return None, None
+    if out is None:
+        return
     from . import travelwave
     half = dom["half_width"] if "half_width" in dom else 20.0 / abs(k)
     z = np.linspace(-half, half, dom.get("n_points", 2001))
-    guess = travelwave.kink_profile(z, k, sec["v"],
-                                    pi_shift=sec.get("pi_shift", False),
-                                    index=sec.get("index", 1))
-    prof = travelwave.solve_tw_bvp(guess, params)
-    outputs = ["tw-profile.csv"]
-    res1, res2, first = travelwave.export_profile_csv(
-        prof, params, os.path.join(out_dir, outputs[0]))
-    results = {
+    prof = travelwave.solve_tw_bvp(travelwave.kink_profile(z, **tw), params)
+    res1, res2, first = travelwave.export_profile_csv(prof, params,
+                                                      out("tw-profile.csv"))
+    return {
         "v": prof.v,
         "mu": travelwave.tw_coefficients(prof.v, params)[1],
         "residual_eq1_linf": np.max(np.abs(res1)),
@@ -138,33 +129,29 @@ def cmd_solve_tw(cp, args, out_dir, dry):
         "first_integral_mean": np.mean(first),
         "first_integral_rel_variance": np.var(first) / (np.mean(first) ** 2 + 1e-300),
     }
-    return results, outputs
 
 
-def cmd_build_perturbative(cp, args, out_dir, dry):
+def cmd_build_perturbative(cp, args, out):
     exp = config.expansion_from_config(cp)
     grid = config.read_section(cp, "grid", _EXPANSION_GRID_SCHEMA)
     comp = config.read_section(cp, "compose",
-                               {"eps": config.parse_finite_float,
+                               {"eps": config.parse_non_negative_float,
                                 "order": config.parse_order})
-    if dry:
-        return None, None
+    if out is None:
+        return
     from . import perturbation, travelwave
-    z = perturbation.kink_grid(exp, n=grid.get("n_points", 4001),
-                               half_width=grid.get("half_width_factor", 25.0))
-    sol = perturbation.build_perturbative(exp, z)
+    sol = perturbation.build_perturbative(
+        exp, perturbation.kink_grid(exp, **grid))
     eps = comp.get("eps", exp.eps)
     order = comp.get("order", 2)
     prof = perturbation.compose_series(sol, eps, order)
-    chain = exp.to_chain_params(eps=eps)
-    outputs = ["perturbative-orders.csv", "tw-profile.csv"]
-    write_csv(os.path.join(out_dir, outputs[0]), "perturbative-orders v1",
+    write_csv(out("perturbative-orders.csv"), "perturbative-orders v1",
               "z,theta0,theta1,phi1,phi2",
               zip(sol.z.tolist(), sol.theta0.tolist(), sol.theta1.tolist(),
                   sol.phi1.tolist(), sol.phi2.tolist()))
     res1, res2, _ = travelwave.export_profile_csv(
-        prof, chain, os.path.join(out_dir, outputs[1]))
-    results = {
+        prof, exp.to_chain_params(eps=eps), out("tw-profile.csv"))
+    return {
         "k": sol.k,
         "B": sol.B,
         "eps": eps,
@@ -173,26 +160,23 @@ def cmd_build_perturbative(cp, args, out_dir, dry):
         "residual_eq1_linf": np.max(np.abs(res1)),
         "residual_eq2_linf": np.max(np.abs(res2)),
     }
-    return results, outputs
 
 
-def cmd_verify_expansion(cp, args, out_dir, dry):
+def cmd_verify_expansion(cp, args, out):
     exp = config.expansion_from_config(cp)
     ver = config.read_section(
         cp, "verify",
         {"eps_list": config.parse_eps_list, "order": config.parse_order,
          **_EXPANSION_GRID_SCHEMA})
-    if dry:
-        return None, None
+    if out is None:
+        return
     from . import perturbation
-    z = perturbation.kink_grid(exp, n=ver.get("n_points", 4001),
-                               half_width=ver.get("half_width_factor", 25.0))
-    eps_list = ver.get("eps_list", [0.01, 0.02, 0.05, 0.1])
-    order = ver.get("order", 1)
+    eps_list = ver.pop("eps_list", [0.01, 0.02, 0.05, 0.1])
+    order = ver.pop("order", 1)
+    z = perturbation.kink_grid(exp, **ver)
     sol = perturbation.build_perturbative(exp, z)
     study = perturbation.residual_scaling(sol, eps_list, order)
-    outputs = ["residual-scaling.csv", "verify-expansion.json"]
-    perturbation.export_scaling_csv(study, os.path.join(out_dir, outputs[0]))
+    perturbation.export_scaling_csv(study, out("residual-scaling.csv"))
 
     ext = perturbation.taylor_extract(exp, z)
     theta1_ext = perturbation.project_zero_mode(ext.theta1, z, exp)
@@ -205,18 +189,18 @@ def cmd_verify_expansion(cp, args, out_dir, dry):
         "phi1_rel_l2": _rel_l2(ext.phi1, sol.phi1),
         "phi2_rel_l2": _rel_l2(ext.phi2, sol.phi2),
     }
-    write_json(report, os.path.join(out_dir, outputs[1]))
-    return report, outputs
+    write_json(report, out("verify-expansion.json"))
+    return report
 
 
-def cmd_speed_select(cp, args, out_dir, dry):
+def cmd_speed_select(cp, args, out):
     params = config.chain_from_config(cp)
-    stiff_sec = config.read_section(
+    stiff = config.read_section(
         cp, "stiff", {"ladder": config.parse_ladder,
                       "v_probe": config.parse_floats,
                       "n_points": config.parse_int_at_least(MIN_NODES)})
-    if dry:
-        return None, None
+    if out is None:
+        return
     from . import reductions
     sel = reductions.selected_speed(params)
     print(f"v_star = ±{sel.v_star!r}")
@@ -224,34 +208,29 @@ def cmd_speed_select(cp, args, out_dir, dry):
     results = {"v_star": sel.v_star, "mu_star": sel.mu_star}
     if params.R > 0:
         results["kink_width_parameter"] = reductions.selected_kink_width(params)
-    outputs = []
     if args.stiff:
-        report = reductions.stiff_limit_experiment(
-            params,
-            stiffness_ladder=stiff_sec.get("ladder"),
-            v_probe=stiff_sec.get("v_probe"),
-            n_points=stiff_sec.get("n_points", 2001))
-        outputs.append("stiff-limit.csv")
-        reductions.export_stiff_csv(report, os.path.join(out_dir, outputs[0]))
+        report = reductions.stiff_limit_experiment(params, **stiff)
+        reductions.export_stiff_csv(report, out("stiff-limit.csv"))
         results["stiff_cells"] = [dataclasses.asdict(c) for c in report.cells]
-    return results, outputs
+    return results
 
 
-def cmd_verify_lagrangian(cp, args, out_dir, dry):
+def cmd_verify_lagrangian(cp, args, out):
     exp = config.expansion_from_config(cp)
     lag = config.read_section(
         cp, "lagrangian",
-        {"n_samples": config.parse_positive_int, "seed": int,
+        {"n_samples": config.parse_positive_int,
+         "seed": config.parse_int_at_least(0),
          "n_points": config.parse_int_at_least(2),
          "half_width": config.parse_positive_float})
-    if dry:
-        return None, None
+    if out is None:
+        return
     from . import lagrangian_orders as lagexp
     from . import perturbation
     n_samples = lag.get("n_samples", 100)
     seed = lag.get("seed", 0)
-    z = np.linspace(-lag.get("half_width", 8.0), lag.get("half_width", 8.0),
-                    lag.get("n_points", 257))
+    half = lag.get("half_width", 8.0)
+    z = np.linspace(-half, half, lag.get("n_points", 257))
     oracle_max, aux_max, el_gap_max = lagexp.sample_maxima(
         exp, z, range(seed, seed + n_samples))
     for name, val in (("oracle_rel_max", oracle_max),
@@ -261,7 +240,7 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
             raise RuntimeError(f"non-finite {name}: {np.ravel(val).tolist()}")
 
     slaving = lagexp.slaving_consistency(
-        exp, perturbation.kink_grid(exp, n=2001, half_width=25.0))
+        exp, perturbation.kink_grid(exp, n_points=2001))
     report = {
         "seed": seed,
         "n_samples": n_samples,
@@ -272,9 +251,8 @@ def cmd_verify_lagrangian(cp, args, out_dir, dry):
         "el_identity_gap_max": el_gap_max,
         "slaving": slaving,
     }
-    outputs = ["verify-lagrangian.json"]
-    write_json(report, os.path.join(out_dir, outputs[0]))
-    return report, outputs
+    write_json(report, out("verify-lagrangian.json"))
+    return report
 
 
 _COMMANDS = {
@@ -312,11 +290,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     out_dir = args.out or os.environ.get("PENDULON_OUT") or "."
+    outputs = []
+
+    def out(name):
+        outputs.append(name)
+        return os.path.join(out_dir, name)
+
     try:
         if not args.dry_run:
             os.makedirs(out_dir, exist_ok=True)
         cp = config.load_config(args.config)
-        results, outputs = handler(cp, args, out_dir, args.dry_run)
+        results = handler(cp, args, None if args.dry_run else out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -339,7 +323,6 @@ def main(argv=None) -> int:
     for name in outputs + ["summary.json"]:
         print(f"wrote {os.path.join(out_dir, name)}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

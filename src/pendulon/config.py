@@ -52,6 +52,13 @@ def parse_positive_float(raw: str) -> float:
     return val
 
 
+def parse_non_negative_float(raw: str) -> float:
+    val = float(raw)
+    if not 0 <= val < math.inf:  # also rejects nan
+        raise ValueError(f"not a non-negative finite number: {raw!r}")
+    return val
+
+
 def parse_order(raw: str) -> int:
     """Series order of the eps expansion: 0, 1 or 2."""
     val = int(raw)

@@ -163,10 +163,10 @@ def topological_charge(grid: FieldGrid):
     return _stencils.winding_number(grid.Theta)
 
 
-def kink_field_grid(params: ChainParams, k, v, x, center=None, index=1):
+def kink_field_grid(params: ChainParams, k, v, x, center=None):
     """Travelling-kink initial data sampled on grid x."""
     x = np.asarray(x, dtype=float)
-    Theta, Theta_t = _moving_kink(x, k, v, center, index)
+    Theta, Theta_t = _moving_kink(x, k, v, center)
     z = np.zeros_like(x)
     return FieldGrid(x, Theta, z, Theta_t, z.copy(), 0.0)
 

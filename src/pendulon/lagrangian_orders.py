@@ -66,12 +66,14 @@ class ExpandedLagrangianSample:
     phi2_z: np.ndarray
 
 
-def _gauss_mix(rng, z, n_bumps=3, amplitude=1.0):
+def _gauss_mix(rng, z, amplitude):
+    """Three random Gaussian bumps, centred in the middle half of z and of
+    height at most amplitude, with their first and second derivatives."""
     span = z[-1] - z[0]
     f = np.zeros_like(z)
     fp = np.zeros_like(z)
     fpp = np.zeros_like(z)
-    for _ in range(n_bumps):
+    for _ in range(3):
         a = amplitude * rng.uniform(-1.0, 1.0)
         c = rng.uniform(z[0] + 0.25 * span, z[-1] - 0.25 * span)
         w = rng.uniform(0.04 * span, 0.12 * span)
@@ -83,18 +85,17 @@ def _gauss_mix(rng, z, n_bumps=3, amplitude=1.0):
     return f, fp, fpp
 
 
-def smooth_sample(params: ExpansionParams, z, seed: int = 0,
-                  amplitude: float = 0.8) -> ExpandedLagrangianSample:
+def smooth_sample(params: ExpansionParams, z,
+                  seed: int = 0) -> ExpandedLagrangianSample:
     """Random smooth decaying fields with analytically consistent derivative
-    samples; phi0 is scaled to stay well inside the confinement range."""
+    samples, of amplitude 0.8; phi0 is scaled to stay well inside the
+    confinement range."""
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(seed)
     fields = {}
     for name in ("theta0", "theta1", "theta2", "phi0", "phi1", "phi2"):
-        amp = amplitude
-        if name == "phi0":
-            amp = 0.35 * params.h_spec.phi0
-        f, fp, fpp = _gauss_mix(rng, z, amplitude=amp)
+        amp = 0.35 * params.h_spec.phi0 if name == "phi0" else 0.8
+        f, fp, fpp = _gauss_mix(rng, z, amp)
         fields[name] = (f, fp, fpp)
     return ExpandedLagrangianSample(
         z=z, params=params,

@@ -52,8 +52,8 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
                             _stencils.energy_drift(energies[:, 1]))
 
 
-def moving_kink_state(params: ChainParams, k, v, n_sites, center=None,
-                      index=1) -> LatticeState:
+def moving_kink_state(params: ChainParams, k, v, n_sites,
+                      center=None) -> LatticeState:
     """Discretized travelling kink: theta_i = vartheta0(k (x_i - c)), phi = 0.
 
     Velocities sample the travelling-wave time derivative -v vartheta0'.
@@ -61,21 +61,21 @@ def moving_kink_state(params: ChainParams, k, v, n_sites, center=None,
     if n_sites < 2:
         raise ValueError("need at least two sites")
     theta, theta_dot = _moving_kink(params.delta * np.arange(n_sites), k, v,
-                                    center, index)
+                                    center)
     zeros = np.zeros(n_sites)
     return LatticeState(theta, zeros, theta_dot, zeros, 0.0)
 
 
-def kink_center(state: LatticeState, params: ChainParams, level=np.pi):
-    """x-position where theta crosses `level`, by linear interpolation."""
+def kink_center(state: LatticeState, params: ChainParams):
+    """x-position where theta crosses pi, by linear interpolation."""
     x = params.delta * np.arange(state.n_sites)
     th = state.theta
-    above = th >= level
+    above = th >= np.pi
     idx = np.nonzero(above[1:] != above[:-1])[0]
     if len(idx) == 0:
         raise ValueError("no crossing found")
     i = idx[0]
-    f = (level - th[i]) / (th[i + 1] - th[i])
+    f = (np.pi - th[i]) / (th[i + 1] - th[i])
     return x[i] + f * params.delta
 
 

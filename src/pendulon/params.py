@@ -214,13 +214,13 @@ def _kink(u):
     return np.where(u <= 0.0, half, 2.0 * np.pi - half), 2.0 * e / (1.0 + e * e)
 
 
-def _moving_kink(x, k, v, center=None, index=1):
-    """(index vartheta0(k (x - center)), its time derivative at speed v) on x;
+def _moving_kink(x, k, v, center=None):
+    """(vartheta0(k (x - center)), its time derivative at speed v) on x;
     center defaults to the middle of x."""
     if center is None:
         center = 0.5 * (x[0] + x[-1])
     base, sech = _kink(k * (x - center))
-    return index * base, index * (-v) * 2.0 * k * sech
+    return base, -v * 2.0 * k * sech
 
 
 def _inertia(phi, r, R):

@@ -202,11 +202,12 @@ class PerturbativeSolution:
     phi2_z: np.ndarray
 
 
-def kink_grid(params: ExpansionParams, n: int = 4001,
-              half_width: float = 25.0) -> np.ndarray:
-    """Uniform grid wide enough for all order-1 tail checks."""
-    L = half_width / kink_parameter(params)
-    return np.linspace(-L, L, n)
+def kink_grid(params: ExpansionParams, n_points: int = 4001,
+              half_width_factor: float = 25.0) -> np.ndarray:
+    """Uniform grid of n_points nodes on |z| <= half_width_factor / k, k the
+    kink_parameter: wide enough for all order-1 tail checks."""
+    L = half_width_factor / kink_parameter(params)
+    return np.linspace(-L, L, n_points)
 
 
 def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:

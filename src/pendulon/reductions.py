@@ -132,7 +132,7 @@ class StiffReport:
 
 
 def stiff_limit_experiment(params: ChainParams,
-                           stiffness_ladder: Optional[Sequence[float]] = None,
+                           ladder: Optional[Sequence[float]] = None,
                            v_probe: Optional[Sequence[float]] = None,
                            n_points: int = 2001) -> StiffReport:
     """Solve the full travelling-wave problem along a rising ladder of
@@ -144,11 +144,10 @@ def stiff_limit_experiment(params: ChainParams,
     Cells are ordered ladder-major, probe-speed-minor, deterministically.
     """
     sel = selected_speed(params)
-    if stiffness_ladder is None:
+    if ladder is None:
         base = (params.M + params.m) * params.g
-        stiffness_ladder = [10.0 * base, 100.0 * base,
-                            1000.0 * base, 10000.0 * base]
-    ladder = [float(h) for h in stiffness_ladder]
+        ladder = [10.0 * base, 100.0 * base, 1000.0 * base, 10000.0 * base]
+    ladder = [float(h) for h in ladder]
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("stiffness ladder must be strictly increasing")
     v_probe = [float(v) for v in ([sel.v_star] if v_probe is None else v_probe)]

@@ -118,7 +118,7 @@ def tw_first_integral(profile: TWProfile, params: ChainParams):
     return Q - G + H
 
 
-def kink_profile(z, k, v, pi_shift=False, index=1):
+def kink_profile(z, k, v, pi_shift=False):
     """Analytic single-kink profile (phi = 0) usable as data or solver guess,
     with its exact curvature attached.
 
@@ -128,11 +128,11 @@ def kink_profile(z, k, v, pi_shift=False, index=1):
     u = k * z
     base, sech = _kink(u)
     tanh = np.tanh(u)
-    theta = index * base - (np.pi if pi_shift else 0.0)
-    theta_z = index * 2.0 * k * sech
+    theta = base - (np.pi if pi_shift else 0.0)
+    theta_z = 2.0 * k * sech
     zeros = np.zeros_like(z)
     return TWProfile(z, theta, zeros, theta_z, zeros.copy(), v,
-                     theta_zz=index * (-2.0) * k * k * sech * tanh,
+                     theta_zz=-2.0 * k * k * sech * tanh,
                      phi_zz=zeros.copy())
 
 

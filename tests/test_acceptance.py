@@ -89,8 +89,9 @@ def test_criterion_04_inner_angle_is_auxiliary_at_every_order(exp_params):
             worst_aux = max(worst_aux, auxiliary_check(sample, k))
         e10, e21, _ = el_identities(sample)
         worst_el = max(worst_el, float(np.max(np.abs(e10 - e21))))
-    rep = slaving_consistency(exp_params,
-                              kink_grid(exp_params, n=2001, half_width=25.0))
+    rep = slaving_consistency(
+        exp_params, kink_grid(exp_params, n_points=2001,
+                              half_width_factor=25.0))
     print(f"aux {worst_aux:.2e}, E10=E21 {worst_el:.2e}, "
           f"phi1 {rep['phi1_from_E10_max_abs_diff']:.2e}, "
           f"phi2 {rep['phi2_from_E20_rel_max_diff']:.2e}")
@@ -259,7 +260,7 @@ def test_criterion_10_first_integral_is_flat_on_every_converged_solve(exp_params
         first = tw_first_integral(prof, chain)
         return float(np.var(first) / (np.mean(first) ** 2 + 1e-300))
 
-    z = kink_grid(exp_params, n=2001)
+    z = kink_grid(exp_params, n_points=2001)
     sol = build_perturbative(exp_params, z)
     for eps in (0.02, 0.05, 0.1):
         chain = exp_params.to_chain_params(eps=eps)

@@ -143,7 +143,7 @@ def test_order1_matrix_matches_sparse_pipeline(n, A, Mhat, Khat, v0, r1, k1,
                                                v1):
     params = ExpansionParams(A=A, Mhat=Mhat, Khat=Khat, g=1.0, v0=v0, r1=r1,
                              k1=k1, v1=v1)
-    z = kink_grid(params, n=n, half_width=35.0)
+    z = kink_grid(params, n_points=n, half_width_factor=35.0)
     got = _matrix_factored_by(perturbation,
                               lambda: order1_theta(params, z))
     dz = float(z[1] - z[0])

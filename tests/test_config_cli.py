@@ -204,6 +204,7 @@ def test_speed_select_stiff_flag(tmp_path):
     assert len(lines) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["results"]["stiff_cells"]) == 2
+    assert summary["outputs"] == ["stiff-limit.csv"]
 
 
 @pytest.mark.parametrize("k", [1.05, -1.05])
@@ -220,6 +221,7 @@ def test_solve_tw_command(tmp_path, k):
     assert float(lines[2].split(",")[0]) == -20.0 / abs(k)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["results"]["first_integral_rel_variance"] < 1e-8
+    assert summary["outputs"] == ["tw-profile.csv"]
 
 
 def test_solve_tw_numerical_failure_is_exit_2(tmp_path, capsys):
@@ -418,6 +420,16 @@ def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
      "half_width = -5\n", "domain", "'half_width'"),
     ("build-perturbative", EXPANSION_INI + "\n[compose]\neps = nan\n",
      "compose", "'eps'"),
+    # removed key: the kink index (an antikink is k < 0), valid values too
+    ("simulate-lattice", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-lattice"] + "index = 1\n", "lattice",
+     "'index'"),
+    ("simulate-pde", CHAIN_INI
+     + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+     + _SIM_SECTIONS["simulate-pde"] + "index = -1\n", "pde", "'index'"),
+    ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.3\nk = 1.0\nindex = 1\n", "tw",
+     "'index'"),
 ])
 def test_dry_run_rejects_non_finite_constants_and_bad_stiff_lists(
         tmp_path, capsys, command, text, section, key):
@@ -492,6 +504,7 @@ def test_build_perturbative_eps0_matches_kink(tmp_path):
     # emitted composition at eps = 0 is the bare kink: tiny residual
     assert summary["results"]["residual_eq1_linf"] < 1e-12
     assert data.shape == (1001, 5)
+    assert summary["outputs"] == ["perturbative-orders.csv", "tw-profile.csv"]
 
 
 def test_verify_expansion_report_and_jobs_determinism(tmp_path):
@@ -510,6 +523,9 @@ def test_verify_expansion_report_and_jobs_determinism(tmp_path):
     report = json.loads(r1)
     assert report["slope_res1"] > 1.9
     assert report["phi1_rel_l2"] < 1e-4
+    summary = json.loads((out1 / "summary.json").read_text())
+    assert summary["outputs"] == ["residual-scaling.csv",
+                                  "verify-expansion.json"]
 
 
 def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
@@ -545,6 +561,7 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     ("verify-lagrangian", "lagrangian", "half_width = 0", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "half_width = -3", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "half_width = nan", "'half_width'"),
+    ("verify-lagrangian", "lagrangian", "seed = -1", "'seed'"),
     ("verify-lagrangian", "lagrangian", "taylor_points = 9",
      "'taylor_points'"),
     ("verify-expansion", "verify", "order = 3", "'order'"),
@@ -553,6 +570,7 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     ("verify-expansion", "verify", "half_width_factor = 0",
      "'half_width_factor'"),
     ("build-perturbative", "compose", "order = 3", "'order'"),
+    ("build-perturbative", "compose", "eps = -0.01", "'eps'"),
     ("build-perturbative", "grid", "half_width_factor = 0",
      "'half_width_factor'"),
 ])
@@ -667,6 +685,8 @@ def test_verify_lagrangian_reproducible(tmp_path):
     assert outs[0] == outs[1]
     report = json.loads(outs[0])
     assert report["seed"] == 9
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["outputs"] == ["verify-lagrangian.json"]
     assert report["oracle_rel_max"]["L2"] < 1e-6
     assert report["el_identity_gap_max"] < 1e-14
 

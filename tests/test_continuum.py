@@ -48,7 +48,7 @@ def test_topological_charge():
     x = np.linspace(0, 60, 601)
     grid = kink_field_grid(p, 1.0, 0.0, x)
     assert topological_charge(grid) == 1
-    anti = kink_field_grid(p, 1.0, 0.0, x, index=-1)
+    anti = kink_field_grid(p, -1.0, 0.0, x)
     assert topological_charge(anti) == -1
     ragged = FieldGrid(x, np.linspace(0, np.pi, 601), np.zeros(601),
                        np.zeros(601), np.zeros(601), 0.0)

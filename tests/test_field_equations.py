@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pendulon import continuum
+from pendulon import _stencils, continuum
 from pendulon.chain import external_potential, kinetic_energy_site, mass_matrix
 from pendulon.continuum import FieldGrid
 from pendulon.params import (ChainParams, ConfiningPotential,
@@ -205,7 +205,7 @@ def test_frozen_residual_agrees_within_ulps(p, ratio, seed, n):
     z = np.linspace(-3.0, 3.0, n)
     theta = _fields(p, seed, n, 1)[0]
     got = reduced_equations_residual(theta, z, p, v)
-    theta_zz = continuum.derivative(theta, float(z[1] - z[0]), 2)
+    theta_zz = _stencils.derivative(theta, float(z[1] - z[0]), 2)
     zero = np.zeros(n)
     _assert_within_ulps(got, _frozen_reference(theta_zz, theta, p, v),
                         *tw_coefficients(v, p), p,

@@ -87,7 +87,8 @@ def test_el_identity_orders_1_and_2(exp_params, zgrid):
 
 
 def test_slaving_consistency_on_kink(exp_params):
-    rep = lx.slaving_consistency(exp_params, kink_grid(exp_params, n=2001))
+    rep = lx.slaving_consistency(exp_params,
+                                 kink_grid(exp_params, n_points=2001))
     assert rep["h_prime_at_0"] == 0.0
     assert all(v < 1e-12 for v in rep["auxiliary_max"].values())
     assert rep["phi1_from_E10_max_abs_diff"] < 1e-10
@@ -145,7 +146,7 @@ def _reference_expansion_sample(params, z):
 
 def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
     for p in (exp_params, exp_params_wide):
-        z = kink_grid(p, n=1201)
+        z = kink_grid(p, n_points=1201)
         got = lx.expansion_sample(p, z)
         ref = _reference_expansion_sample(p, z)
         for f in dataclasses.fields(lx.ExpandedLagrangianSample):
@@ -157,7 +158,7 @@ def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
 
 
 def test_expansion_sample_identities(exp_params):
-    z = kink_grid(exp_params, n=2001)
+    z = kink_grid(exp_params, n_points=2001)
     sample = lx.expansion_sample(exp_params, z)
     e10, e21, e20 = lx.el_identities(sample)
     assert np.max(np.abs(e10 - e21)) < 1e-14

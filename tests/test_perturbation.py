@@ -119,7 +119,7 @@ def test_order1_theta_factors_without_fill_in(exp_params):
         return spies[-1]
 
     with mock.patch.object(perturbation, "splu", factor):
-        order1_theta(exp_params, kink_grid(exp_params, n=4001))
+        order1_theta(exp_params, kink_grid(exp_params, n_points=4001))
     (spy,) = spies
     assert spy.lu.L.nnz + spy.lu.U.nnz <= 2 * spy.A.nnz
     ((b, x),) = spy.solves
@@ -152,7 +152,7 @@ def test_order2_phi_h3_term():
     from pendulon.perturbation import _phi2
     p = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, r1=0.4,
                         h_spec=ConfiningPotential(family="quadratic", c2=2.0))
-    z = kink_grid(p, n=1601)
+    z = kink_grid(p, n_points=1601)
     theta1 = order1_theta(p, z)
     phi1 = order1_phi(p, z)
     h2 = 2.0
@@ -245,7 +245,7 @@ def _reference_extract(params, order, field, z):
 
 def test_taylor_extract_sweep_matches_per_field_extraction(exp_params):
     p = exp_params
-    z = kink_grid(p, n=801, half_width=20.0)
+    z = kink_grid(p, n_points=801, half_width_factor=20.0)
     ext = taylor_extract(p, z)
     for got, (order, field) in zip(ext, [(1, "theta"), (1, "phi"),
                                          (2, "phi")]):
@@ -255,9 +255,9 @@ def test_taylor_extract_sweep_matches_per_field_extraction(exp_params):
 
 def test_build_perturbative_grid_check(exp_params):
     p = exp_params
-    sol = build_perturbative(p, kink_grid(p, n=32001))
+    sol = build_perturbative(p, kink_grid(p, n_points=32001))
     assert sol.theta1.shape == (32001,)
-    z = kink_grid(p, n=2001)
+    z = kink_grid(p, n_points=2001)
     stepped = np.concatenate([z[:1000], z[1001:] + 0.5 * (z[1] - z[0])])
     with pytest.raises(ValueError, match="grid must be uniform"):
         build_perturbative(p, stepped)

@@ -128,7 +128,7 @@ def test_stiff_experiment_off_speed_control():
     # fails outright or the constraint torque stays finite
     p = _stiff_chain()
     v_off = 1.2 * selected_speed(p).v_star
-    rep = stiff_limit_experiment(p, stiffness_ladder=[40.0, 400.0],
+    rep = stiff_limit_experiment(p, ladder=[40.0, 400.0],
                                  v_probe=[v_off], n_points=1201)
     for c in rep.cells:
         assert (not c.converged) or c.max_constraint_torque > 1e-2
@@ -137,19 +137,19 @@ def test_stiff_experiment_off_speed_control():
 def test_stiff_ladder_validation():
     p = _stiff_chain()
     with pytest.raises(ValueError):
-        stiff_limit_experiment(p, stiffness_ladder=[100.0, 10.0])
+        stiff_limit_experiment(p, ladder=[100.0, 10.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stiff_experiment_rejects_non_finite_probe_speeds(bad):
     with pytest.raises(ValueError, match="v_probe"):
-        stiff_limit_experiment(_stiff_chain(), stiffness_ladder=[40.0],
+        stiff_limit_experiment(_stiff_chain(), ladder=[40.0],
                                v_probe=[bad], n_points=201)
 
 
 def test_export_stiff_csv(tmp_path):
     p = _stiff_chain()
-    rep = stiff_limit_experiment(p, stiffness_ladder=[40.0, 400.0])
+    rep = stiff_limit_experiment(p, ladder=[40.0, 400.0])
     path = tmp_path / "stiff.csv"
     export_stiff_csv(rep, path)
     lines = path.read_text().splitlines()

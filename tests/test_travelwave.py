@@ -185,9 +185,6 @@ def test_pi_shift_and_winding():
     base = kink_profile(z, 1.0, 0.2)
     shifted = kink_profile(z, 1.0, 0.2, pi_shift=True)
     assert np.allclose(shifted.theta, base.theta - np.pi, atol=1e-14)
-    double = kink_profile(z, 1.0, 0.2, index=2)
-    assert double.theta[-1] - double.theta[0] == pytest.approx(
-        2 * (base.theta[-1] - base.theta[0]), rel=1e-12)
 
 
 def test_export_profile_roundtrip(tmp_path):
