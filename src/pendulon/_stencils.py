@@ -1,6 +1,7 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
-that both boundary-value solvers factor, the classic RK4 step and the loop
+that both boundary-value solvers factor, the contour rule both eps oracles
+take Taylor coefficients with, the classic RK4 step and the loop
 that drives it, the energy drift, winding number and summary both integrators
 report, and the two error classes every command maps to exit code 2.
 
@@ -168,6 +169,23 @@ def derivative(f, h, deriv):
     """
     f = np.asarray(f, dtype=float)
     return derivative_matrix(f.shape[0], h, deriv) @ f
+
+
+CONTOUR_RADIUS = 0.05
+CONTOUR_NODES = 12
+
+
+def cauchy_coefficients(f):
+    """Taylor coefficients 1 and 2 at eps = 0 of f(eps), an array function
+    that is real at real eps and analytic on |eps| <= CONTOUR_RADIUS: its
+    Cauchy integrals on that circle by the trapezoid rule on CONTOUR_NODES
+    nodes (Lyness and Moler). hfft mirrors the upper half circle, so f is
+    called on nodes 0 to CONTOUR_NODES/2 only, the first and last real."""
+    rho, n = CONTOUR_RADIUS, CONTOUR_NODES
+    nodes = rho * np.exp(2j * np.pi * np.arange(1, n // 2) / n)
+    vals = np.stack([f(e) for e in (rho, *nodes, -rho)])
+    coeffs = np.fft.hfft(vals, n, axis=0) / n
+    return coeffs[1] / rho, coeffs[2] / rho**2
 
 
 def rk4_step(rhs, y, t, dt):

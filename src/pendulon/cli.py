@@ -51,6 +51,17 @@ _EXPANSION_GRID_SCHEMA = {
     "half_width_factor": config.parse_positive_float}
 
 
+def _composed_chain(exp, eps, key):
+    """exp.to_chain_params(eps=eps), checked at dry run too: a large eps can
+    compose an invalid chain (M = Mhat - m <= 0, say), and the error names
+    the config key eps came from."""
+    try:
+        return exp.to_chain_params(eps=eps)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: eps = {eps!r} composes an invalid "
+                          f"chain: {exc}") from exc
+
+
 def cmd_simulate_lattice(cp, args, out):
     params = config.chain_from_config(cp)
     lat = config.read_section(
@@ -137,20 +148,22 @@ def cmd_build_perturbative(cp, args, out):
     comp = config.read_section(cp, "compose",
                                {"eps": config.parse_non_negative_float,
                                 "order": config.parse_order})
+    eps = comp.get("eps", exp.eps)
+    chain = _composed_chain(
+        exp, eps, "[compose] 'eps'" if "eps" in comp else "[expansion] 'eps'")
     if out is None:
         return
     from . import perturbation, travelwave
     sol = perturbation.build_perturbative(
         exp, perturbation.kink_grid(exp, **grid))
-    eps = comp.get("eps", exp.eps)
     order = comp.get("order", 2)
     prof = perturbation.compose_series(sol, eps, order)
     write_csv(out("perturbative-orders.csv"), "perturbative-orders v1",
               "z,theta0,theta1,phi1,phi2",
               zip(sol.z.tolist(), sol.theta0.tolist(), sol.theta1.tolist(),
                   sol.phi1.tolist(), sol.phi2.tolist()))
-    res1, res2, _ = travelwave.export_profile_csv(
-        prof, exp.to_chain_params(eps=eps), out("tw-profile.csv"))
+    res1, res2, _ = travelwave.export_profile_csv(prof, chain,
+                                                  out("tw-profile.csv"))
     return {
         "k": sol.k,
         "B": sol.B,
@@ -168,10 +181,12 @@ def cmd_verify_expansion(cp, args, out):
         cp, "verify",
         {"eps_list": config.parse_eps_list, "order": config.parse_order,
          **_EXPANSION_GRID_SCHEMA})
+    eps_list = ver.pop("eps_list", [0.01, 0.02, 0.05, 0.1])
+    for eps in eps_list:
+        _composed_chain(exp, eps, "[verify] 'eps_list'")
     if out is None:
         return
     from . import perturbation
-    eps_list = ver.pop("eps_list", [0.01, 0.02, 0.05, 0.1])
     order = ver.pop("order", 1)
     z = perturbation.kink_grid(exp, **ver)
     sol = perturbation.build_perturbative(exp, z)

@@ -31,10 +31,10 @@ from typing import Dict, NamedTuple
 
 import numpy as np
 
-from . import perturbation
+from . import _stencils, perturbation
 from .params import ExpansionParams
 from .perturbation import _theta1_zz
-from .travelwave import _density_raw, _wave_coefficients
+from .travelwave import _density_raw, _series_values
 
 
 @dataclass(frozen=True)
@@ -207,37 +207,24 @@ def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
     return L0, L1, L2
 
 
-CONTOUR_RADIUS = 0.05
-CONTOUR_NODES = 12
-
-
 def _series_density(sample: ExpandedLagrangianSample, e):
-    """The full density along the sampled expansion at eps = e, composed from
-    bare series values (ExpansionParams.series), so e may be negative or
-    complex."""
-    p = sample.params
-    r, m, Kt, Ks, v = p.series(e)
+    """The full density along the sampled expansion at eps = e, at the
+    travelwave._series_values constants, so e may be negative or complex."""
     theta = sample.theta0 + e * sample.theta1 + e * e * sample.theta2
     theta_z = sample.theta0_z + e * sample.theta1_z + e * e * sample.theta2_z
     phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2
     phi_z = sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z
-    M, R = p.Mhat - m, p.A - r
-    return _density_raw(theta, phi, theta_z, phi_z, *_wave_coefficients(
-        Kt, Ks, M, m, R, v), M, m, R, r, p.g, p.h_spec)
+    return _density_raw(theta, phi, theta_z, phi_z,
+                        *_series_values(sample.params, e))
 
 
 def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):
     """eps-Taylor coefficients 0..2 of the full density along the sampled
-    expansion: the density at eps = 0, then the Cauchy integrals on |eps| =
-    CONTOUR_RADIUS by the trapezoid rule on CONTOUR_NODES nodes (Lyness and
-    Moler). The density is real at real eps, so hfft mirrors the upper half
-    circle, nodes 0 to CONTOUR_NODES/2, the first and last real."""
-    rho, n = CONTOUR_RADIUS, CONTOUR_NODES
-    nodes = rho * np.exp(2j * np.pi * np.arange(1, n // 2) / n)
-    vals = np.stack([_series_density(sample, e)
-                     for e in (rho, *nodes, -rho)])
-    coeffs = np.fft.hfft(vals, n, axis=0) / n
-    return _series_density(sample, 0.0), coeffs[1] / rho, coeffs[2] / rho**2
+    expansion: the density at eps = 0, then the Cauchy integrals of
+    _stencils.cauchy_coefficients."""
+    return (_series_density(sample, 0.0),
+            *_stencils.cauchy_coefficients(
+                lambda e: _series_density(sample, e)))
 
 
 def field_derivative(sample: ExpandedLagrangianSample, k: int,

@@ -4,12 +4,13 @@ kink.
 The outer angle carries the kink. The inner angle never acquires its own
 differential equation: at each order in eps the second profile equation is an
 algebraic relation that slaves it to the kink fields, and this module builds
-those orders explicitly and verifies the structure against a brute-force
-extraction oracle that differentiates full BVP solutions in eps.
+those orders explicitly and verifies the structure against an oracle that
+differentiates the discrete BVP solution family in eps.
 
 build_perturbative builds the orders once per grid; compose_series and
 residual_scaling reuse them. The oracle taylor_extract gets theta1, phi1 and
-phi2 from one sweep of BVP solves over the eps samples.
+phi2 by implicit differentiation: one BVP solve at eps = 0, one factor of its
+Jacobian, and two back-solves.
 
 Series conventions: r = eps r1 + eps^2 r2, R = A - r, m = eps m1 + eps^2 m2,
 M = Mhat - m, K_t = eps k1 + eps^2 k2, K_s = Khat - K_t,
@@ -26,7 +27,7 @@ from scipy.sparse.linalg import splu
 
 from . import _stencils, travelwave
 from ._io import write_csv
-from .params import ExpansionParams, _kink
+from .params import ExpansionParams, _field_equations, _kink
 from .travelwave import TWProfile
 
 
@@ -274,23 +275,6 @@ def project_zero_mode(f, z, params: ExpansionParams) -> np.ndarray:
     return f - (np.trapezoid(f * mode, z) / np.trapezoid(mode * mode, z)) * mode
 
 
-EXTRACT_STEP = 0.02
-EXTRACT_POINTS = 6
-
-
-def _eps_fit(samples, orders):
-    """Coefficients of eps^k, k in orders, of the polynomial through
-    samples[j] at eps = j EXTRACT_STEP, j < EXTRACT_POINTS, per entry of
-    samples[j], which may have any shape: one Vandermonde solve in
-    eps / EXTRACT_STEP with a column per entry (condition number 5.8e4)."""
-    V = np.vander(np.arange(EXTRACT_POINTS, dtype=float), EXTRACT_POINTS,
-                  increasing=True)
-    samples = np.asarray(samples)
-    coeffs = np.linalg.solve(V, samples.reshape(EXTRACT_POINTS, -1)).reshape(
-        samples.shape)
-    return tuple(coeffs[k] / EXTRACT_STEP**k for k in orders)
-
-
 class TaylorCoefficients(NamedTuple):
     theta1: np.ndarray
     phi1: np.ndarray
@@ -298,27 +282,40 @@ class TaylorCoefficients(NamedTuple):
 
 
 def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
-    """Coefficients theta1, phi1 and phi2 of the exact travelling-wave family,
-    by differencing full BVP solutions in eps.
+    """Coefficients theta1, phi1 and phi2 of the discrete travelling-wave
+    family u(eps) on the grid z, by implicit differentiation of its bordered
+    collocation system F(u; eps) = 0 (travelwave.TWSystem).
 
-    Solves the nonlinear problem once at each of eps = j EXTRACT_STEP,
-    j = 0 .. EXTRACT_POINTS - 1, on one shared grid, all pinned at the same
-    midpoint value, then fits theta and phi separately per grid node.
-    One-sided in eps because eps < 0 reconstructs negative rod lengths.
+    One Newton solve at eps = 0 gives u0, and one factor of the bordered
+    Jacobian J0 there gives each next order by a back-solve:
+    J0 u1 = -[eps] F(u0; eps) and J0 u2 = -[eps^2] F(u0 + eps u1; eps). Both
+    right-hand sides are Cauchy coefficients (_stencils.cauchy_coefficients)
+    of the field-equation kernel at the complex-eps constants of
+    travelwave._series_values. Their Dirichlet and pin rows are zero, since
+    every member of the family has the same end values and pinned midpoint;
+    so theta1 vanishes at the midpoint, where build_perturbative's theta1 is
+    orthogonal to the translation mode instead (see project_zero_mode).
     """
     z = np.asarray(z, dtype=float)
-    k = kink_parameter(params)
+    guess = travelwave.kink_profile(z, kink_parameter(params),
+                                    params.speed(0.0))
+    base = travelwave.solve_tw_bvp(guess, params.to_chain_params(eps=0.0))
+    system = travelwave.TWSystem(base)
+    u0 = (base.theta, base.phi, base.theta_z, base.phi_z, base.theta_zz,
+          base.phi_zz)
+    lu = splu(system.jacobian(u0, travelwave._series_values(params, 0.0)))
 
-    thetas, phis = [], []
-    for j in range(EXTRACT_POINTS):
-        e = j * EXTRACT_STEP
-        guess = travelwave.kink_profile(z, k, params.speed(e))
-        solved = travelwave.solve_tw_bvp(guess, params.to_chain_params(eps=e))
-        thetas.append(solved.theta)
-        phis.append(solved.phi)
+    def back_solve(k, u1):
+        """-J0^-1 [eps^k] F(u0 + eps u1; eps), as (theta, phi)."""
+        def F(e):
+            c = travelwave._series_values(params, e)
+            return _field_equations(*(a + e * b for a, b in zip(u0, u1)),
+                                    c.c_outer, c.c_inner, c)
+        sol = lu.solve(-system.pack(*_stencils.cauchy_coefficients(F)[k - 1]))
+        return sol[0:-1:2], sol[1:-1:2]
 
-    theta1 = _eps_fit(thetas, (1,))[0]
-    phi1, phi2 = _eps_fit(phis, (1, 2))
+    theta1, phi1 = back_solve(1, (0.0,) * 6)
+    phi2 = back_solve(2, system.fields(theta1, phi1))[1]
     return TaylorCoefficients(theta1, phi1, phi2)
 
 

@@ -1,5 +1,7 @@
 """Travelling-wave reduction: residuals, Lagrangian density, first integral,
-and a collocation Newton solver for the two-point boundary-value problem.
+the bordered collocation system of the two-point boundary-value problem
+(TWSystem, shared by the Newton solver and perturbation's eps oracle), and
+its Newton solver.
 
 A wave is fixed by the chain and its speed v: with z = x - v t the profile
 equations are params._field_equations with the coefficients of
@@ -8,6 +10,7 @@ curvature entries, C(phi) of params._coefficients, as is the slope energy.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,8 +20,8 @@ from scipy.sparse.linalg import splu
 from . import _stencils
 from ._io import write_csv
 from ._stencils import TWSolveError
-from .params import (ChainParams, _coefficients, _field_equations, _kink,
-                     _pendant, _quadratic)
+from .params import (ChainParams, ExpansionParams, _coefficients,
+                     _field_equations, _kink, _pendant, _quadratic)
 
 
 def tw_coefficients(v, params: ChainParams):
@@ -98,10 +101,29 @@ def _density_raw(*args):
     return Q + G - H
 
 
-def _chain_values(v, params: ChainParams):
-    """The coefficient arguments of _density_parts for a chain and speed."""
-    return (*tw_coefficients(v, params), params.M, params.m, params.R,
-            params.r, params.g, params.h_spec)
+# The bare constants of a travelling wave, which may be complex: the
+# coefficient arguments of _density_parts, in order, and a stand-in for the
+# ChainParams of params._field_equations, which reads only M, m, R, r, g and
+# h_spec.
+_WaveConstants = namedtuple("_WaveConstants",
+                            "c_outer c_inner M m R r g h_spec")
+
+
+def _chain_values(v, params: ChainParams) -> _WaveConstants:
+    """The wave constants of a chain at speed v."""
+    return _WaveConstants(*tw_coefficients(v, params), params.M, params.m,
+                          params.R, params.r, params.g, params.h_spec)
+
+
+def _series_values(params: ExpansionParams, eps) -> _WaveConstants:
+    """The wave constants of the eps expansion at eps, from
+    ExpansionParams.series: at negative or complex eps too, where no
+    ChainParams represents them; at real eps >= 0 they equal _chain_values
+    of to_chain_params(eps) at its speed."""
+    r, m, Kt, Ks, v = params.series(eps)
+    M, R = params.Mhat - m, params.A - r
+    return _WaveConstants(*_wave_coefficients(Kt, Ks, M, m, R, v), M, m, R, r,
+                          params.g, params.h_spec)
 
 
 def tw_lagrangian_density(theta, phi, theta_z, phi_z, v, params: ChainParams):
@@ -159,6 +181,65 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
     return j
 
 
+class TWSystem:
+    """The bordered collocation system of solve_tw_bvp on the grid of a
+    profile: the unknowns interleave theta and phi node by node, the four end
+    rows are Dirichlet conditions at the profile's end values, and the border
+    is the pinning row theta(z_mid) = mean of the theta end values, with the
+    translation mode (theta', phi') as its column. Fields pass as the six
+    arguments u = (theta, phi, theta', phi', theta'', phi'') of
+    params._field_equations, and chain constants as _WaveConstants."""
+
+    def __init__(self, profile: TWProfile):
+        n = profile.z.shape[0]
+        dz = profile.dz
+        self.n = n
+        self.D1 = _stencils.derivative_matrix(n, dz, 1)
+        self.D2 = _stencils.derivative_matrix(n, dz, 2)
+        self.ends = (profile.theta[0], profile.phi[0], profile.theta[-1],
+                     profile.phi[-1])
+        self.fixed = [0, 1, 2 * n - 2, 2 * n - 1]
+        self.mid = n // 2
+        self.pin_target = 0.5 * (self.ends[0] + self.ends[2])
+        self.pin_row = np.zeros(2 * n)
+        self.pin_row[2 * self.mid] = 1.0
+
+    def fields(self, theta, phi):
+        """u of theta and phi, with their D1 and D2 products."""
+        return (theta, phi, self.D1 @ theta, self.D1 @ phi, self.D2 @ theta,
+                self.D2 @ phi)
+
+    def pack(self, r1, r2):
+        """The bordered vector of the collocation values r1, r2 of the two
+        equations, with its Dirichlet and pin rows zero."""
+        n = self.n
+        F = np.zeros(2 * n + 1)
+        F[0:2 * n:2] = r1
+        F[1:2 * n:2] = r2
+        F[self.fixed] = 0.0
+        return F
+
+    def residual(self, u, c: _WaveConstants):
+        """The bordered residual at u: the collocation equations, with the
+        boundary rows replacing the outermost ones, and the pin."""
+        theta, phi = u[0], u[1]
+        F = self.pack(*_field_equations(*u, c.c_outer, c.c_inner, c))
+        F[self.fixed] = (theta[0] - self.ends[0], phi[0] - self.ends[1],
+                         theta[-1] - self.ends[2], phi[-1] - self.ends[3])
+        F[2 * self.n] = theta[self.mid] - self.pin_target
+        return F
+
+    def jacobian(self, u, c: _WaveConstants):
+        """The bordered Jacobian at u as CSC (_stencils.bordered_matrix)."""
+        jb = _jacobian_blocks(*u, c.c_outer, c.c_inner, c)
+        # block (equation, field) is jb["r<equation>_<t|p><derivative>"]
+        blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
+                  for eq in "12"]
+        return _stencils.bordered_matrix(
+            self.D1, self.D2, blocks, self.fixed,
+            np.column_stack([u[2], u[3]]).ravel(), self.pin_row)
+
+
 MAX_ITER = 60  # Newton iterations of solve_tw_bvp
 
 
@@ -166,9 +247,9 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
                  tol=1e-10) -> TWProfile:
     """Damped Newton on the 4th-order collocation system at the guess's speed.
 
-    Dirichlet values are taken from the ends of the guess (so 0 -> 2 pi N and
-    pi-shifted connections are both supported); the translation zero mode is
-    removed by a bordered pinning row theta(z_mid) = mean of the end values.
+    The system is the TWSystem of the guess: Dirichlet values are taken from
+    the ends of the guess (so 0 -> 2 pi N and pi-shifted connections are both
+    supported), and the translation zero mode is removed by its pinning row.
     Each iteration assembles the bordered Jacobian in one pass, straight into
     CSC arrays (_stencils.bordered_matrix), and factors it with splu; the
     factors are dropped after their solve, so no two are held at once. The
@@ -178,64 +259,24 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
     and on the sonic line (_on_sonic_line).
     """
     params.require_dynamic()
-    coef = tw_coefficients(guess.v, params)
+    c = _chain_values(guess.v, params)
     if _on_sonic_line(guess.v, params):
-        raise TWSolveError(f"mu = 0 to rounding ({coef[1]:.3e} at v = "
+        raise TWSolveError(f"mu = 0 to rounding ({c.c_inner:.3e} at v = "
                            f"{guess.v!r}): profile equations are degenerate")
-    z = guess.z
-    n = z.shape[0]
-    dz = guess.dz
-    D1 = _stencils.derivative_matrix(n, dz, 1)
-    D2 = _stencils.derivative_matrix(n, dz, 2)
-    th_l, th_r = guess.theta[0], guess.theta[-1]
-    ph_l, ph_r = guess.phi[0], guess.phi[-1]
-    mid = n // 2
-    pin_target = 0.5 * (th_l + th_r)
-    pin_row = np.zeros(2 * n)
-    pin_row[2 * mid] = 1.0
-
-    theta = guess.theta.copy()
-    phi = guess.phi.copy()
-
-    def full_residual(theta, phi):
-        tz, pz = D1 @ theta, D1 @ phi
-        tzz, pzz = D2 @ theta, D2 @ phi
-        r1, r2 = _field_equations(theta, phi, tz, pz, tzz, pzz, *coef, params)
-        return r1, r2, tz, pz, tzz, pzz
-
-    def packed(theta, phi, r1, r2):
-        F = np.empty(2 * n + 1)
-        F[0:2 * n:2] = r1
-        F[1:2 * n:2] = r2
-        # boundary rows replace the outermost collocation equations
-        F[0], F[1] = theta[0] - th_l, phi[0] - ph_l
-        F[2 * n - 2], F[2 * n - 1] = theta[-1] - th_r, phi[-1] - ph_r
-        F[2 * n] = theta[mid] - pin_target
-        return F
+    system = TWSystem(guess)
+    n = system.n
 
     def norm(F):
         return float(np.max(np.abs(F)))
 
-    def jacobian(theta, phi, tz, pz, tzz, pzz):
-        # a function of its own, so the blocks are freed before splu runs
-        jb = _jacobian_blocks(theta, phi, tz, pz, tzz, pzz, *coef, params)
-        # block (equation, field) is jb["r<equation>_<t|p><derivative>"];
-        # the unknowns interleave theta and phi, the four end rows are the
-        # Dirichlet conditions, the border column is the translation mode
-        blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
-                  for eq in "12"]
-        return _stencils.bordered_matrix(
-            D1, D2, blocks, [0, 1, 2 * n - 2, 2 * n - 1],
-            np.column_stack([tz, pz]).ravel(), pin_row)
-
-    r1, r2, tz, pz, tzz, pzz = full_residual(theta, phi)
-    F = packed(theta, phi, r1, r2)
+    u = system.fields(guess.theta.copy(), guess.phi.copy())
+    F = system.residual(u, c)
     best = norm(F)
 
     for iteration in range(MAX_ITER):
         if best < tol:
             break
-        A = jacobian(theta, phi, tz, pz, tzz, pzz)
+        A = system.jacobian(u, c)
         try:
             lu = splu(A)
         except RuntimeError as exc:
@@ -248,14 +289,11 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
 
         lam = 1.0
         while lam >= 1e-3:
-            th_new = theta + lam * delta[0:2 * n:2]
-            ph_new = phi + lam * delta[1:2 * n:2]
-            r1n, r2n, tzn, pzn, tzzn, pzzn = full_residual(th_new, ph_new)
-            Fn = packed(th_new, ph_new, r1n, r2n)
+            u_new = system.fields(u[0] + lam * delta[0:2 * n:2],
+                                  u[1] + lam * delta[1:2 * n:2])
+            Fn = system.residual(u_new, c)
             if norm(Fn) < best:
-                theta, phi = th_new, ph_new
-                r1, r2, tz, pz, tzz, pzz = r1n, r2n, tzn, pzn, tzzn, pzzn
-                F, best = Fn, norm(Fn)
+                u, F, best = u_new, Fn, norm(Fn)
                 break
             lam *= 0.5
         else:
@@ -266,7 +304,8 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
             f"no convergence after {MAX_ITER} iterations "
             f"(residual {best:.3e})", best)
 
-    return TWProfile(z, theta, phi, tz, pz, guess.v, theta_zz=tzz,
+    theta, phi, tz, pz, tzz, pzz = u
+    return TWProfile(guess.z, theta, phi, tz, pz, guess.v, theta_zz=tzz,
                      phi_zz=pzz)
 
 

@@ -542,7 +542,7 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
                  EXPANSION_INI + "\n[verify]\nn_points = 801\n")
     assert cli.main(["verify-expansion", "--config", cfg,
                      "--out", str(tmp_path)]) == 0
-    assert calls == {"solve_tw_bvp": 6, "order1_theta": 1}
+    assert calls == {"solve_tw_bvp": 1, "order1_theta": 1}
 
 
 @pytest.mark.parametrize("command, section, line, key", [
@@ -571,6 +571,10 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
      "'half_width_factor'"),
     ("build-perturbative", "compose", "order = 3", "'order'"),
     ("build-perturbative", "compose", "eps = -0.01", "'eps'"),
+    # valid numbers whose composed chain is not: M = Mhat - m < 0
+    ("build-perturbative", "compose", "eps = 5.0", "[compose] 'eps'"),
+    ("verify-expansion", "verify", "eps_list = 0.1, 5.0",
+     "[verify] 'eps_list'"),
     ("build-perturbative", "grid", "half_width_factor = 0",
      "'half_width_factor'"),
 ])

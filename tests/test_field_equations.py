@@ -24,6 +24,9 @@ from pendulon.travelwave import (TWProfile, _chain_values, _density_parts,
                                  tw_coefficients, tw_first_integral,
                                  tw_lagrangian_density, tw_residual)
 
+# the constants of _field_equations a complex eps reaches
+_CONSTANTS = ("M", "m", "R", "r", "g", "c_outer", "c_inner")
+
 # agreement bound for the reordered sums: ULPS units of rounding of a bound
 # on the sum of the absolute values of each equation's terms
 ULPS = 8
@@ -346,3 +349,36 @@ def test_confining_derivatives_are_complex_steps_of_each_other(family):
         got = np.imag(f(phi + 1j * step)) / step
         assert np.all(np.abs(got - want)
                       <= 16 * np.finfo(float).eps * (np.abs(want) + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_cases)
+def test_field_equations_are_complex_analytic(p, ratio, seed, n):
+    """The complex step Im F(x + i h) / h, h = 2**-100, in each of the six
+    fields and each constant of _CONSTANTS against a 4th-order central
+    difference of step 1e-3 (error ~1e-12), for both confinement families.
+    The Newton Jacobian and the eps oracles take complex steps through this
+    kernel; an abs, a comparison or a real part inside it would give no
+    ComplexWarning but a wrong step, and fail here."""
+    c = _chain_values(_speed(p, ratio), p)
+    theta, theta_z, phi_z, theta_zz, phi_zz, phi = _fields(p, seed, n, 5)
+    fields = (theta, phi, theta_z, phi_z, theta_zz, phi_zz)
+
+    def equations(x, k):
+        """The kernel with argument k (a field index or a constant name)
+        set to x."""
+        if isinstance(k, int):
+            u = fields[:k] + (x,) + fields[k + 1:]
+            return np.array(_field_equations(*u, c.c_outer, c.c_inner, c))
+        cc = c._replace(**{k: x})
+        return np.array(_field_equations(*fields, cc.c_outer, cc.c_inner, cc))
+
+    h, d = 2.0**-100, 1e-3
+    for k in (*range(6), *_CONSTANTS):
+        x = fields[k] if isinstance(k, int) else getattr(c, k)
+        step = np.imag(equations(x + 1j * h, k)) / h
+        diff = (8 * (equations(x + d, k) - equations(x - d, k))
+                - (equations(x + 2 * d, k) - equations(x - 2 * d, k))
+                ) / (12 * d)
+        scale = 1.0 + np.abs(equations(x, k)) + np.abs(step)
+        assert np.all(np.abs(step - diff) <= 1e-7 * scale), k

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from pendulon import perturbation
+from pendulon import _stencils, perturbation
 from pendulon.continuum import kink_field_grid
 from pendulon.lattice import moving_kink_state
 from pendulon.params import ChainParams, ConfiningPotential
@@ -226,9 +226,8 @@ def test_project_zero_mode_removes_translation(exp_params):
 
 
 def _reference_extract(params, order, field, z):
-    """The per-(order, field) extraction that the single sweep replaced: its
-    own 6 BVP solves at eps = 0, 0.02, ..., 0.1 and its own Vandermonde
-    solve for each call."""
+    """An independent extraction of the same discrete family: 6 BVP solves
+    at eps = 0, 0.02, ..., 0.1 and a degree-5 Vandermonde fit per node."""
     k = kink_parameter(params)
     samples = []
     for j in range(6):
@@ -244,13 +243,44 @@ def _reference_extract(params, order, field, z):
 
 
 def test_taylor_extract_sweep_matches_per_field_extraction(exp_params):
+    """The implicit coefficients against the fit, within the fit's own
+    truncation (its eps^6 term; 8.6e-8, 7.9e-8 and 1.7e-5 seen). Both pin
+    theta at the midpoint, so theta1 needs no projection."""
     p = exp_params
     z = kink_grid(p, n_points=801, half_width_factor=20.0)
     ext = taylor_extract(p, z)
-    for got, (order, field) in zip(ext, [(1, "theta"), (1, "phi"),
-                                         (2, "phi")]):
+    for got, (order, field), bound in zip(
+            ext, [(1, "theta"), (1, "phi"), (2, "phi")], [1e-6, 1e-6, 1e-4]):
         ref = _reference_extract(p, order, field, z)
-        assert np.array_equal(got, ref), (order, field)
+        rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+        assert rel < bound, (order, field, rel)
+
+
+def test_taylor_extract_is_insensitive_to_the_contour_radius(exp_params,
+                                                             monkeypatch):
+    """phi2 moves by less than 1e-8 (rel. L2) when the contour radius goes
+    from 0.05 to 0.01 or 0.1 (9.5e-14 and 8.7e-14 seen): the right-hand
+    sides are Cauchy coefficients, not differences, so no radius needs
+    tuning."""
+    z = kink_grid(exp_params, n_points=801, half_width_factor=20.0)
+    ref = taylor_extract(exp_params, z).phi2
+    for rho in (0.01, 0.1):
+        monkeypatch.setattr(_stencils, "CONTOUR_RADIUS", rho)
+        got = taylor_extract(exp_params, z).phi2
+        rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+        assert rel < 1e-8, (rho, rel)
+
+
+def test_taylor_extract_solves_once_and_factors_once(exp_params):
+    """One Newton solve at eps = 0, and one factor of the Jacobian at its
+    solution besides the solve's own."""
+    z = kink_grid(exp_params, n_points=801, half_width_factor=20.0)
+    with mock.patch.object(perturbation.travelwave, "solve_tw_bvp",
+                           wraps=solve_tw_bvp) as solves, \
+            mock.patch.object(perturbation, "splu", wraps=splu) as factors:
+        taylor_extract(exp_params, z)
+    assert solves.call_count == 1
+    assert factors.call_count == 1
 
 
 def test_build_perturbative_grid_check(exp_params):
