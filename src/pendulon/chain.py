@@ -8,9 +8,11 @@ bob tip sits at
     y = R sin(theta) + r sin(theta + phi)
 
 Neighboring sites couple through a torsional spring in theta and a harmonic
-"stacking" spring between tips. The mass matrix, kinetic and gravity energies
-are the params kernels the continuum and travelling wave share; the bond
-energies stay exact trigonometry.
+"stacking" spring between tips. The chain is open: bond i joins sites i and
+i + 1, so each end site has one bond, and a kink's two tails sit in
+different vacua. The mass matrix, kinetic and gravity energies are the
+params kernels the continuum and travelling wave share; the bond energies
+stay exact trigonometry.
 """
 from __future__ import annotations
 
@@ -95,33 +97,11 @@ def mass_matrix(phi, params: ChainParams):
     return m11, m12, np.full_like(m11, m22)
 
 
-def _bond_ends(a, topology):
-    """(a at site i, a at site j) for the bonds i -> j = i + 1, in bond order:
-    slices of a on the open chain; a and a rolled by one on the periodic
-    chain, whose wrap bond n-1 -> 0 comes last."""
-    if topology == "periodic":
-        return a, np.roll(a, -1)
-    return a[:-1], a[1:]
-
-
-def _scatter_bonds(g, vi, vj, topology):
-    """g[i] -= vi, then g[j] += vj, over every bond at once; each site sees
-    the same operations in the same order as one bond at a time."""
-    if topology == "periodic":
-        g -= vi
-        g += np.roll(vj, 1)
-    else:
-        g[:-1] -= vi
-        g[1:] += vj
-
-
 def potential_energy(state: LatticeState, params: ChainParams):
     """Total potential: torsional + stacking bonds, gravity, confinement."""
     th, ph = state.theta, state.phi
-    th_i, th_j = _bond_ends(th, params.topology)
-    ph_i, ph_j = _bond_ends(ph, params.topology)
-    u = np.sum(torsional_potential(th_i, th_j, params))
-    u += np.sum(stacking_potential(th_i, ph_i, th_j, ph_j, params))
+    u = np.sum(torsional_potential(th[:-1], th[1:], params))
+    u += np.sum(stacking_potential(th[:-1], ph[:-1], th[1:], ph[1:], params))
     u += np.sum(external_potential(th, ph, params))
     u += np.sum(params.h_spec.h(ph))
     return float(u)
@@ -142,8 +122,9 @@ def discrete_lagrangian(state: LatticeState, params: ChainParams):
 def _potential_gradient(state: LatticeState, params: ChainParams):
     """(dU/dtheta_i, dU/dphi_i) for the full potential, analytically.
 
-    One sin/cos pass per site; the bond terms take the per-site values at
-    both bond ends from _bond_ends.
+    One sin/cos pass per site; bond i -> i + 1 takes the per-site values at
+    its ends as the slices a[:-1] and a[1:], and adds its terms to g[:-1],
+    then to g[1:].
     """
     th, ph = state.theta, state.phi
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
@@ -155,24 +136,19 @@ def _potential_gradient(state: LatticeState, params: ChainParams):
     gth = g * (M * R * sth + m * y)
     gph = g * m * r * stp + params.h_spec.dh(ph)
 
-    top = params.topology
-    th_i, th_j = _bond_ends(th, top)
-    x_i, x_j = _bond_ends(x, top)
-    y_i, y_j = _bond_ends(y, top)
     # torsional bonds
-    s = params.kappa_t * np.sin(th_j - th_i)
-    _scatter_bonds(gth, s, s, top)
+    s = params.kappa_t * np.sin(th[1:] - th[:-1])
+    gth[:-1] -= s
+    gth[1:] += s
     # stacking bonds, via the Cartesian chain rule:
     # dU/dq = -kappa_s (tip_j - tip_i) . d tip_i/dq  (and + for site j)
-    dx, dy = x_j - x_i, y_j - y_i
+    dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
     ks = params.kappa_s
     # d tip/d theta = (-y, x); d tip/d phi = (-r sin(th+ph), r cos(th+ph))
-    _scatter_bonds(gth, ks * (dy * x_i - dx * y_i),
-                   ks * (dy * x_j - dx * y_j), top)
-    stp_i, stp_j = _bond_ends(stp, top)
-    ctp_i, ctp_j = _bond_ends(ctp, top)
-    _scatter_bonds(gph, ks * r * (dy * ctp_i - dx * stp_i),
-                   ks * r * (dy * ctp_j - dx * stp_j), top)
+    gth[:-1] -= ks * (dy * x[:-1] - dx * y[:-1])
+    gth[1:] += ks * (dy * x[1:] - dx * y[1:])
+    gph[:-1] -= ks * r * (dy * ctp[:-1] - dx * stp[:-1])
+    gph[1:] += ks * r * (dy * ctp[1:] - dx * stp[1:])
     return gth, gph
 
 

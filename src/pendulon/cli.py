@@ -135,8 +135,8 @@ def cmd_solve_tw(cp, args, out):
     return {
         "v": prof.v,
         "mu": travelwave.tw_coefficients(prof.v, params)[1],
-        "residual_eq1_linf": np.max(np.abs(res1)),
-        "residual_eq2_linf": np.max(np.abs(res2)),
+        "residual_eq1_linf": travelwave.residual_linf(res1),
+        "residual_eq2_linf": travelwave.residual_linf(res2),
         "first_integral_mean": np.mean(first),
         "first_integral_rel_variance": np.var(first) / (np.mean(first) ** 2 + 1e-300),
     }
@@ -170,8 +170,8 @@ def cmd_build_perturbative(cp, args, out):
         "eps": eps,
         "order": order,
         "v": exp.speed(eps),
-        "residual_eq1_linf": np.max(np.abs(res1)),
-        "residual_eq2_linf": np.max(np.abs(res2)),
+        "residual_eq1_linf": travelwave.residual_linf(res1),
+        "residual_eq2_linf": travelwave.residual_linf(res2),
     }
 
 
@@ -235,17 +235,14 @@ def cmd_verify_lagrangian(cp, args, out):
     lag = config.read_section(
         cp, "lagrangian",
         {"n_samples": config.parse_positive_int,
-         "seed": config.parse_int_at_least(0),
-         "n_points": config.parse_int_at_least(2),
-         "half_width": config.parse_positive_float})
+         "seed": config.parse_int_at_least(0)})
     if out is None:
         return
     from . import lagrangian_orders as lagexp
     from . import perturbation
     n_samples = lag.get("n_samples", 100)
     seed = lag.get("seed", 0)
-    half = lag.get("half_width", 8.0)
-    z = np.linspace(-half, half, lag.get("n_points", 257))
+    z = np.linspace(-8.0, 8.0, 257)
     oracle_max, aux_max, el_gap_max = lagexp.sample_maxima(
         exp, z, range(seed, seed + n_samples))
     for name, val in (("oracle_rel_max", oracle_max),

@@ -84,10 +84,10 @@ def parse_ladder(raw: str):
 
 
 def parse_eps_list(raw: str):
-    """At least two eps values, each positive and finite (a log-log fit)."""
+    """At least two distinct positive, finite eps values (a log-log fit)."""
     vals = [parse_positive_float(tok) for tok in raw.split(",") if tok.strip()]
-    if len(vals) < 2:
-        raise ValueError("need at least two positive eps values")
+    if len(set(vals)) < 2:
+        raise ValueError("need at least two distinct positive eps values")
     return vals
 
 
@@ -129,7 +129,7 @@ _CONFINEMENT_SCHEMA = {"family": str, "phi0": float, "c2": float, "b": float}
 
 _CHAIN_SCHEMA = {"M": float, "m": float, "R": float, "r": float,
                  "kappa_t": float, "kappa_s": float, "g": float,
-                 "delta": float, "topology": str}
+                 "delta": float}
 _CHAIN_REQUIRED = ("M", "m", "R", "r", "kappa_t", "kappa_s", "g", "delta")
 
 _EXPANSION_SCHEMA = {"A": float, "Mhat": float, "Khat": float, "g": float,

@@ -1,8 +1,9 @@
-"""Physical parameters of the chain, the confining-potential families, the
-constants of the eps expansion, the unit kink profile every layer seeds from,
-and the kernels every layer shares: the phi-only factors (_phi_factors), the
-coefficient matrix C(phi) (_coefficients) with its quadratic form
-(_quadratic), the gravity term (_pendant) and the field equations."""
+"""Physical parameters of the open chain, the confining-potential families,
+the constants of the eps expansion, the unit kink profile every layer seeds
+from with its slopes (_kink, _kink_slopes), and the kernels every layer
+shares: the phi-only factors (_phi_factors), the coefficient matrix C(phi)
+(_coefficients) with its quadratic form (_quadratic), the gravity term
+(_pendant) and the field equations."""
 from __future__ import annotations
 
 import dataclasses
@@ -112,7 +113,7 @@ class ChainParams:
     m, r:  inner (tip) bob mass and beam length
     kappa_t, kappa_s: torsional / stacking spring constants
     g: gravity, delta: lattice spacing, h_spec: confining potential
-    topology: 'open' or 'periodic' neighbor coupling
+    Bond i joins sites i and i + 1 only: the chain is open.
     """
 
     M: float
@@ -124,7 +125,6 @@ class ChainParams:
     g: float
     delta: float
     h_spec: ConfiningPotential = ConfiningPotential()
-    topology: str = "open"
 
     def __post_init__(self):
         _require_finite(self)
@@ -139,8 +139,6 @@ class ChainParams:
             raise ValueError("kappa_t, kappa_s, g must be nonnegative")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.topology not in ("open", "periodic"):
-            raise ValueError("topology must be 'open' or 'periodic'")
 
     @property
     def Ks(self):
@@ -212,6 +210,17 @@ def _kink(u):
     e = np.exp(-np.abs(u))
     half = 4.0 * np.arctan(e)
     return np.where(u <= 0.0, half, 2.0 * np.pi - half), 2.0 * e / (1.0 + e * e)
+
+
+def _kink_slopes(z, k):
+    """(theta, theta', theta'', sech, tanh) of the kink theta(z) =
+    4 arctan(exp(k z)) by _kink, with theta' = 2 k sech(k z) and theta'' =
+    -2 k^2 sech(k z) tanh(k z): the one copy kink_profile and sg_kink build
+    from."""
+    u = k * z
+    theta, sech = _kink(u)
+    tanh = np.tanh(u)
+    return theta, 2.0 * k * sech, -2.0 * k * k * sech * tanh, sech, tanh
 
 
 def _moving_kink(x, k, v, center=None):

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 
 from . import _stencils, travelwave
 from ._io import write_csv
-from .params import ExpansionParams, _field_equations, _kink
+from .params import ExpansionParams, _field_equations, _kink_slopes
 from .travelwave import TWProfile
 
 
@@ -57,14 +57,9 @@ def sg_kink(z, params: ExpansionParams) -> KinkArrays:
     two derivatives and sin/cos, all evaluated without composing trig with
     arctan (stable for arbitrarily large |kz|).
     """
-    k = kink_parameter(params)
-    u = k * np.asarray(z, dtype=float)
-    theta0, sech = _kink(u)
-    tanh = np.tanh(u)
-    return KinkArrays(theta0,
-                      2.0 * k * sech,
-                      -2.0 * k * k * sech * tanh,
-                      -2.0 * tanh * sech,
+    theta0, theta0_z, theta0_zz, sech, tanh = _kink_slopes(
+        np.asarray(z, dtype=float), kink_parameter(params))
+    return KinkArrays(theta0, theta0_z, theta0_zz, -2.0 * tanh * sech,
                       1.0 - 2.0 * sech * sech)
 
 
@@ -338,8 +333,8 @@ def residual_scaling(sol: PerturbativeSolution, eps_list,
     correction is constructed.
     """
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
-    if eps_arr.size < 2 or np.any(eps_arr <= 0):
-        raise ValueError("need at least two positive eps values")
+    if np.unique(eps_arr).size < 2 or np.any(eps_arr <= 0):
+        raise ValueError("need at least two distinct positive eps values")
     res1, res2 = [], []
     for e in eps_arr:
         prof = compose_series(sol, e, order)

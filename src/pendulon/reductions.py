@@ -140,7 +140,9 @@ def stiff_limit_experiment(params: ChainParams,
     the inner angle is pushed from zero. The grid is n_points nodes on
     |z| <= 20 / kappa, kappa the selected kink width.
 
-    Individual solve failures are recorded as non-converged cells, not raised.
+    Individual solve failures are recorded as non-converged cells, not raised;
+    a converged cell's residual is travelwave.residual_linf of both equations,
+    a failed one's the solver's last residual.
     Cells are ordered ladder-major, probe-speed-minor, deterministically.
     """
     sel = selected_speed(params)
@@ -168,14 +170,15 @@ def stiff_limit_experiment(params: ChainParams,
                 cells.append(StiffCell(h2, v, False, float("nan"), float(bad)))
                 continue
             r1, r2 = travelwave.tw_residual(prof, stiff)
-            res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+            res = max(travelwave.residual_linf(r1),
+                      travelwave.residual_linf(r2))
             cells.append(StiffCell(h2, v, True,
                                    float(np.max(np.abs(prof.phi))), res))
     return StiffReport(v_star=sel.v_star, cells=tuple(cells))
 
 
 def export_stiff_csv(report: StiffReport, path) -> None:
-    write_csv(path, "stiff-limit v1", "h2,v,converged,max_abs_phi,residual",
+    write_csv(path, "stiff-limit v2", "h2,v,converged,max_abs_phi,residual",
               ((float(c.h2), float(c.v), int(c.converged),
                 float(c.max_abs_phi), float(c.residual))
                for c in report.cells))

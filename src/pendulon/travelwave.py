@@ -21,7 +21,7 @@ from . import _stencils
 from ._io import write_csv
 from ._stencils import TWSolveError
 from .params import (ChainParams, ExpansionParams, _coefficients,
-                     _field_equations, _kink, _pendant, _quadratic)
+                     _field_equations, _kink_slopes, _pendant, _quadratic)
 
 
 def tw_coefficients(v, params: ChainParams):
@@ -82,6 +82,14 @@ def tw_residual(profile: TWProfile, params: ChainParams):
     return _field_equations(profile.theta, profile.phi, profile.theta_z,
                             profile.phi_z, tzz, pzz,
                             *tw_coefficients(profile.v, params), params)
+
+
+def residual_linf(res):
+    """max |res| over nodes 1..n-2 of one tw_residual column: the collocation
+    equations of TWSystem. Its end nodes hold Dirichlet rows instead, which
+    leave the equations there unsolved, so on a solve_tw_bvp solution this is
+    at most the final residual, below tol."""
+    return float(np.max(np.abs(res[1:-1])))
 
 
 def _density_parts(theta, phi, theta_z, phi_z, c_outer, c_inner, M, m, R, r,
@@ -147,15 +155,11 @@ def kink_profile(z, k, v, pi_shift=False):
     pi_shift moves the connection to (-pi, pi) instead of (0, 2 pi).
     """
     z = np.asarray(z, dtype=float)
-    u = k * z
-    base, sech = _kink(u)
-    tanh = np.tanh(u)
+    base, theta_z, theta_zz, _, _ = _kink_slopes(z, k)
     theta = base - (np.pi if pi_shift else 0.0)
-    theta_z = 2.0 * k * sech
     zeros = np.zeros_like(z)
     return TWProfile(z, theta, zeros, theta_z, zeros.copy(), v,
-                     theta_zz=-2.0 * k * k * sech * tanh,
-                     phi_zz=zeros.copy())
+                     theta_zz=theta_zz, phi_zz=zeros.copy())
 
 
 def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,

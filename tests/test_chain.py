@@ -158,10 +158,11 @@ def test_forces_satisfy_euler_lagrange(generic_chain, rng):
 
 
 def test_staggered_mode_frequency():
-    """Small staggered pattern on the r = 0 periodic chain oscillates at
-    omega^2 = (g (M+m) R + 4 (kappa_t + kappa_s R^2)) / ((M+m) R^2)."""
+    """Small staggered pattern on the r = 0 chain oscillates at
+    omega^2 = (g (M+m) R + 4 (kappa_t + kappa_s R^2)) / ((M+m) R^2) on the
+    interior sites 1..n-2, each of which has a bond on both sides."""
     p = ChainParams(M=1.1, m=0.4, R=0.9, r=0.0, kappa_t=0.6, kappa_s=1.7,
-                    g=1.3, delta=1.0, topology="periodic")
+                    g=1.3, delta=1.0)
     n = 8
     omega2 = (p.g * (p.M + p.m) * p.R + 4 * (p.kappa_t + p.kappa_s * p.R**2)) \
         / ((p.M + p.m) * p.R**2)
@@ -177,7 +178,7 @@ def test_staggered_mode_frequency():
     r1 = ratio(1e-3)
     r2 = ratio(2e-3)
     extrap = (4 * r1 - r2) / 3.0
-    assert np.max(np.abs(extrap - omega2)) / omega2 < 1e-6
+    assert np.max(np.abs(extrap[1:-1] - omega2)) / omega2 < 1e-6
 
 
 def test_degenerate_r_zero_freezes_phi(rng):
@@ -211,22 +212,18 @@ def test_inertia_helper_matches_inline_products(rng, r, R):
         assert np.array_equal(r2b, r * r + R * R + 2 * r * R * c)
 
 
-def _bond_pairs(n, topology):
-    """Index arrays (i, j) of the bonds i -> j, as the kernels first used
-    them; the periodic chain adds the wrap bond n-1 -> 0 last."""
+def _bond_pairs(n):
+    """Index arrays (i, j) of the bonds i -> j = i + 1 of the open chain, as
+    the kernels first used them."""
     i = np.arange(n - 1)
-    j = i + 1
-    if topology == "periodic":
-        i = np.concatenate([i, [n - 1]])
-        j = np.concatenate([j, [0]])
-    return i, j
+    return i, i + 1
 
 
 def _reference_potential_energy(state, params):
     """potential_energy as first written, gathering the bond ends with
     th[i] / th[j]. Kept as the reference for potential_energy."""
     th, ph = state.theta, state.phi
-    i, j = _bond_pairs(state.n_sites, params.topology)
+    i, j = _bond_pairs(state.n_sites)
     u = np.sum(torsional_potential(th[i], th[j], params))
     u += np.sum(stacking_potential(th[i], ph[i], th[j], ph[j], params))
     u += np.sum(external_potential(th, ph, params))
@@ -241,7 +238,7 @@ def _reference_potential_gradient(state, params):
     M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
     gth = g * (M * R * np.sin(th) + m * (R * np.sin(th) + r * np.sin(ph + th)))
     gph = g * m * r * np.sin(ph + th) + params.h_spec.dh(ph)
-    i, j = _bond_pairs(state.n_sites, params.topology)
+    i, j = _bond_pairs(state.n_sites)
     s = params.kappa_t * np.sin(th[j] - th[i])
     np.add.at(gth, i, -s)
     np.add.at(gth, j, s)
@@ -261,13 +258,12 @@ def _reference_potential_gradient(state, params):
 @hst.composite
 def _kernel_cases(draw):
     """A random state and chain for the reference-kernel tests: n from 2,
-    both topologies, both confinement families."""
+    both confinement families."""
     p = ChainParams(M=1.3, m=0.6, R=draw(hst.floats(0.0, 2.0)),
                     r=draw(hst.floats(0.0, 2.0)),
                     kappa_t=draw(hst.floats(0.0, 3.0)),
                     kappa_s=draw(hst.floats(0.0, 3.0)),
                     g=draw(hst.floats(0.0, 2.0)), delta=0.8,
-                    topology=draw(hst.sampled_from(["open", "periodic"])),
                     h_spec=ConfiningPotential(
                         family=draw(hst.sampled_from(["quadratic",
                                                       "tangent-barrier"])),

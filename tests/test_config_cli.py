@@ -108,7 +108,8 @@ def test_parse_helpers():
         with pytest.raises(ValueError):
             parse_order(bad)
     assert parse_eps_list("0.1, 0.02,") == [0.1, 0.02]
-    for bad in ("0.1", " , ", "0.0, 0.1", "-0.1, 0.1", "0.1, nan", "0.1, x"):
+    for bad in ("0.1", " , ", "0.0, 0.1", "-0.1, 0.1", "0.1, nan", "0.1, x",
+                "0.05, 0.05"):
         with pytest.raises(ValueError):
             parse_eps_list(bad)
 
@@ -200,7 +201,7 @@ def test_speed_select_stiff_flag(tmp_path):
                    "--stiff"])
     assert rc == 0
     lines = (tmp_path / "stiff-limit.csv").read_text().splitlines()
-    assert lines[0] == "# schema: stiff-limit v1"
+    assert lines[0] == "# schema: stiff-limit v2"
     assert len(lines) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["results"]["stiff_cells"]) == 2
@@ -222,6 +223,20 @@ def test_solve_tw_command(tmp_path, k):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["results"]["first_integral_rel_variance"] < 1e-8
     assert summary["outputs"] == ["tw-profile.csv"]
+
+
+def test_solve_tw_summary_residuals_are_below_the_solver_tol(tmp_path):
+    """residual_eq1_linf and residual_eq2_linf are travelwave.residual_linf,
+    the max over nodes 1..n-2 that Newton solves, so a converged solve reads
+    below its tol of 1e-10. On this grid the max over every node read
+    9.61e-10 for equation 2, at an end node."""
+    cfg = _write(tmp_path, "tw.ini",
+                 CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n"
+                 "\n[domain]\nn_points = 4001\n")
+    assert cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert results["residual_eq1_linf"] < 1e-10
+    assert results["residual_eq2_linf"] < 1e-10
 
 
 def test_solve_tw_numerical_failure_is_exit_2(tmp_path, capsys):
@@ -430,6 +445,12 @@ def test_too_few_sites_or_points_is_exit_1(tmp_path, capsys, command, text,
      + _SIM_SECTIONS["simulate-pde"] + "index = -1\n", "pde", "'index'"),
     ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.3\nk = 1.0\nindex = 1\n", "tw",
      "'index'"),
+    # removed key: the chain is open, so no topology, valid values too
+    *[("simulate-lattice",
+       CHAIN_INI.replace("delta = 1.0\n", f"delta = 1.0\ntopology = {top}\n")
+       + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+       + _SIM_SECTIONS["simulate-lattice"], "chain", "'topology'")
+      for top in ("open", "periodic")],
 ])
 def test_dry_run_rejects_non_finite_constants_and_bad_stiff_lists(
         tmp_path, capsys, command, text, section, key):
@@ -556,17 +577,21 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     ("verify-lagrangian", "lagrangian", "h_eps = 0.05", "'h_eps'"),
     ("verify-lagrangian", "lagrangian", "h_eps = 1e-3", "'h_eps'"),
     ("verify-lagrangian", "lagrangian", "n_samples = 0", "'n_samples'"),
+    ("verify-lagrangian", "lagrangian", "seed = -1", "'seed'"),
+    # removed keys: the sample grid is 257 nodes on [-8, 8]
     ("verify-lagrangian", "lagrangian", "n_points = -3", "'n_points'"),
     ("verify-lagrangian", "lagrangian", "n_points = 1", "'n_points'"),
+    ("verify-lagrangian", "lagrangian", "n_points = 257", "'n_points'"),
     ("verify-lagrangian", "lagrangian", "half_width = 0", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "half_width = -3", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "half_width = nan", "'half_width'"),
-    ("verify-lagrangian", "lagrangian", "seed = -1", "'seed'"),
+    ("verify-lagrangian", "lagrangian", "half_width = 8.0", "'half_width'"),
     ("verify-lagrangian", "lagrangian", "taylor_points = 9",
      "'taylor_points'"),
     ("verify-expansion", "verify", "order = 3", "'order'"),
     ("verify-expansion", "verify", "eps_list = 0.0, 0.1", "'eps_list'"),
     ("verify-expansion", "verify", "eps_list = 0.1", "'eps_list'"),
+    ("verify-expansion", "verify", "eps_list = 0.05, 0.05", "'eps_list'"),
     ("verify-expansion", "verify", "half_width_factor = 0",
      "'half_width_factor'"),
     ("build-perturbative", "compose", "order = 3", "'order'"),

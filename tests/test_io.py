@@ -78,7 +78,7 @@ def _reference_pde_energy(snaps, params, path):
 
 def _reference_stiff(report, path):
     with open(path, "w") as f:
-        f.write("# schema: stiff-limit v1\n")
+        f.write("# schema: stiff-limit v2\n")
         f.write("h2,v,converged,max_abs_phi,residual\n")
         for c in report.cells:
             f.write(f"{float(c.h2)!r},{float(c.v)!r},{int(c.converged)},"

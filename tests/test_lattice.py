@@ -25,14 +25,12 @@ def test_energy_conserved(generic_chain, rng):
     assert rep.max_energy_drift < 1e-10
 
 
-@pytest.mark.parametrize("variant", ["open", "periodic", "tangent-barrier",
-                                     "r = 0"])
+@pytest.mark.parametrize("variant", ["open", "tangent-barrier", "r = 0"])
 def test_energy_series_is_total_energy_of_every_state(generic_chain, rng,
                                                       variant):
     """simulate's energy series is total_energy of every recorded state,
     bit for bit, stamped with the state's time."""
     p = {"open": generic_chain,
-         "periodic": replace(generic_chain, topology="periodic"),
          "tangent-barrier": replace(generic_chain, h_spec=ConfiningPotential(
              family="tangent-barrier", phi0=1.2, c2=1.7, b=0.2)),
          "r = 0": replace(generic_chain, r=0.0)}[variant]

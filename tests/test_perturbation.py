@@ -301,6 +301,13 @@ def test_residual_scaling_requires_positive_eps(exp_params):
         residual_scaling(sol, [0.01, -0.02], 0)
 
 
+def test_residual_scaling_requires_two_distinct_eps(exp_params):
+    """A repeated eps leaves the log-log fit one point: no slope exists."""
+    sol = build_perturbative(exp_params)
+    with pytest.raises(ValueError, match="distinct"):
+        residual_scaling(sol, [0.05, 0.05], 1)
+
+
 def test_export_scaling_csv(tmp_path, exp_params):
     study = residual_scaling(build_perturbative(exp_params), [0.02, 0.05], 0)
     path = tmp_path / "scaling.csv"

@@ -134,6 +134,16 @@ def test_stiff_experiment_off_speed_control():
         assert (not c.converged) or c.max_constraint_torque > 1e-2
 
 
+def test_converged_stiff_cells_read_below_the_solver_tol():
+    """A converged cell's residual is travelwave.residual_linf, over nodes
+    1..n-2, which is at most the solver's final residual: below its tol of
+    1e-10 on every rung of the default ladder. The max over every node, end
+    nodes included, read up to 1.53e-10 here."""
+    rep = stiff_limit_experiment(_stiff_chain())
+    assert len(rep.cells) == 4 and all(c.converged for c in rep.cells)
+    assert max(c.residual for c in rep.cells) < 1e-10
+
+
 def test_stiff_ladder_validation():
     p = _stiff_chain()
     with pytest.raises(ValueError):
@@ -153,7 +163,7 @@ def test_export_stiff_csv(tmp_path):
     path = tmp_path / "stiff.csv"
     export_stiff_csv(rep, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# schema: stiff-limit v1"
+    assert lines[0] == "# schema: stiff-limit v2"
     assert lines[1] == "h2,v,converged,max_abs_phi,residual"
     data = np.loadtxt(lines[2:], delimiter=",")
     assert data.shape == (2, 5)

@@ -97,12 +97,11 @@ def test_evolve_matches_tuple_rk4(seed):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("topology", ["open", "periodic"])
-def test_lattice_step_matches_tuple_rk4(topology):
+def test_lattice_step_matches_tuple_rk4():
     """Every state simulate records at snapshot_every=1 against the tuple
     form, bit for bit."""
     p = ChainParams(M=1.3, m=0.6, R=1.1, r=0.5, kappa_t=0.7, kappa_s=1.9,
-                    g=0.9, delta=0.8, topology=topology)
+                    g=0.9, delta=0.8)
     rng = np.random.default_rng(5)
     state = LatticeState(*rng.normal(0.0, 0.5, (4, 30)), 0.0)
     rep = lattice.simulate(state, 5 * 0.02, 0.02, p, snapshot_every=1)
