@@ -1,7 +1,13 @@
-"""Artifact writers shared by the layers and the CLI: schema-tagged CSV (row
-by row with write_csv, or column-wise per snapshot with write_snapshots_csv),
-field histories as one lossless .npy record (write_history_npy), and
-key-sorted JSON."""
+"""Artifact writers shared by the layers and the CLI:
+
+- write_csv: a schema-tagged CSV, row by row (the energy series, the
+  residual-scaling and stiff-limit tables);
+- write_snapshots_csv: a schema-tagged CSV, column-wise per snapshot (the
+  lattice trajectory);
+- write_npy_record: named float64 arrays as one lossless .npy record (the
+  PDE field history, the travelling-wave profile, the perturbative orders);
+- write_json: key-sorted JSON (summaries and reports).
+"""
 from __future__ import annotations
 
 import json
@@ -53,25 +59,27 @@ def _snapshot_rows(keys, columns):
     return list(map(",".join, zip(keys, *text.tolist())))
 
 
-def write_history_npy(path, t, fields, x=None):
-    """Write a history of k snapshots as one .npy file (NumPy NEP 1 format).
+def write_npy_record(path, fields):
+    """Write named float64 fields as one .npy file (NumPy NEP 1 format).
 
-    The file holds a 0-d structured record of little-endian float64 fields:
-    t (k,), then x (n,) when given, then each entry of `fields` (name ->
-    k rows of n values) as a (k, n) array, in the mapping's order. It loads
-    with np.load(path, allow_pickle=False), and np.load(path)[name][j] is
-    row j bit for bit. One np.save of a record, not np.savez, whose zip
-    members carry the wall-clock time: reruns are byte-identical.
+    The file holds a 0-d structured record of little-endian float64 fields,
+    one per entry of `fields` (name -> value), in the mapping's order. A
+    value is an array, stored with its shape, or a list of k equal-shape
+    rows, stacked in place into a (k, *row shape) field: k scalars make a
+    (k,) field, k arrays of n values a (k, n) one. It loads with
+    np.load(path, allow_pickle=False), and np.load(path)[name] is the field
+    bit for bit (row j of a stacked field is row j). One np.save of a
+    record, not np.savez, whose zip members carry the wall-clock time:
+    reruns are byte-identical.
     """
-    t = np.asarray(t, dtype="<f8")
-    heads = {"t": t} if x is None else {"t": t, "x": np.asarray(x, "<f8")}
-    record = np.zeros((), [(name, "<f8", a.shape) for name, a in heads.items()]
-                      + [(name, "<f8", (len(rows), *np.shape(rows[0])))
-                         for name, rows in fields.items()])
-    for name, a in heads.items():
-        record[name] = a
-    for name, rows in fields.items():  # straight into the record, no copy
-        np.stack(rows, out=record[name])
+    record = np.zeros((), [(name, "<f8", (len(value), *np.shape(value[0]))
+                            if isinstance(value, list) else np.shape(value))
+                           for name, value in fields.items()])
+    for name, value in fields.items():
+        if isinstance(value, list):  # straight into the record, no copy
+            np.stack(value, out=record[name])
+        else:
+            record[name] = value
     with open(path, "wb") as f:
         np.save(f, record, allow_pickle=False)
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import _stencils, config
-from ._io import write_csv, write_json
+from ._io import write_json
 from ._stencils import MIN_EXPANSION_NODES, MIN_NODES
 from .config import ConfigError
 
@@ -130,8 +130,8 @@ def cmd_solve_tw(cp, args, out):
     half = dom["half_width"] if "half_width" in dom else 20.0 / abs(k)
     z = np.linspace(-half, half, dom.get("n_points", 2001))
     prof = travelwave.solve_tw_bvp(travelwave.kink_profile(z, **tw), params)
-    res1, res2, first = travelwave.export_profile_csv(prof, params,
-                                                      out("tw-profile.csv"))
+    res1, res2, first = travelwave.export_profile(prof, params,
+                                                  out("tw-profile.npy"))
     return {
         "v": prof.v,
         "mu": travelwave.tw_coefficients(prof.v, params)[1],
@@ -158,12 +158,9 @@ def cmd_build_perturbative(cp, args, out):
         exp, perturbation.kink_grid(exp, **grid))
     order = comp.get("order", 2)
     prof = perturbation.compose_series(sol, eps, order)
-    write_csv(out("perturbative-orders.csv"), "perturbative-orders v1",
-              "z,theta0,theta1,phi1,phi2",
-              zip(sol.z.tolist(), sol.theta0.tolist(), sol.theta1.tolist(),
-                  sol.phi1.tolist(), sol.phi2.tolist()))
-    res1, res2, _ = travelwave.export_profile_csv(prof, chain,
-                                                  out("tw-profile.csv"))
+    perturbation.export_orders(sol, out("perturbative-orders.npy"))
+    res1, res2, _ = travelwave.export_profile(prof, chain,
+                                              out("tw-profile.npy"))
     return {
         "k": sol.k,
         "B": sol.B,

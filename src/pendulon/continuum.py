@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils, chain
-from ._io import write_csv, write_history_npy
+from ._io import write_csv, write_npy_record
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
@@ -172,15 +172,16 @@ def kink_field_grid(params: ChainParams, k, v, x, center=None):
 
 
 def export_fields(snaps, path):
-    """Write the snapshots as one .npy record (_io.write_history_npy): t,
+    """Write the snapshots as one .npy record (_io.write_npy_record): t,
     the grid x once, and Theta, Phi, Theta_t, Phi_t with one row per
     snapshot. The snapshots must share one grid."""
     x = snaps[0].x
     if not all(np.array_equal(g.x, x) for g in snaps[1:]):
         raise ValueError("snapshots must share one grid")
-    write_history_npy(path, [g.t for g in snaps],
-                      {name: [getattr(g, name) for g in snaps]
-                       for name in ("Theta", "Phi", "Theta_t", "Phi_t")}, x=x)
+    write_npy_record(path, {"t": [g.t for g in snaps], "x": x,
+                            **{name: [getattr(g, name) for g in snaps]
+                               for name in ("Theta", "Phi", "Theta_t",
+                                            "Phi_t")}})
 
 
 def export_energy_csv(snaps, params: ChainParams, path):

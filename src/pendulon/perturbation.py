@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import _stencils, travelwave
-from ._io import write_csv
+from ._io import write_csv, write_npy_record
 from .params import ExpansionParams, _field_equations, _kink_slopes
 from .travelwave import TWProfile
 
@@ -356,3 +356,10 @@ def export_scaling_csv(study: ScalingStudy, path) -> None:
     write_csv(path, "residual-scaling v1", "eps,res_eq1_L2,res_eq2_L2",
               zip(study.eps.tolist(), study.res1_l2.tolist(),
                   study.res2_l2.tolist()))
+
+
+def export_orders(sol: PerturbativeSolution, path) -> None:
+    """Write perturbative-orders.npy, one .npy record (_io.write_npy_record)
+    of the (n,) fields z, theta0, theta1, phi1 and phi2."""
+    write_npy_record(path, {name: getattr(sol, name) for name in
+                            ("z", "theta0", "theta1", "phi1", "phi2")})

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import _stencils
-from ._io import write_csv
+from ._io import write_npy_record
 from ._stencils import TWSolveError
 from .params import (ChainParams, ExpansionParams, _coefficients,
                      _field_equations, _kink_slopes, _pendant, _quadratic)
@@ -85,10 +85,11 @@ def tw_residual(profile: TWProfile, params: ChainParams):
 
 
 def residual_linf(res):
-    """max |res| over nodes 1..n-2 of one tw_residual column: the collocation
+    """max |res| over nodes 1..n-2 of one tw_residual array: the collocation
     equations of TWSystem. Its end nodes hold Dirichlet rows instead, which
     leave the equations there unsolved, so on a solve_tw_bvp solution this is
-    at most the final residual, below tol."""
+    at most the final residual, below tol. The res1 and res2 fields of
+    tw-profile.npy (export_profile) keep every node, the end nodes too."""
     return float(np.max(np.abs(res[1:-1])))
 
 
@@ -313,12 +314,14 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
                      phi_zz=pzz)
 
 
-def export_profile_csv(profile: TWProfile, params: ChainParams, path):
-    """Write tw-profile.csv; return its (res1, res2, E_tw) columns."""
+def export_profile(profile: TWProfile, params: ChainParams, path):
+    """Write tw-profile.npy, one .npy record (_io.write_npy_record) of the
+    (n,) fields z, theta, phi, theta_z, phi_z, res1, res2 (tw_residual at
+    every node) and E_tw (tw_first_integral); return (res1, res2, E_tw)."""
     res1, res2 = tw_residual(profile, params)
     E = tw_first_integral(profile, params)
-    columns = (profile.z, profile.theta, profile.phi, profile.theta_z,
-               profile.phi_z, res1, res2, E)
-    write_csv(path, "tw-profile v1", "z,theta,phi,theta_z,phi_z,res1,res2,E_tw",
-              zip(*(c.tolist() for c in columns)))
+    write_npy_record(path, {"z": profile.z, "theta": profile.theta,
+                            "phi": profile.phi, "theta_z": profile.theta_z,
+                            "phi_z": profile.phi_z, "res1": res1,
+                            "res2": res2, "E_tw": E})
     return res1, res2, E

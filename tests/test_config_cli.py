@@ -208,6 +208,10 @@ def test_speed_select_stiff_flag(tmp_path):
     assert summary["outputs"] == ["stiff-limit.csv"]
 
 
+TW_PROFILE_FIELDS = ("z", "theta", "phi", "theta_z", "phi_z", "res1", "res2",
+                     "E_tw")
+
+
 @pytest.mark.parametrize("k", [1.05, -1.05])
 def test_solve_tw_command(tmp_path, k):
     """A negative k (an antikink) keeps the default grid increasing."""
@@ -216,13 +220,14 @@ def test_solve_tw_command(tmp_path, k):
                  "\n[domain]\nn_points = 1201\n")
     rc = cli.main(["solve-tw", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
-    lines = (tmp_path / "tw-profile.csv").read_text().splitlines()
-    assert lines[0] == "# schema: tw-profile v1"
-    assert len(lines) == 2 + 1201
-    assert float(lines[2].split(",")[0]) == -20.0 / abs(k)
+    record = np.load(tmp_path / "tw-profile.npy", allow_pickle=False)
+    assert record.dtype == np.dtype([(name, "<f8", (1201,))
+                                     for name in TW_PROFILE_FIELDS])
+    z = np.linspace(-20.0 / abs(k), 20.0 / abs(k), 1201)
+    assert np.array_equal(record["z"].view(np.uint64), z.view(np.uint64))
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["results"]["first_integral_rel_variance"] < 1e-8
-    assert summary["outputs"] == ["tw-profile.csv"]
+    assert summary["outputs"] == ["tw-profile.npy"]
 
 
 def test_solve_tw_summary_residuals_are_below_the_solver_tol(tmp_path):
@@ -518,14 +523,53 @@ def test_build_perturbative_eps0_matches_kink(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["build-perturbative", "--config", cfg,
                      "--out", str(out)]) == 0
-    lines = (out / "perturbative-orders.csv").read_text().splitlines()
-    assert lines[0] == "# schema: perturbative-orders v1"
-    data = np.loadtxt(lines[2:], delimiter=",")
+    orders = np.load(out / "perturbative-orders.npy", allow_pickle=False)
+    assert orders.dtype == np.dtype(
+        [(name, "<f8", (1001,))
+         for name in ("z", "theta0", "theta1", "phi1", "phi2")])
+    profile = np.load(out / "tw-profile.npy", allow_pickle=False)
+    assert profile.dtype == np.dtype([(name, "<f8", (1001,))
+                                      for name in TW_PROFILE_FIELDS])
     summary = json.loads((out / "summary.json").read_text())
     # emitted composition at eps = 0 is the bare kink: tiny residual
     assert summary["results"]["residual_eq1_linf"] < 1e-12
-    assert data.shape == (1001, 5)
-    assert summary["outputs"] == ["perturbative-orders.csv", "tw-profile.csv"]
+    for a, b in (("z", "z"), ("theta", "theta0")):
+        assert np.array_equal(profile[a].view(np.uint64),
+                              orders[b].view(np.uint64)), a
+    assert not profile["phi"].any()
+    assert summary["outputs"] == ["perturbative-orders.npy", "tw-profile.npy"]
+
+
+@pytest.mark.parametrize("command, section", [
+    ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n"
+     "\n[domain]\nn_points = 1201\n"),
+    ("build-perturbative", EXPANSION_INI + "\n[grid]\nn_points = 1001\n"),
+])
+def test_tw_summary_agrees_with_its_profile_record(tmp_path, command,
+                                                   section):
+    """The residual maxima of the summary are travelwave.residual_linf of
+    the record's res1 and res2, solve-tw's first-integral keys recompute
+    from its E_tw, and a rerun writes the same bytes."""
+    cfg = _write(tmp_path, "run.ini", section)
+    digests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.iterdir()})
+    assert digests[0] == digests[1]
+    record = np.load(tmp_path / "a" / "tw-profile.npy", allow_pickle=False)
+    results = json.loads((tmp_path / "a" / "summary.json").read_text())[
+        "results"]
+    assert results["residual_eq1_linf"] == travelwave.residual_linf(
+        record["res1"])
+    assert results["residual_eq2_linf"] == travelwave.residual_linf(
+        record["res2"])
+    if command == "solve-tw":
+        E = record["E_tw"]
+        assert results["first_integral_mean"] == np.mean(E)
+        assert results["first_integral_rel_variance"] == (
+            np.var(E) / (np.mean(E) ** 2 + 1e-300))
 
 
 def test_verify_expansion_report_and_jobs_determinism(tmp_path):

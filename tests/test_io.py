@@ -1,12 +1,14 @@
 """Artifact writers: every CSV exporter against the per-row f-string writer it
 replaced, kept here as the reference, byte for byte on small random reports;
-the PDE field history as an exact .npy round trip with a pinned header."""
+the PDE field history, the travelling-wave profile and the perturbative
+orders as exact .npy round trips with a pinned header; and the one .npy
+record writer on every float64 bit pattern."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pendulon import continuum, lattice, perturbation, reductions, travelwave
-from pendulon._io import write_csv
+from pendulon._io import write_npy_record
 from pendulon.chain import LatticeState
 from pendulon.params import ChainParams, ConfiningPotential
 
@@ -117,6 +119,65 @@ def _bits(a):
     return np.asarray(a, dtype="<f8").view(np.uint64)
 
 
+def _load_record(path, descr):
+    """The 0-d record of a version 1.0 .npy file whose header pins its dtype
+    to descr (field names, order and shapes), loaded without pickle."""
+    with open(path, "rb") as f:
+        assert np.lib.format.read_magic(f) == (1, 0)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+    assert (shape, fortran) == ((), False)
+    assert dtype == np.dtype(descr)
+    return np.load(path, allow_pickle=False)
+
+
+def _assert_same_bits(record, columns):
+    for name, column in columns.items():
+        assert np.array_equal(_bits(record[name]), _bits(column)), name
+
+
+# float64 bit patterns a writer could lose: +-0.0, +-inf, quiet and
+# signalling NaNs with payloads and sign, the smallest and largest
+# subnormals, and the extremes of the normal range
+_SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000001,
+                 0x7FF0000000000001, 0x7FF4000000000abc, 0x0000000000000001,
+                 0x800FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF)
+_FLOAT_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS),
+                        st.integers(0, 2**64 - 1))
+
+
+@SEEDS
+@given(data=st.data(), n=st.integers(0, 6), k=st.integers(1, 4),
+       kinds=st.lists(st.sampled_from(["array", "rows", "scalars"]),
+                      min_size=1, max_size=5))
+def test_npy_record_keeps_every_bit_pattern(tmp_path_factory, data, n, k,
+                                            kinds):
+    """Mixed (n,) arrays, lists of k (n,) rows and lists of k scalars come
+    back from np.load bit for bit, in order and shape, and two writes of one
+    record are byte-identical."""
+    def floats(size):
+        bits = data.draw(st.lists(_FLOAT_BITS, min_size=size, max_size=size))
+        return np.array(bits, dtype=np.uint64).view(np.float64)
+
+    fields, descr = {}, []
+    for i, kind in enumerate(kinds):
+        name = f"{kind}{i}"
+        if kind == "array":
+            fields[name], shape = floats(n), (n,)
+        elif kind == "rows":
+            fields[name], shape = [floats(n) for _ in range(k)], (k, n)
+        else:
+            fields[name], shape = floats(k).tolist(), (k,)
+        descr.append((name, "<f8", shape))
+    tmp = tmp_path_factory.mktemp("record")
+    write_npy_record(tmp / "a.npy", fields)
+    write_npy_record(tmp / "b.npy", fields)
+    assert (tmp / "a.npy").read_bytes() == (tmp / "b.npy").read_bytes()
+    record = _load_record(tmp / "a.npy", descr)
+    _assert_same_bits(record, {name: np.array(value, dtype=np.float64)
+                               for name, value in fields.items()})
+
+
 @SEEDS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 12),
        snaps=st.integers(1, 4))
@@ -129,14 +190,9 @@ def test_pde_fields_npy_round_trips_every_bit(tmp_path_factory, seed, n,
              for _ in range(snaps)]
     path = tmp_path_factory.mktemp("pde") / "fields.npy"
     continuum.export_fields(grids, path)
-    with open(path, "rb") as f:
-        assert np.lib.format.read_magic(f) == (1, 0)
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
-    assert (shape, fortran) == ((), False)
-    assert dtype == np.dtype([("t", "<f8", (snaps,)), ("x", "<f8", (n,))]
-                             + [(name, "<f8", (snaps, n)) for name in
-                                ("Theta", "Phi", "Theta_t", "Phi_t")])
-    record = np.load(path, allow_pickle=False)
+    record = _load_record(path, [("t", "<f8", (snaps,)), ("x", "<f8", (n,))]
+                          + [(name, "<f8", (snaps, n)) for name in
+                             ("Theta", "Phi", "Theta_t", "Phi_t")])
     assert np.array_equal(_bits(record["t"]), _bits([g.t for g in grids]))
     assert np.array_equal(_bits(record["x"]), _bits(x))
     for name in ("Theta", "Phi", "Theta_t", "Phi_t"):
@@ -166,18 +222,19 @@ def test_pde_energy_csv_matches_reference_with_blank_charge(tmp_path):
 
 
 @pytest.mark.parametrize("n", [6, 41])
-def test_tw_profile_csv_matches_reference(tmp_path, n):
+def test_tw_profile_npy_round_trips_every_bit(tmp_path, n):
     z = np.linspace(-8.0, 8.0, n)
     prof = travelwave.kink_profile(z, 1.05, 0.305)
     res1, res2 = travelwave.tw_residual(prof, CHAIN)
     E = travelwave.tw_first_integral(prof, CHAIN)
-    rows = zip(prof.z, prof.theta, prof.phi, prof.theta_z, prof.phi_z,
-               res1, res2, E)
-    _same_bytes(tmp_path,
-                lambda p: travelwave.export_profile_csv(prof, CHAIN, p),
-                lambda p: _reference_rows(
-                    p, "tw-profile v1",
-                    "z,theta,phi,theta_z,phi_z,res1,res2,E_tw", rows))
+    path = tmp_path / "tw-profile.npy"
+    returned = travelwave.export_profile(prof, CHAIN, path)
+    columns = {"z": prof.z, "theta": prof.theta, "phi": prof.phi,
+               "theta_z": prof.theta_z, "phi_z": prof.phi_z,
+               "res1": res1, "res2": res2, "E_tw": E}
+    record = _load_record(path, [(name, "<f8", (n,)) for name in columns])
+    _assert_same_bits(record, columns)
+    _assert_same_bits(columns, dict(zip(("res1", "res2", "E_tw"), returned)))
 
 
 @SEEDS
@@ -199,10 +256,19 @@ def test_small_csvs_match_reference(tmp_path_factory, seed, n):
     report = reductions.StiffReport(v_star=2.0, cells=cells)
     _same_bytes(tmp, lambda p: reductions.export_stiff_csv(report, p),
                 lambda p: _reference_stiff(report, p))
-    cols = [_values(rng, n) for _ in range(5)]
-    _same_bytes(tmp, lambda p: write_csv(p, "perturbative-orders v1",
-                                         "z,theta0,theta1,phi1,phi2",
-                                         zip(*(c.tolist() for c in cols))),
-                lambda p: _reference_rows(p, "perturbative-orders v1",
-                                          "z,theta0,theta1,phi1,phi2",
-                                          zip(*cols)))
+
+
+@SEEDS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8))
+def test_perturbative_orders_npy_round_trips_every_bit(tmp_path_factory,
+                                                       seed, n):
+    rng = np.random.default_rng(seed)
+    columns = {name: _snapshot_values(rng, n)
+               for name in ("z", "theta0", "theta1", "phi1", "phi2")}
+    sol = perturbation.PerturbativeSolution(
+        k=1.0, B=0.0, params=None, theta1_z=None, phi1_z=None, phi2_z=None,
+        **columns)
+    path = tmp_path_factory.mktemp("orders") / "perturbative-orders.npy"
+    perturbation.export_orders(sol, path)
+    record = _load_record(path, [(name, "<f8", (n,)) for name in columns])
+    _assert_same_bits(record, columns)

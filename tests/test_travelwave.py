@@ -6,7 +6,7 @@ import pytest
 from pendulon._stencils import derivative
 from pendulon.params import ChainParams, ConfiningPotential, _field_equations
 from pendulon.travelwave import (TWProfile, TWSolveError, _jacobian_blocks,
-                                 export_profile_csv, kink_profile,
+                                 export_profile, kink_profile,
                                  solve_tw_bvp, tw_coefficients,
                                  tw_first_integral, tw_lagrangian_density,
                                  tw_residual)
@@ -191,14 +191,22 @@ def test_export_profile_roundtrip(tmp_path):
     p = _single_angle_chain()
     z = np.linspace(-10, 10, 201)
     prof = kink_profile(z, 1.1, 0.25)
-    path = tmp_path / "prof.csv"
-    export_profile_csv(prof, p, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema: tw-profile v1"
-    assert lines[1] == "z,theta,phi,theta_z,phi_z,res1,res2,E_tw"
-    data = np.loadtxt(lines[2:], delimiter=",")
-    assert data.shape == (201, 8)
-    assert np.allclose(data[:, 1], prof.theta, atol=0)  # repr round-trips
+    path = tmp_path / "prof.npy"
+    returned = export_profile(prof, p, path)
+    record = np.load(path, allow_pickle=False)
+    assert record.dtype == np.dtype(
+        [(name, "<f8", (201,)) for name in
+         ("z", "theta", "phi", "theta_z", "phi_z", "res1", "res2", "E_tw")])
+    res1, res2 = tw_residual(prof, p)
+    columns = {"z": z, "theta": prof.theta, "phi": prof.phi,
+               "theta_z": prof.theta_z, "phi_z": prof.phi_z,
+               "res1": res1, "res2": res2, "E_tw": tw_first_integral(prof, p)}
+    for name, column in columns.items():
+        assert np.array_equal(record[name].view(np.uint64),
+                              column.view(np.uint64)), name
+    for name, column in zip(("res1", "res2", "E_tw"), returned):
+        assert np.array_equal(record[name].view(np.uint64),
+                              column.view(np.uint64)), name
 
 
 def test_refined_grid_accepted_and_warped_grid_rejected():
