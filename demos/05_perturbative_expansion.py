@@ -23,10 +23,11 @@ p = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0,
 k = kink_parameter(p)
 z = kink_grid(p)
 sol = build_perturbative(p, z)
+_, order1, order2 = sol.orders  # one (theta, phi) record per power of eps
 print(f"kink parameter k = {k:.6f}")
-print(f"order-1 outer correction peak: {np.max(np.abs(sol.theta1)):.5f}")
-print(f"order-1 inner (slaved) peak:   {np.max(np.abs(sol.phi1)):.5f}")
-print(f"order-2 inner (slaved) peak:   {np.max(np.abs(sol.phi2)):.5f}")
+print(f"order-1 outer correction peak: {np.max(np.abs(order1.theta)):.5f}")
+print(f"order-1 inner (slaved) peak:   {np.max(np.abs(order1.phi)):.5f}")
+print(f"order-2 inner (slaved) peak:   {np.max(np.abs(order2.phi)):.5f}")
 print()
 
 eps_list = [0.01, 0.02, 0.05, 0.1]

@@ -192,14 +192,15 @@ def cmd_verify_expansion(cp, args, out):
 
     ext = perturbation.taylor_extract(exp, z)
     theta1_ext = perturbation.project_zero_mode(ext.theta1, z, exp)
+    _, o1, o2 = sol.orders
     report = {
         "order": order,
         "eps_list": list(eps_list),
         "slope_res1": study.slope1,
         "slope_res2": study.slope2,
-        "theta1_rel_l2": _rel_l2(theta1_ext, sol.theta1),
-        "phi1_rel_l2": _rel_l2(ext.phi1, sol.phi1),
-        "phi2_rel_l2": _rel_l2(ext.phi2, sol.phi2),
+        "theta1_rel_l2": _rel_l2(theta1_ext, o1.theta),
+        "phi1_rel_l2": _rel_l2(ext.phi1, o1.phi),
+        "phi2_rel_l2": _rel_l2(ext.phi2, o2.phi),
     }
     write_json(report, out("verify-expansion.json"))
     return report

@@ -7,6 +7,7 @@ config typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 
 from .params import ChainParams, ConfiningPotential, ExpansionParams
@@ -125,18 +126,21 @@ def read_section(cp, name, schema, required=()):
     return out
 
 
-_CONFINEMENT_SCHEMA = {"family": str, "phi0": float, "c2": float, "b": float}
+def _schema(cls):
+    """({key: parser}, required keys) of the float and str fields of the
+    params dataclass cls, required when the field has no default: each
+    parameter is named once, in params."""
+    parsers = {"float": float, "str": str}
+    # params postpones its annotations, so a field's type is its name
+    fields = [f for f in dataclasses.fields(cls) if f.type in parsers]
+    return ({f.name: parsers[f.type] for f in fields},
+            tuple(f.name for f in fields
+                  if f.default is f.default_factory is dataclasses.MISSING))
 
-_CHAIN_SCHEMA = {"M": float, "m": float, "R": float, "r": float,
-                 "kappa_t": float, "kappa_s": float, "g": float,
-                 "delta": float}
-_CHAIN_REQUIRED = ("M", "m", "R", "r", "kappa_t", "kappa_s", "g", "delta")
 
-_EXPANSION_SCHEMA = {"A": float, "Mhat": float, "Khat": float, "g": float,
-                     "eps": float, "r1": float, "r2": float, "m1": float,
-                     "m2": float, "k1": float, "k2": float, "v0": float,
-                     "v1": float, "v2": float}
-_EXPANSION_REQUIRED = ("A", "Mhat", "Khat", "g")
+_CONFINEMENT_SCHEMA, _ = _schema(ConfiningPotential)
+_CHAIN_SCHEMA, _CHAIN_REQUIRED = _schema(ChainParams)
+_EXPANSION_SCHEMA, _EXPANSION_REQUIRED = _schema(ExpansionParams)
 
 
 def confinement_from_config(cp) -> ConfiningPotential:

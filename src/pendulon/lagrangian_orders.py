@@ -15,8 +15,9 @@ facts verified numerically in this module:
 Every formula here is cross-checked against an eps-Taylor extraction of the
 full density, which is the only defense against transcription slips in
 expressions this dense; it and field_derivative are analytic rules, exact to
-rounding on the complex-analytic density kernels. expansion_sample takes its
-fields from perturbation.build_perturbative.
+rounding on the complex-analytic density kernels. A sample holds one
+perturbation.Order per expansion order, and expansion_sample takes them from
+perturbation.build_perturbative.
 
 Every function here takes one sample, whose field arrays have shape
 (n_points,), or a batch of samples stacked along leading axes, shape
@@ -26,21 +27,21 @@ random samples a block at a time instead of one call per sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Dict, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
 from . import _stencils, perturbation
 from .params import ExpansionParams
-from .perturbation import _theta1_zz
+from .perturbation import Order
 from .travelwave import _density_raw, _series_values
 
 
 @dataclass(frozen=True)
 class ExpandedLagrangianSample:
-    """Field and derivative samples on a z-grid, one array per expansion
-    order. theta2 carries no second derivative because no formula needs it.
+    """Field and derivative samples on a z-grid: orders[k] is the
+    perturbation.Order of eps^k, k = 0, 1, 2, with phi0 free.
 
     z has shape (n_points,). Every field array has shape (..., n_points):
     (n_points,) for one sample, (n_samples, n_points) for a batch made by
@@ -49,21 +50,7 @@ class ExpandedLagrangianSample:
 
     z: np.ndarray
     params: ExpansionParams
-    theta0: np.ndarray
-    theta0_z: np.ndarray
-    theta0_zz: np.ndarray
-    theta1: np.ndarray
-    theta1_z: np.ndarray
-    theta1_zz: np.ndarray
-    theta2: np.ndarray
-    theta2_z: np.ndarray
-    phi0: np.ndarray
-    phi0_z: np.ndarray
-    phi0_zz: np.ndarray
-    phi1: np.ndarray
-    phi1_z: np.ndarray
-    phi2: np.ndarray
-    phi2_z: np.ndarray
+    orders: Tuple[Order, ...]
 
 
 def _gauss_mix(rng, z, amplitude):
@@ -89,55 +76,31 @@ def smooth_sample(params: ExpansionParams, z,
                   seed: int = 0) -> ExpandedLagrangianSample:
     """Random smooth decaying fields with analytically consistent derivative
     samples, of amplitude 0.8; phi0 is scaled to stay well inside the
-    confinement range."""
+    confinement range. The draws go theta0, theta1, theta2, then phi0, phi1,
+    phi2."""
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(seed)
-    fields = {}
-    for name in ("theta0", "theta1", "theta2", "phi0", "phi1", "phi2"):
-        amp = 0.35 * params.h_spec.phi0 if name == "phi0" else 0.8
-        f, fp, fpp = _gauss_mix(rng, z, amp)
-        fields[name] = (f, fp, fpp)
-    return ExpandedLagrangianSample(
-        z=z, params=params,
-        theta0=fields["theta0"][0], theta0_z=fields["theta0"][1],
-        theta0_zz=fields["theta0"][2],
-        theta1=fields["theta1"][0], theta1_z=fields["theta1"][1],
-        theta1_zz=fields["theta1"][2],
-        theta2=fields["theta2"][0], theta2_z=fields["theta2"][1],
-        phi0=fields["phi0"][0], phi0_z=fields["phi0"][1],
-        phi0_zz=fields["phi0"][2],
-        phi1=fields["phi1"][0], phi1_z=fields["phi1"][1],
-        phi2=fields["phi2"][0], phi2_z=fields["phi2"][1])
-
-
-_FIELD_NAMES = tuple(f.name for f in fields(ExpandedLagrangianSample)
-                     if f.name not in ("z", "params"))
+    thetas = [_gauss_mix(rng, z, 0.8) for _ in range(3)]
+    phis = [_gauss_mix(rng, z, 0.35 * params.h_spec.phi0 if k == 0 else 0.8)
+            for k in range(3)]
+    return ExpandedLagrangianSample(z, params, tuple(
+        Order(t, p, tz, pz, tzz, pzz)
+        for (t, tz, tzz), (p, pz, pzz) in zip(thetas, phis)))
 
 
 def stack_samples(samples) -> ExpandedLagrangianSample:
     """One batch from samples on one grid with one params: each field array
     stacked along a new leading axis, shape (len(samples), n_points)."""
-    return replace(samples[0], **{
-        name: np.stack([getattr(s, name) for s in samples])
-        for name in _FIELD_NAMES})
+    return replace(samples[0], orders=tuple(
+        Order(*(np.stack(fields) for fields in zip(*same_order)))
+        for same_order in zip(*(s.orders for s in samples))))
 
 
 def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
-    """Sample populated with the actual expansion fields of
-    build_perturbative (phi0 = 0 branch, kink at order 0, no order-2 outer
-    correction), with theta1'' in ODE form."""
+    """Sample of the orders of build_perturbative (phi0 = 0 branch, kink at
+    order 0, no order-2 outer correction)."""
     sol = perturbation.build_perturbative(params, z)
-    kin = perturbation.sg_kink(sol.z, params)
-    zeros = np.zeros_like(sol.z)
-    return ExpandedLagrangianSample(
-        z=sol.z, params=params,
-        theta0=kin.theta0, theta0_z=kin.theta0_z, theta0_zz=kin.theta0_zz,
-        theta1=sol.theta1, theta1_z=sol.theta1_z,
-        theta1_zz=_theta1_zz(params, kin, sol.theta1),
-        theta2=zeros, theta2_z=zeros,
-        phi0=zeros, phi0_z=zeros, phi0_zz=zeros,
-        phi1=sol.phi1, phi1_z=sol.phi1_z,
-        phi2=sol.phi2, phi2_z=sol.phi2_z)
+    return ExpandedLagrangianSample(sol.z, params, sol.orders)
 
 
 def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
@@ -150,12 +113,13 @@ def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
     muh = Mh * v0 * v0 - Kh
     h = p.h_spec
 
-    t0, t0z = sample.theta0, sample.theta0_z
-    t1, t1z = sample.theta1, sample.theta1_z
-    t2, t2z = sample.theta2, sample.theta2_z
-    p0, p0z = sample.phi0, sample.phi0_z
-    p1, p1z = sample.phi1, sample.phi1_z
-    p2 = sample.phi2
+    o0, o1, o2 = sample.orders
+    t0, t0z = o0.theta, o0.theta_z
+    t1, t1z = o1.theta, o1.theta_z
+    t2, t2z = o2.theta, o2.theta_z
+    p0, p0z = o0.phi, o0.phi_z
+    p1, p1z = o1.phi, o1.phi_z
+    p2 = o2.phi
     c0, s0 = np.cos(p0), np.sin(p0)
     ct0, st0 = np.cos(t0), np.sin(t0)
 
@@ -210,12 +174,8 @@ def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
 def _series_density(sample: ExpandedLagrangianSample, e):
     """The full density along the sampled expansion at eps = e, at the
     travelwave._series_values constants, so e may be negative or complex."""
-    theta = sample.theta0 + e * sample.theta1 + e * e * sample.theta2
-    theta_z = sample.theta0_z + e * sample.theta1_z + e * e * sample.theta2_z
-    phi = sample.phi0 + e * sample.phi1 + e * e * sample.phi2
-    phi_z = sample.phi0_z + e * sample.phi1_z + e * e * sample.phi2_z
-    return _density_raw(theta, phi, theta_z, phi_z,
-                        *_series_values(sample.params, e))
+    fields = perturbation.compose([o[:4] for o in sample.orders], e)
+    return _density_raw(*fields, *_series_values(sample.params, e))
 
 
 def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):
@@ -227,15 +187,19 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):
                 lambda e: _series_density(sample, e)))
 
 
-def field_derivative(sample: ExpandedLagrangianSample, k: int,
+def field_derivative(sample: ExpandedLagrangianSample, k: int, j: int,
                      name: str) -> np.ndarray:
-    """Pointwise dL_k/d(sample.<name>) by complex step, Im L_k(f + i h) / h
-    with h = 2**-100 (Squire and Trapp): eval_L0_L1_L2 is complex-analytic
-    in every field, so no difference cancels and no step needs choosing."""
+    """Pointwise dL_k/d(sample.orders[j].<name>) by complex step,
+    Im L_k(f + i h) / h with h = 2**-100 (Squire and Trapp): eval_L0_L1_L2
+    is complex-analytic in every field, so no difference cancels and no step
+    needs choosing."""
     if k not in (0, 1, 2):
         raise ValueError("order k must be 0, 1 or 2")
     h = 2.0**-100
-    stepped = replace(sample, **{name: getattr(sample, name) + 1j * h})
+    orders = list(sample.orders)
+    orders[j] = orders[j]._replace(
+        **{name: getattr(orders[j], name) + 1j * h})
+    stepped = replace(sample, orders=tuple(orders))
     return np.imag(eval_L0_L1_L2(stepped)[k]) / h
 
 
@@ -243,7 +207,7 @@ def auxiliary_check(sample: ExpandedLagrangianSample, k: int):
     """max |dL_k/dphi_k'| per sample: one value for a single sample, one per
     row for a batch. Structural zero at every order: the density order never
     sees the derivative of its own-order inner angle."""
-    return np.max(np.abs(field_derivative(sample, k, f"phi{k}_z")), axis=-1)
+    return np.max(np.abs(field_derivative(sample, k, k, "phi_z")), axis=-1)
 
 
 def el_identities(sample: ExpandedLagrangianSample):
@@ -259,10 +223,11 @@ def el_identities(sample: ExpandedLagrangianSample):
     A, Kh, g = p.A, p.Khat, p.g
     r1, r2, m1, k1 = p.r1, p.r2, p.m1, p.k1
     h = p.h_spec
-    t0, t0z, t0zz = sample.theta0, sample.theta0_z, sample.theta0_zz
-    t1z, t1zz = sample.theta1_z, sample.theta1_zz
-    p0, p0z, p0zz = sample.phi0, sample.phi0_z, sample.phi0_zz
-    p1, p2 = sample.phi1, sample.phi2
+    o0, o1, o2 = sample.orders
+    t0, t0z, t0zz = o0.theta, o0.theta_z, o0.theta_zz
+    t1z, t1zz = o1.theta_z, o1.theta_zz
+    p0, p0z, p0zz = o0.phi, o0.phi_z, o0.phi_zz
+    p1, p2 = o1.phi, o2.phi
     c0, s0 = np.cos(p0), np.sin(p0)
     AKr1 = A * Kh * r1
 
@@ -298,34 +263,37 @@ def slaving_consistency(params: ExpansionParams, z) -> Dict[str, object]:
     """
     z = np.asarray(z, dtype=float)
     sample = expansion_sample(params, z)
+    o0, o1, o2 = sample.orders
+    zeros = np.zeros_like(z)
     h2_at0 = float(params.h_spec.d2h(0.0))
-    minus_h1 = -params.h_spec.dh(sample.phi0)
+    minus_h1 = -params.h_spec.dh(o0.phi)
 
     aux = {}
     slaving = {}
     for k in (0, 1, 2):
         aux[str(k)] = float(auxiliary_check(sample, k))
-        dLk = field_derivative(sample, k, f"phi{k}")
+        dLk = field_derivative(sample, k, k, "phi")
         slaving[str(k)] = float(np.max(np.abs(dLk - minus_h1)))
 
-    E10_0, _, E20_0 = el_identities(
-        replace(sample, phi1=np.zeros_like(z), phi2=np.zeros_like(z)))
+    E10_0, _, _ = el_identities(replace(sample, orders=(
+        o0, o1._replace(phi=zeros), o2._replace(phi=zeros))))
     phi1_star = E10_0 / h2_at0
     # E20 is affine in phi2 with slope -h''(phi0), but its phi1-dependence is
     # genuine, so phi1 is restored before solving for phi2
-    _, _, E20_1 = el_identities(replace(sample, phi2=np.zeros_like(z)))
+    _, _, E20_1 = el_identities(
+        replace(sample, orders=(o0, o1, o2._replace(phi=zeros))))
     phi2_star = E20_1 / h2_at0
 
-    phi1_scale = float(np.max(np.abs(sample.phi1))) or 1.0
-    phi2_scale = float(np.max(np.abs(sample.phi2))) or 1.0
+    phi1_scale = float(np.max(np.abs(o1.phi))) or 1.0
+    phi2_scale = float(np.max(np.abs(o2.phi))) or 1.0
     return {
         "h_prime_at_0": float(params.h_spec.dh(0.0)),
         "auxiliary_max": aux,
         "own_order_variation_vs_minus_h_prime": slaving,
         "phi1_from_E10_max_abs_diff": float(
-            np.max(np.abs(phi1_star - sample.phi1))),
+            np.max(np.abs(phi1_star - o1.phi))),
         "phi2_from_E20_rel_max_diff": float(
-            np.max(np.abs(phi2_star - sample.phi2)) / phi2_scale),
+            np.max(np.abs(phi2_star - o2.phi)) / phi2_scale),
         "phi1_scale": phi1_scale,
         "phi2_scale": phi2_scale,
     }

@@ -7,9 +7,10 @@ algebraic relation that slaves it to the kink fields, and this module builds
 those orders explicitly and verifies the structure against an oracle that
 differentiates the discrete BVP solution family in eps.
 
-build_perturbative builds the orders once per grid; compose_series and
-residual_scaling reuse them. The oracle taylor_extract gets theta1, phi1 and
-phi2 by implicit differentiation: one BVP solve at eps = 0, one factor of its
+build_perturbative builds the orders once per grid, one Order record per
+power of eps; compose_series and residual_scaling sum them with compose, the
+one eps-series sum. The oracle taylor_extract gets theta1, phi1 and phi2 by
+implicit differentiation: one BVP solve at eps = 0, one factor of its
 Jacobian, and two back-solves.
 
 Series conventions: r = eps r1 + eps^2 r2, R = A - r, m = eps m1 + eps^2 m2,
@@ -20,7 +21,7 @@ zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -181,21 +182,43 @@ def order2_phi(params: ExpansionParams, theta1, phi1, z) -> np.ndarray:
                  params.h_spec.d2h(0.0), params.h_spec.d3h(0.0))
 
 
+class Order(NamedTuple):
+    """The eps^k coefficient of a profile: both angles with their first and
+    second z-derivatives, in the argument order of params._field_equations.
+    Each field is an array on the grid, (..., n_points) for a batch."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    theta_z: np.ndarray
+    phi_z: np.ndarray
+    theta_zz: np.ndarray
+    phi_zz: np.ndarray
+
+
+def compose(orders, e) -> tuple:
+    """The eps series sum_k e^k orders[k], field by field, as a tuple of the
+    fields of one order: each order a tuple of arrays (an Order, a prefix of
+    one, or scalars), added in k order with e^2 = e e. e may be negative or
+    complex."""
+    total = tuple(orders[0])
+    power = None
+    for order in orders[1:]:
+        power = e if power is None else power * e
+        total = tuple(a + power * b for a, b in zip(total, order))
+    return total
+
+
 @dataclass(frozen=True)
 class PerturbativeSolution:
-    """Sampled expansion data on a fixed uniform z-grid."""
+    """Sampled expansion on a fixed uniform z-grid: orders[k] is the eps^k
+    Order of (theta, phi). Order 0 is the kink with phi = 0, and order 2 has
+    no outer correction (theta2 = 0)."""
 
     z: np.ndarray
     k: float
-    theta0: np.ndarray
-    theta1: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
     B: float
     params: ExpansionParams
-    theta1_z: np.ndarray
-    phi1_z: np.ndarray
-    phi2_z: np.ndarray
+    orders: Tuple[Order, ...]
 
 
 def kink_grid(params: ExpansionParams, n_points: int = 4001,
@@ -207,58 +230,51 @@ def kink_grid(params: ExpansionParams, n_points: int = 4001,
 
 
 def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
+    """The orders 0, 1 and 2 on z (default kink_grid), each slope and
+    curvature taken once: closed forms for the kink and phi1, theta1'' in ODE
+    form (_theta1_zz), and stencil derivatives of theta1' and of phi2."""
     if z is None:
         z = kink_grid(params)
     z = np.asarray(z, dtype=float)
     dz = _stencils.uniform_spacing(z)
     kin = sg_kink(z, params)
+    c1 = _phi1_coefficient(params)
     theta1 = order1_theta(params, z)
     phi1 = order1_phi(params, z)
     phi2 = order2_phi(params, theta1, phi1, z)
-    phi1_z = _phi1_coefficient(params) * kin.cos_theta0 * kin.theta0_z
-    return PerturbativeSolution(
-        z=z, k=kink_parameter(params), theta0=kin.theta0, theta1=theta1,
-        phi1=phi1, phi2=phi2, B=coefficient_B(params), params=params,
-        theta1_z=_stencils.derivative(theta1, dz, 1), phi1_z=phi1_z,
-        phi2_z=_stencils.derivative(phi2, dz, 1))
+    zeros = np.zeros_like(z)
+    orders = (
+        Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
+        Order(theta1, phi1, _stencils.derivative(theta1, dz, 1),
+              c1 * kin.cos_theta0 * kin.theta0_z,
+              _theta1_zz(params, kin, theta1),
+              c1 * (kin.cos_theta0 * kin.theta0_zz
+                    - kin.sin_theta0 * kin.theta0_z**2)),
+        Order(zeros, phi2, zeros, _stencils.derivative(phi2, dz, 1), zeros,
+              _stencils.derivative(phi2, dz, 2)))
+    return PerturbativeSolution(z=z, k=kink_parameter(params),
+                                B=coefficient_B(params), params=params,
+                                orders=orders)
 
 
 def compose_series(sol: PerturbativeSolution, eps: float,
                    order: int) -> TWProfile:
-    """Assemble theta = theta0 + eps theta1, phi = eps phi1 + eps^2 phi2 as a
-    travelling-wave profile at the reconstructed chain parameters and speed.
+    """Assemble theta = theta0 + eps theta1, phi = eps phi1 + eps^2 phi2, the
+    compose of sol.orders[:order + 1], as a travelling-wave profile at the
+    reconstructed chain parameters and speed.
 
-    Curvature samples are attached analytically (ODE form for theta1), so the
+    The curvature comes from the orders (ODE form for theta1), so the
     residual of the composition measures the expansion error rather than any
     finite-difference floor. order=0 keeps the bare kink; there is no order-2
     outer correction by construction.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    p = sol.params
-    z = sol.z
-    kin = sg_kink(z, p)
-    theta, theta_z, theta_zz = kin.theta0, kin.theta0_z, kin.theta0_zz
-    phi, phi_z, phi_zz = np.zeros((3, z.shape[0]))
-
-    if order >= 1:
-        c1 = _phi1_coefficient(p)
-        theta = theta + eps * sol.theta1
-        theta_z = theta_z + eps * sol.theta1_z
-        theta_zz = theta_zz + eps * _theta1_zz(p, kin, sol.theta1)
-        phi = phi + eps * sol.phi1
-        phi_z = phi_z + eps * sol.phi1_z
-        phi_zz = phi_zz + eps * c1 * (kin.cos_theta0 * kin.theta0_zz
-                                      - kin.sin_theta0 * kin.theta0_z**2)
-    if order == 2:
-        dz = float(z[1] - z[0])
-        phi = phi + eps * eps * sol.phi2
-        phi_z = phi_z + eps * eps * sol.phi2_z
-        phi_zz = phi_zz + eps * eps * _stencils.derivative(sol.phi2, dz, 2)
-
-    return TWProfile(z, theta, phi, theta_z, phi_z, p.speed(eps),
+    if not 0 <= eps < np.inf:  # also rejects nan
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+    theta, phi, theta_z, phi_z, theta_zz, phi_zz = compose(
+        sol.orders[:order + 1], eps)
+    return TWProfile(sol.z, theta, phi, theta_z, phi_z, sol.params.speed(eps),
                      theta_zz=theta_zz, phi_zz=phi_zz)
 
 
@@ -304,8 +320,8 @@ def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
         """-J0^-1 [eps^k] F(u0 + eps u1; eps), as (theta, phi)."""
         def F(e):
             c = travelwave._series_values(params, e)
-            return _field_equations(*(a + e * b for a, b in zip(u0, u1)),
-                                    c.c_outer, c.c_inner, c)
+            return _field_equations(*compose((u0, u1), e), c.c_outer,
+                                    c.c_inner, c)
         sol = lu.solve(-system.pack(*_stencils.cauchy_coefficients(F)[k - 1]))
         return sol[0:-1:2], sol[1:-1:2]
 
@@ -333,7 +349,10 @@ def residual_scaling(sol: PerturbativeSolution, eps_list,
     correction is constructed.
     """
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
-    if np.unique(eps_arr).size < 2 or np.any(eps_arr <= 0):
+    if not np.all(np.isfinite(eps_arr) & (eps_arr > 0)):
+        raise ValueError(f"eps values must be positive and finite, got "
+                         f"{eps_arr.tolist()}")
+    if np.unique(eps_arr).size < 2:
         raise ValueError("need at least two distinct positive eps values")
     res1, res2 = [], []
     for e in eps_arr:
@@ -361,5 +380,7 @@ def export_scaling_csv(study: ScalingStudy, path) -> None:
 def export_orders(sol: PerturbativeSolution, path) -> None:
     """Write perturbative-orders.npy, one .npy record (_io.write_npy_record)
     of the (n,) fields z, theta0, theta1, phi1 and phi2."""
-    write_npy_record(path, {name: getattr(sol, name) for name in
-                            ("z", "theta0", "theta1", "phi1", "phi2")})
+    o0, o1, o2 = sol.orders
+    write_npy_record(path, {"z": sol.z, "theta0": o0.theta,
+                            "theta1": o1.theta, "phi1": o1.phi,
+                            "phi2": o2.phi})

@@ -60,20 +60,26 @@ def test_criterion_02_residual_slopes_track_truncation_order(exp_params):
     eps_list = [0.01, 0.02, 0.05, 0.1]
     s0 = residual_scaling(sol, eps_list, 0)
     s1 = residual_scaling(sol, eps_list, 1)
+    s2 = residual_scaling(sol, eps_list, 2)
     print(f"slopes order0 ({s0.slope1:.4f}, {s0.slope2:.4f}) "
-          f"order1 ({s1.slope1:.4f}, {s1.slope2:.4f})")
+          f"order1 ({s1.slope1:.4f}, {s1.slope2:.4f}) "
+          f"order2 ({s2.slope1:.4f}, {s2.slope2:.4f})")
     assert abs(s0.slope1 - 1.0) < 0.1
     assert abs(s0.slope2 - 1.0) < 0.1
     assert abs(s1.slope1 - 2.0) < 0.15
     assert abs(s1.slope2 - 2.0) < 0.15
+    # no order-2 outer correction: equation 1 plateaus at 2, equation 2 gains
+    assert abs(s2.slope1 - 2.0) < 0.15
+    assert abs(s2.slope2 - 3.0) < 0.15
 
 
 def test_criterion_03_slaving_formulas_match_bvp_extraction(exp_params):
     z = kink_grid(exp_params)
     sol = build_perturbative(exp_params, z)
     ext = taylor_extract(exp_params, z)
-    rel1 = _rel_l2(ext.phi1, sol.phi1, z)
-    rel2 = _rel_l2(ext.phi2, sol.phi2, z)
+    _, o1, o2 = sol.orders
+    rel1 = _rel_l2(ext.phi1, o1.phi, z)
+    rel2 = _rel_l2(ext.phi2, o2.phi, z)
     print(f"phi1 rel L2 {rel1:.3e}, phi2 rel L2 {rel2:.3e}")
     assert rel1 < 1e-5
     assert rel2 < 1e-4
@@ -91,8 +97,9 @@ def test_criterion_03_eps_oracle_matches_every_order_on_tangent_barrier(
     z = kink_grid(params)
     sol = build_perturbative(params, z)
     ext = taylor_extract(params, z)
-    rel = [_rel_l2(project_zero_mode(ext.theta1, z, params), sol.theta1, z),
-           _rel_l2(ext.phi1, sol.phi1, z), _rel_l2(ext.phi2, sol.phi2, z)]
+    _, o1, o2 = sol.orders
+    rel = [_rel_l2(project_zero_mode(ext.theta1, z, params), o1.theta, z),
+           _rel_l2(ext.phi1, o1.phi, z), _rel_l2(ext.phi2, o2.phi, z)]
     print("theta1 / phi1 / phi2 rel L2",
           " / ".join(f"{r:.2e}" for r in rel))
     assert rel[0] < 1e-8 and rel[1] < 1e-8

@@ -146,6 +146,32 @@ def test_missing_required_key(tmp_path):
         chain_from_config(cp)
 
 
+def test_sections_take_the_params_fields(tmp_path):
+    """[expansion] and [confinement] take every float and str field of
+    ExpansionParams and ConfiningPotential; a missing key is one without a
+    default, named in field order."""
+    names = ("A", "Mhat", "Khat", "g", "eps", "r1", "r2", "m1", "m2", "k1",
+             "k2", "v0", "v1", "v2")
+    cp = load_config(_write(
+        tmp_path, "a.ini",
+        "[expansion]\n" + "".join(f"{k} = 0.5\n" for k in names)
+        + "\n[confinement]\nfamily = tangent-barrier\nphi0 = 1.2\n"
+        "c2 = 1.5\nb = 0.3\n"))
+    assert expansion_from_config(cp) == ExpansionParams(
+        **dict.fromkeys(names, 0.5), h_spec=ConfiningPotential(
+            family="tangent-barrier", phi0=1.2, c2=1.5, b=0.3))
+    cp = load_config(_write(tmp_path, "b.ini",
+                            "[chain]\nm = 1.0\n\n[expansion]\nMhat = 1.0\n"))
+    with pytest.raises(ConfigError) as exc:
+        chain_from_config(cp)
+    assert str(exc.value) == ("[chain] missing required key(s): 'M', 'R', "
+                              "'r', 'kappa_t', 'kappa_s', 'g', 'delta'")
+    with pytest.raises(ConfigError) as exc:
+        expansion_from_config(cp)
+    assert str(exc.value) == ("[expansion] missing required key(s): 'A', "
+                              "'Khat', 'g'")
+
+
 def test_bad_value_diagnostic(tmp_path):
     cp = load_config(_write(tmp_path, "a.ini",
                             CHAIN_INI.replace("g = 1.0", "g = one")))

@@ -265,9 +265,12 @@ def test_perturbative_orders_npy_round_trips_every_bit(tmp_path_factory,
     rng = np.random.default_rng(seed)
     columns = {name: _snapshot_values(rng, n)
                for name in ("z", "theta0", "theta1", "phi1", "phi2")}
+    none = (None,) * 4
     sol = perturbation.PerturbativeSolution(
-        k=1.0, B=0.0, params=None, theta1_z=None, phi1_z=None, phi2_z=None,
-        **columns)
+        z=columns["z"], k=1.0, B=0.0, params=None, orders=(
+            perturbation.Order(columns["theta0"], None, *none),
+            perturbation.Order(columns["theta1"], columns["phi1"], *none),
+            perturbation.Order(None, columns["phi2"], *none)))
     path = tmp_path_factory.mktemp("orders") / "perturbative-orders.npy"
     perturbation.export_orders(sol, path)
     record = _load_record(path, [(name, "<f8", (n,)) for name in columns])

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from pendulon import lagrangian_orders as lx
 from pendulon.params import ConfiningPotential, ExpansionParams
 from pendulon._stencils import derivative
-from pendulon.perturbation import (_forcing_coefficient, _phi1_coefficient,
-                                   kink_grid, kink_parameter, order1_phi,
-                                   order1_theta, order2_phi, sg_kink)
+from pendulon.perturbation import (Order, _forcing_coefficient,
+                                   _phi1_coefficient, kink_grid,
+                                   kink_parameter, order1_phi, order1_theta,
+                                   order2_phi, sg_kink)
 
 
 _EXP = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, v1=0.1,
@@ -40,7 +41,7 @@ def test_oracle_catches_wrong_sign(exp_params, zgrid):
     # negative control for the oracle itself: break one term, see it fire
     sample = lx.smooth_sample(exp_params, zgrid, seed=0)
     exact = list(lx.eval_L0_L1_L2(sample))
-    exact[1] = exact[1] + 1e-3 * sample.theta1
+    exact[1] = exact[1] + 1e-3 * sample.orders[1].theta
     taylor = lx.taylor_lagrangian_coefficients(sample)
     scale = np.max(np.abs(taylor[1]))
     assert np.max(np.abs(exact[1] - taylor[1])) / scale > 1e-6
@@ -68,14 +69,14 @@ def test_cross_order_gradient_is_not_zero(exp_params, zgrid):
     # the second-order density DOES feel the base tip-angle gradient, so a
     # vanishing auxiliary_check is not an artifact of dead parameters
     sample = lx.smooth_sample(exp_params, zgrid, seed=4)
-    assert np.max(np.abs(lx.field_derivative(sample, 2, "phi0_z"))) > 1e-4
+    assert np.max(np.abs(lx.field_derivative(sample, 2, 0, "phi_z"))) > 1e-4
 
 
 def test_own_order_variation_is_confining_force(exp_params, zgrid):
     sample = lx.smooth_sample(exp_params, zgrid, seed=7)
     for k in range(3):
-        got = lx.field_derivative(sample, k, f"phi{k}")
-        want = -exp_params.h_spec.dh(sample.phi0)
+        got = lx.field_derivative(sample, k, k, "phi")
+        want = -exp_params.h_spec.dh(sample.orders[0].phi)
         assert np.max(np.abs(got - want)) < 1e-14
 
 
@@ -100,13 +101,7 @@ def test_zero_fields_base_value(exp_params, zgrid):
     p = exp_params
     zero = np.zeros_like(zgrid)
     sample = lx.ExpandedLagrangianSample(
-        z=zgrid, params=p,
-        theta0=zero, theta0_z=zero, theta0_zz=zero,
-        theta1=zero, theta1_z=zero, theta1_zz=zero,
-        theta2=zero, theta2_z=zero,
-        phi0=zero, phi0_z=zero, phi0_zz=zero,
-        phi1=zero, phi1_z=zero,
-        phi2=zero, phi2_z=zero)
+        z=zgrid, params=p, orders=(Order(*[zero] * 6),) * 3)
     L0, L1, L2 = lx.eval_L0_L1_L2(sample)
     assert np.allclose(L0, p.g * p.A * p.Mhat, atol=1e-14)
     assert np.allclose(L1, -p.g * p.Mhat * p.r1, atol=1e-14)
@@ -116,8 +111,8 @@ def test_smooth_sample_is_seeded(exp_params, zgrid):
     a = lx.smooth_sample(exp_params, zgrid, seed=11)
     b = lx.smooth_sample(exp_params, zgrid, seed=11)
     c = lx.smooth_sample(exp_params, zgrid, seed=12)
-    assert np.array_equal(a.theta1, b.theta1)
-    assert not np.array_equal(a.theta1, c.theta1)
+    assert np.array_equal(a.orders[1].theta, b.orders[1].theta)
+    assert not np.array_equal(a.orders[1].theta, c.orders[1].theta)
 
 
 def _reference_expansion_sample(params, z):
@@ -131,17 +126,16 @@ def _reference_expansion_sample(params, z):
         + _forcing_coefficient(params) * kin.sin_theta0
     phi1 = order1_phi(params, z)
     phi2 = order2_phi(params, theta1, phi1, z)
+    c1 = _phi1_coefficient(params)
     zeros = np.zeros_like(z)
-    return lx.ExpandedLagrangianSample(
-        z=z, params=params,
-        theta0=kin.theta0, theta0_z=kin.theta0_z, theta0_zz=kin.theta0_zz,
-        theta1=theta1, theta1_z=derivative(theta1, dz, 1),
-        theta1_zz=theta1_zz,
-        theta2=zeros, theta2_z=zeros,
-        phi0=zeros, phi0_z=zeros, phi0_zz=zeros,
-        phi1=phi1,
-        phi1_z=_phi1_coefficient(params) * kin.cos_theta0 * kin.theta0_z,
-        phi2=phi2, phi2_z=derivative(phi2, dz, 1))
+    return lx.ExpandedLagrangianSample(z=z, params=params, orders=(
+        Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
+        Order(theta1, phi1, derivative(theta1, dz, 1),
+              c1 * kin.cos_theta0 * kin.theta0_z, theta1_zz,
+              c1 * (kin.cos_theta0 * kin.theta0_zz
+                    - kin.sin_theta0 * kin.theta0_z**2)),
+        Order(zeros, phi2, zeros, derivative(phi2, dz, 1), zeros,
+              derivative(phi2, dz, 2))))
 
 
 def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
@@ -149,12 +143,13 @@ def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
         z = kink_grid(p, n_points=1201)
         got = lx.expansion_sample(p, z)
         ref = _reference_expansion_sample(p, z)
-        for f in dataclasses.fields(lx.ExpandedLagrangianSample):
-            a, b = getattr(got, f.name), getattr(ref, f.name)
-            if f.name == "params":
-                assert a == b
-            else:
-                assert np.array_equal(a, b), f.name
+        assert got.params == ref.params
+        assert np.array_equal(got.z, ref.z)
+        assert len(got.orders) == len(ref.orders) == 3
+        for k, (a, b) in enumerate(zip(got.orders, ref.orders)):
+            for name in Order._fields:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), \
+                    (k, name)
 
 
 def test_expansion_sample_identities(exp_params):
@@ -225,8 +220,9 @@ def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
             assert lx.auxiliary_check(batch, k)[row] == lx.auxiliary_check(
                 one, k)
             # a field the density depends on, so the derivative is not 0
-            assert np.array_equal(lx.field_derivative(batch, k, "phi0_z")[row],
-                                  lx.field_derivative(one, k, "phi0_z"))
+            assert np.array_equal(
+                lx.field_derivative(batch, k, 0, "phi_z")[row],
+                lx.field_derivative(one, k, 0, "phi_z"))
 
 
 def test_sample_maxima_blocks_hold_at_least_one_sample(exp_params):

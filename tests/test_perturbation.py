@@ -13,7 +13,7 @@ from pendulon.continuum import kink_field_grid
 from pendulon.lattice import moving_kink_state
 from pendulon.params import ChainParams, ConfiningPotential
 from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
-                                   build_perturbative, coefficient_B,
+                                   _phi1_coefficient, build_perturbative, coefficient_B,
                                    compose_series, kink_grid, kink_parameter,
                                    mu_hat, order1_phi, order1_theta,
                                    order2_phi, project_zero_mode,
@@ -183,6 +183,64 @@ def test_compose_series_residual_improves_with_order(exp_params):
     assert norms[2] < norms[1] < norms[0]
 
 
+def _assembled_series(params, z, eps, order):
+    """compose_series assembled field by field from the order functions:
+    (theta, phi, theta', phi', theta'', phi''), order by order in eps."""
+    dz = float(z[1] - z[0])
+    kin = sg_kink(z, params)
+    theta, theta_z, theta_zz = kin.theta0, kin.theta0_z, kin.theta0_zz
+    phi, phi_z, phi_zz = np.zeros((3, z.size))
+    if order >= 1:
+        c1 = _phi1_coefficient(params)
+        theta1 = order1_theta(params, z)
+        theta = theta + eps * theta1
+        theta_z = theta_z + eps * derivative(theta1, dz, 1)
+        theta_zz = theta_zz + eps * (
+            kink_parameter(params) ** 2 * kin.cos_theta0 * theta1
+            + _forcing_coefficient(params) * kin.sin_theta0)
+        phi = phi + eps * order1_phi(params, z)
+        phi_z = phi_z + eps * (c1 * kin.cos_theta0 * kin.theta0_z)
+        phi_zz = phi_zz + eps * (c1 * (kin.cos_theta0 * kin.theta0_zz
+                                       - kin.sin_theta0 * kin.theta0_z**2))
+    if order == 2:
+        phi2 = order2_phi(params, theta1, order1_phi(params, z), z)
+        phi = phi + eps * eps * phi2
+        phi_z = phi_z + eps * eps * derivative(phi2, dz, 1)
+        phi_zz = phi_zz + eps * eps * derivative(phi2, dz, 2)
+    return theta, phi, theta_z, phi_z, theta_zz, phi_zz
+
+
+def test_compose_series_equals_the_order_by_order_assembly(exp_params):
+    """Bit for bit at orders 0, 1 and 2: the orders of build_perturbative
+    summed by perturbation.compose add the same terms in the same order."""
+    p = exp_params
+    z = kink_grid(p, n_points=1201)
+    sol = build_perturbative(p, z)
+    for order in (0, 1, 2):
+        prof = compose_series(sol, 0.05, order)
+        got = (prof.theta, prof.phi, prof.theta_z, prof.phi_z, prof.theta_zz,
+               prof.phi_zz)
+        for name, a, b in zip(perturbation.Order._fields, got,
+                              _assembled_series(p, z, 0.05, order)):
+            assert np.array_equal(a, b), (order, name)
+        assert prof.v == p.speed(0.05)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -0.01])
+def test_compose_series_rejects_non_finite_or_negative_eps(exp_params, eps):
+    sol = build_perturbative(exp_params, kink_grid(exp_params, n_points=801))
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        compose_series(sol, eps, 1)
+
+
+@pytest.mark.parametrize("eps_list", [[np.nan, 0.1], [0.05, np.inf]])
+def test_residual_scaling_rejects_non_finite_eps(exp_params, eps_list):
+    sol = build_perturbative(exp_params, kink_grid(exp_params, n_points=801))
+    with pytest.raises(ValueError, match="eps values must be positive and "
+                                         "finite"):
+        residual_scaling(sol, eps_list, 1)
+
+
 def test_reconstruction_identities(exp_params):
     # bare parameters recombine to the hatted totals at every eps
     p = exp_params
@@ -286,7 +344,7 @@ def test_taylor_extract_solves_once_and_factors_once(exp_params):
 def test_build_perturbative_grid_check(exp_params):
     p = exp_params
     sol = build_perturbative(p, kink_grid(p, n_points=32001))
-    assert sol.theta1.shape == (32001,)
+    assert sol.orders[1].theta.shape == (32001,)
     z = kink_grid(p, n_points=2001)
     stepped = np.concatenate([z[:1000], z[1001:] + 0.5 * (z[1] - z[0])])
     with pytest.raises(ValueError, match="grid must be uniform"):
