@@ -114,8 +114,8 @@ def check_time_step(dt, dx, params: ChainParams):
 
 
 def evolve(grid: FieldGrid, t_end, dt, params: ChainParams, snapshot_every=None):
-    """RK4 method-of-lines evolution (_stencils.rk4_run) with clamped
-    (Dirichlet) end nodes: the initial grid, then one grid per snapshot."""
+    """RK4 method of lines (_stencils.rk4_run) for a duration t_end, with
+    clamped (Dirichlet) ends: the initial grid, then one grid per snapshot."""
     check_time_step(dt, grid.dx, params)
 
     def rhs(y, t):

@@ -45,7 +45,7 @@ class ExpandedLagrangianSample:
 
     z has shape (n_points,). Every field array has shape (..., n_points):
     (n_points,) for one sample, (n_samples, n_points) for a batch made by
-    stack_samples.
+    smooth_samples.
     """
 
     z: np.ndarray
@@ -53,47 +53,39 @@ class ExpandedLagrangianSample:
     orders: Tuple[Order, ...]
 
 
-def _gauss_mix(rng, z, amplitude):
-    """Three random Gaussian bumps, centred in the middle half of z and of
-    height at most amplitude, with their first and second derivatives."""
+def smooth_samples(params: ExpansionParams, z,
+                   seeds) -> ExpandedLagrangianSample:
+    """Random smooth decaying fields, one row per seed, with analytically
+    consistent derivatives: three Gaussian bumps of height at most 0.8 per
+    field (0.35 phi0 of the confinement for phi0). Each seed's generator
+    draws (field, bump, height/centre/width), the fields in the order theta0,
+    theta1, theta2, phi0, phi1, phi2; the bumps are added from zeros in turn,
+    so a row is the same bit for bit in any batch."""
+    z = np.asarray(z, dtype=float)
     span = z[-1] - z[0]
-    f = np.zeros_like(z)
-    fp = np.zeros_like(z)
-    fpp = np.zeros_like(z)
-    for _ in range(3):
-        a = amplitude * rng.uniform(-1.0, 1.0)
-        c = rng.uniform(z[0] + 0.25 * span, z[-1] - 0.25 * span)
-        w = rng.uniform(0.04 * span, 0.12 * span)
+    bounds = np.array([[-1.0, z[0] + 0.25 * span, 0.04 * span],
+                       [1.0, z[-1] - 0.25 * span, 0.12 * span]])
+    draws = np.stack([np.random.default_rng(s).uniform(*bounds, (6, 3, 3))
+                      for s in seeds], axis=1)  # (field, seed, bump, a/c/w)
+    height = np.array([0.8] * 3 + [0.35 * params.h_spec.phi0] + [0.8] * 2)
+    f, fp, fpp = np.zeros((3,) + draws.shape[:2] + z.shape)
+    for a, c, w in draws.transpose(2, 3, 0, 1)[..., None]:  # bump by bump
         u = (z - c) / w
-        e = a * np.exp(-0.5 * u * u)
+        e = height[:, None, None] * a * np.exp(-0.5 * u * u)
         f += e
         fp += -u / w * e
         fpp += (u * u - 1.0) / (w * w) * e
-    return f, fp, fpp
+    return ExpandedLagrangianSample(z, params, tuple(
+        Order(f[k], f[3 + k], fp[k], fp[3 + k], fpp[k], fpp[3 + k])
+        for k in range(3)))
 
 
 def smooth_sample(params: ExpansionParams, z,
                   seed: int = 0) -> ExpandedLagrangianSample:
-    """Random smooth decaying fields with analytically consistent derivative
-    samples, of amplitude 0.8; phi0 is scaled to stay well inside the
-    confinement range. The draws go theta0, theta1, theta2, then phi0, phi1,
-    phi2."""
-    z = np.asarray(z, dtype=float)
-    rng = np.random.default_rng(seed)
-    thetas = [_gauss_mix(rng, z, 0.8) for _ in range(3)]
-    phis = [_gauss_mix(rng, z, 0.35 * params.h_spec.phi0 if k == 0 else 0.8)
-            for k in range(3)]
-    return ExpandedLagrangianSample(z, params, tuple(
-        Order(t, p, tz, pz, tzz, pzz)
-        for (t, tz, tzz), (p, pz, pzz) in zip(thetas, phis)))
-
-
-def stack_samples(samples) -> ExpandedLagrangianSample:
-    """One batch from samples on one grid with one params: each field array
-    stacked along a new leading axis, shape (len(samples), n_points)."""
-    return replace(samples[0], orders=tuple(
-        Order(*(np.stack(fields) for fields in zip(*same_order)))
-        for same_order in zip(*(s.orders for s in samples))))
+    """The one sample of smooth_samples(params, z, [seed])."""
+    batch = smooth_samples(params, z, [seed])
+    return replace(batch, orders=tuple(
+        Order(*(field[0] for field in order)) for order in batch.orders))
 
 
 def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
@@ -103,8 +95,9 @@ def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
     return ExpandedLagrangianSample(sol.z, params, sol.orders)
 
 
-def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
-    """The first three eps-orders of the travelling-wave density, phi0 free."""
+def eval_L0_L1_L2(sample: ExpandedLagrangianSample, through: int = 2):
+    """The first three eps-orders of the travelling-wave density, phi0 free:
+    L0 to L_through, each order computed only when it is returned."""
     p = sample.params
     A, Mh, Kh, g = p.A, p.Mhat, p.Khat, p.g
     v0, v1, v2 = p.v0, p.v1, p.v2
@@ -120,17 +113,21 @@ def eval_L0_L1_L2(sample: ExpandedLagrangianSample):
     p0, p0z = o0.phi, o0.phi_z
     p1, p1z = o1.phi, o1.phi_z
     p2 = o2.phi
-    c0, s0 = np.cos(p0), np.sin(p0)
-    ct0, st0 = np.cos(t0), np.sin(t0)
+    ct0 = np.cos(t0)
 
     L0 = 0.5 * A**2 * muh * t0z**2 + g * A * Mh * ct0 - h.h(p0)
+    if through == 0:
+        return (L0,)
 
+    c0, s0, st0 = np.cos(p0), np.sin(p0), np.sin(t0)
     L1 = ((0.5 * (A**2 - 1) * k1 + A * r1 * (Kh - Mh * v0**2)
            + A**2 * Mh * v0 * v1 - A * Kh * r1 * c0) * t0z**2
           + A**2 * muh * t0z * t1z
           - A * Kh * r1 * c0 * t0z * p0z
           - g * Mh * (A * t1 * st0 + r1 * ct0)
           - h.dh(p0) * p1)
+    if through == 1:
+        return L0, L1
 
     bracket1 = (A**2 * muh * t2z
                 + (2 * A**2 * Mh * v0 * v1 + A**2 * k1) * t1z
@@ -200,7 +197,7 @@ def field_derivative(sample: ExpandedLagrangianSample, k: int, j: int,
     orders[j] = orders[j]._replace(
         **{name: getattr(orders[j], name) + 1j * h})
     stepped = replace(sample, orders=tuple(orders))
-    return np.imag(eval_L0_L1_L2(stepped)[k]) / h
+    return np.imag(eval_L0_L1_L2(stepped, through=k)[k]) / h
 
 
 def auxiliary_check(sample: ExpandedLagrangianSample, k: int):
@@ -311,13 +308,13 @@ class SampleMaxima(NamedTuple):
 
 
 def sample_maxima(params: ExpansionParams, z, seeds) -> SampleMaxima:
-    """Worst cases over the smooth samples smooth_sample(params, z, seed) of
-    seeds: per order, the gap between eval_L0_L1_L2 and the Taylor oracle
-    relative to the oracle's max on the sample, and auxiliary_check; and
-    |E10 - E21| of el_identities.
+    """Worst cases over smooth_samples(params, z, seeds): per order, the gap
+    between eval_L0_L1_L2 and the Taylor oracle relative to the oracle's max
+    on the sample, and auxiliary_check; and |E10 - E21| of el_identities.
 
-    The samples go through in blocks of at most BLOCK_VALUES values per field
-    array, and one sample at least. A nan in any sample reaches its maximum.
+    The samples are drawn, built and checked in blocks of at most
+    BLOCK_VALUES values per field array, and one sample at least. A nan in
+    any sample reaches its maximum.
     """
     z = np.asarray(z, dtype=float)
     per_block = max(1, BLOCK_VALUES // z.shape[0])
@@ -325,8 +322,7 @@ def sample_maxima(params: ExpansionParams, z, seeds) -> SampleMaxima:
     aux = np.zeros(3)
     gap = 0.0
     for start in range(0, len(seeds), per_block):
-        batch = stack_samples([smooth_sample(params, z, seed=s)
-                               for s in seeds[start:start + per_block]])
+        batch = smooth_samples(params, z, seeds[start:start + per_block])
         exact = eval_L0_L1_L2(batch)
         taylor = taylor_lagrangian_coefficients(batch)
         for k in range(3):

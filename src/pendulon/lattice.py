@@ -31,8 +31,8 @@ def total_energy(state: LatticeState, params: ChainParams):
 
 def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
              snapshot_every=1) -> SimulationReport:
-    """Evolve to t_end by _stencils.rk4_run, recording the energy of every
-    step (drift: _stencils.energy_drift) and the states it snapshots."""
+    """Evolve for a duration t_end by _stencils.rk4_run, recording the energy
+    of every step (drift: _stencils.energy_drift) and its snapshots."""
     def rhs(y, t):
         acc = chain.discrete_forces(LatticeState(*y, t), params)
         return np.concatenate((y[2:], acc))

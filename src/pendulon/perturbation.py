@@ -91,7 +91,7 @@ def _theta1_zz(params: ExpansionParams, kin: KinkArrays, theta1):
             + _forcing_coefficient(params) * kin.sin_theta0)
 
 
-def order1_theta(params: ExpansionParams, z) -> np.ndarray:
+def order1_theta(params: ExpansionParams, z, kin=None) -> np.ndarray:
     """Order-1 outer correction from the linear two-point problem
 
         theta1'' - k^2 cos(theta0) theta1 = C_f sin(theta0),
@@ -109,6 +109,8 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
     (or the natural one) L + U fills to ~49 nnz(A) at n = 4001, against
     ~1.3 nnz(A) here at a residual of the same size. The Newton matrices of
     travelwave factor faster under COLAMD and keep it.
+
+    kin, if given, is sg_kink(z, params), as in order1_phi and order2_phi.
     """
     z = np.asarray(z, dtype=float)
     dz = _stencils.uniform_spacing(z)
@@ -117,7 +119,7 @@ def order1_theta(params: ExpansionParams, z) -> np.ndarray:
         raise ValueError("need a uniform grid with at least "
                          f"{_stencils.MIN_EXPANSION_NODES} points")
     k = kink_parameter(params)
-    kin = sg_kink(z, params)
+    kin = sg_kink(z, params) if kin is None else kin
     Cf = _forcing_coefficient(params)
     f = Cf * kin.sin_theta0
 
@@ -151,21 +153,18 @@ def _phi1_coefficient(params: ExpansionParams) -> float:
     return params.A * params.Khat * params.r1 * k2 / h2
 
 
-def order1_phi(params: ExpansionParams, z) -> np.ndarray:
+def order1_phi(params: ExpansionParams, z, kin=None) -> np.ndarray:
     """Order-1 inner field by algebraic slaving: no linear solve.
 
     phi1 = (A Khat r1 / h''(0)) theta0'' = (A Khat r1 k^2 / h''(0)) sin(theta0).
     """
-    kin = sg_kink(np.asarray(z, dtype=float), params)
+    kin = sg_kink(z, params) if kin is None else kin
     return _phi1_coefficient(params) * kin.sin_theta0
 
 
-def _phi2(params: ExpansionParams, theta1, phi1, z, h2, h3) -> np.ndarray:
+def _phi2(p: ExpansionParams, kin, theta1_zz, phi1, h2, h3) -> np.ndarray:
     if h2 <= 0:
         raise ValueError("slaving requires h''(0) > 0")
-    p = params
-    kin = sg_kink(np.asarray(z, dtype=float), p)
-    theta1_zz = _theta1_zz(p, kin, theta1)
     mu1 = -(p.k1 + p.m1 * p.v0**2)
     num = (p.A * p.Khat * p.r1 * theta1_zz
            + p.A * (p.Khat * p.r2 + mu1 * p.r1) * kin.theta0_zz
@@ -175,10 +174,12 @@ def _phi2(params: ExpansionParams, theta1, phi1, z, h2, h3) -> np.ndarray:
     return num / h2
 
 
-def order2_phi(params: ExpansionParams, theta1, phi1, z) -> np.ndarray:
+def order2_phi(params: ExpansionParams, theta1, phi1, z,
+               kin: KinkArrays = None) -> np.ndarray:
     """Order-2 inner field, again purely algebraic given theta1 and phi1."""
-    return _phi2(params, np.asarray(theta1, dtype=float),
-                 np.asarray(phi1, dtype=float), z,
+    kin = sg_kink(z, params) if kin is None else kin
+    theta1_zz = _theta1_zz(params, kin, np.asarray(theta1, dtype=float))
+    return _phi2(params, kin, theta1_zz, np.asarray(phi1, dtype=float),
                  params.h_spec.d2h(0.0), params.h_spec.d3h(0.0))
 
 
@@ -231,23 +232,25 @@ def kink_grid(params: ExpansionParams, n_points: int = 4001,
 
 def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
     """The orders 0, 1 and 2 on z (default kink_grid), each slope and
-    curvature taken once: closed forms for the kink and phi1, theta1'' in ODE
-    form (_theta1_zz), and stencil derivatives of theta1' and of phi2."""
+    curvature taken once: closed forms for the kink (one sg_kink) and phi1,
+    theta1'' in ODE form (_theta1_zz), and stencil derivatives of theta1' and
+    of phi2."""
     if z is None:
         z = kink_grid(params)
     z = np.asarray(z, dtype=float)
     dz = _stencils.uniform_spacing(z)
     kin = sg_kink(z, params)
     c1 = _phi1_coefficient(params)
-    theta1 = order1_theta(params, z)
-    phi1 = order1_phi(params, z)
-    phi2 = order2_phi(params, theta1, phi1, z)
+    theta1 = order1_theta(params, z, kin)
+    theta1_zz = _theta1_zz(params, kin, theta1)
+    phi1 = order1_phi(params, z, kin)
+    phi2 = _phi2(params, kin, theta1_zz, phi1, params.h_spec.d2h(0.0),
+                 params.h_spec.d3h(0.0))
     zeros = np.zeros_like(z)
     orders = (
         Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
         Order(theta1, phi1, _stencils.derivative(theta1, dz, 1),
-              c1 * kin.cos_theta0 * kin.theta0_z,
-              _theta1_zz(params, kin, theta1),
+              c1 * kin.cos_theta0 * kin.theta0_z, theta1_zz,
               c1 * (kin.cos_theta0 * kin.theta0_zz
                     - kin.sin_theta0 * kin.theta0_z**2)),
         Order(zeros, phi2, zeros, _stencils.derivative(phi2, dz, 1), zeros,

@@ -59,8 +59,7 @@ def test_auxiliary_check_is_exactly_zero():
     z = np.linspace(-8.0, 8.0, 257)
     for family in sorted(_CONFINEMENTS):
         params = dataclasses.replace(_EXP, h_spec=_CONFINEMENTS[family])
-        batch = lx.stack_samples([lx.smooth_sample(params, z, seed=s)
-                                  for s in range(10)])
+        batch = lx.smooth_samples(params, z, range(10))
         for k in range(3):
             assert np.all(lx.auxiliary_check(batch, k) == 0.0), (family, k)
 
@@ -105,6 +104,22 @@ def test_zero_fields_base_value(exp_params, zgrid):
     L0, L1, L2 = lx.eval_L0_L1_L2(sample)
     assert np.allclose(L0, p.g * p.A * p.Mhat, atol=1e-14)
     assert np.allclose(L1, -p.g * p.Mhat * p.r1, atol=1e-14)
+
+
+def test_orders_through_k_are_the_first_k_plus_one(exp_params, zgrid):
+    # field_derivative evaluates through its order k only; the orders it
+    # gets are those of the full evaluation, bit for bit, complex or not
+    sample = lx.smooth_samples(exp_params, zgrid, range(3))
+    o0 = sample.orders[0]
+    stepped = dataclasses.replace(sample, orders=(
+        o0._replace(phi_z=o0.phi_z + 1e-30j), *sample.orders[1:]))
+    for s in (sample, stepped):
+        full = lx.eval_L0_L1_L2(s)
+        for k in range(3):
+            part = lx.eval_L0_L1_L2(s, through=k)
+            assert len(part) == k + 1
+            for a, b in zip(part, full):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_smooth_sample_is_seeded(exp_params, zgrid):
@@ -162,12 +177,46 @@ def test_expansion_sample_identities(exp_params):
     assert np.max(np.abs(e20)) < 1e-6
 
 
+def _reference_gauss_mix(rng, z, amplitude):
+    """Three random Gaussian bumps, centred in the middle half of z and of
+    height at most amplitude, with their first and second derivatives: one
+    bump and a few scalar draws at a time."""
+    span = z[-1] - z[0]
+    f = np.zeros_like(z)
+    fp = np.zeros_like(z)
+    fpp = np.zeros_like(z)
+    for _ in range(3):
+        a = amplitude * rng.uniform(-1.0, 1.0)
+        c = rng.uniform(z[0] + 0.25 * span, z[-1] - 0.25 * span)
+        w = rng.uniform(0.04 * span, 0.12 * span)
+        u = (z - c) / w
+        e = a * np.exp(-0.5 * u * u)
+        f += e
+        fp += -u / w * e
+        fpp += (u * u - 1.0) / (w * w) * e
+    return f, fp, fpp
+
+
+def _reference_smooth_sample(params, z, seed):
+    """smooth_sample as it was before smooth_samples drew and built a batch
+    at once: one seed, six fields of three bumps each, in draw order."""
+    z = np.asarray(z, dtype=float)
+    rng = np.random.default_rng(seed)
+    thetas = [_reference_gauss_mix(rng, z, 0.8) for _ in range(3)]
+    phis = [_reference_gauss_mix(rng, z,
+                                 0.35 * params.h_spec.phi0 if k == 0 else 0.8)
+            for k in range(3)]
+    return lx.ExpandedLagrangianSample(z, params, tuple(
+        Order(t, p, tz, pz, tzz, pzz)
+        for (t, tz, tzz), (p, pz, pzz) in zip(thetas, phis)))
+
+
 def _per_sample_maxima(params, z, seeds):
     """The random-sample maxima as verify-lagrangian computed them before it
-    batched: one sample per call, 1-D arrays throughout."""
+    batched: one reference sample per call, 1-D arrays throughout."""
     oracle, aux, gap = [0.0] * 3, [0.0] * 3, 0.0
     for s in seeds:
-        sample = lx.smooth_sample(params, z, seed=s)
+        sample = _reference_smooth_sample(params, z, s)
         exact = lx.eval_L0_L1_L2(sample)
         taylor = lx.taylor_lagrangian_coefficients(sample)
         for k in range(3):
@@ -207,7 +256,7 @@ def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
     assert got.el_identity_gap == gap
 
     singles = [lx.smooth_sample(params, z, seed=s) for s in seeds]
-    batch = lx.stack_samples(singles)
+    batch = lx.smooth_samples(params, z, seeds)
     for row, one in enumerate(singles):
         for name in ("eval_L0_L1_L2", "el_identities"):
             for b, a in zip(getattr(lx, name)(batch), getattr(lx, name)(one)):
@@ -223,6 +272,33 @@ def test_batched_blocks_equal_per_sample_results(seed, per_block, extra,
             assert np.array_equal(
                 lx.field_derivative(batch, k, 0, "phi_z")[row],
                 lx.field_derivative(one, k, 0, "phi_z"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(1, 4),
+       n_points=st.integers(2, 65),
+       family=st.sampled_from(sorted(_CONFINEMENTS)), data=st.data())
+def test_smooth_samples_rows_equal_the_reference(seed, n_seeds, n_points,
+                                                 family, data):
+    """Row i of a smooth_samples batch is the reference sample of seed i,
+    bit for bit, wherever the seeds fall in [0, 2**32 - 1]."""
+    params = dataclasses.replace(_EXP, h_spec=_CONFINEMENTS[family])
+    z = np.linspace(-8.0, 8.0, n_points)
+    seeds = [seed] + data.draw(
+        st.lists(st.integers(0, 2**32 - 1), min_size=n_seeds - 1,
+                 max_size=n_seeds - 1))
+    batch = lx.smooth_samples(params, z, seeds)
+    one = lx.smooth_sample(params, z, seed=seed)
+    for row, s in enumerate(seeds):
+        ref = _reference_smooth_sample(params, z, s)
+        for got, want, alone in zip(batch.orders, ref.orders, one.orders):
+            for name in Order._fields:
+                field = getattr(got, name)
+                assert field.shape == (n_seeds, n_points)
+                assert field[row].tobytes() == getattr(want, name).tobytes()
+                if row == 0:
+                    assert getattr(alone, name).tobytes() == \
+                        getattr(want, name).tobytes()
 
 
 def test_sample_maxima_blocks_hold_at_least_one_sample(exp_params):

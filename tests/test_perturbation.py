@@ -155,9 +155,11 @@ def test_order2_phi_h3_term():
     z = kink_grid(p, n_points=1601)
     theta1 = order1_theta(p, z)
     phi1 = order1_phi(p, z)
+    kin = sg_kink(z, p)
+    theta1_zz = perturbation._theta1_zz(p, kin, theta1)
     h2 = 2.0
-    base = _phi2(p, theta1, phi1, z, h2, 0.0)
-    bent = _phi2(p, theta1, phi1, z, h2, 0.7)
+    base = _phi2(p, kin, theta1_zz, phi1, h2, 0.0)
+    bent = _phi2(p, kin, theta1_zz, phi1, h2, 0.7)
     assert np.allclose(bent - base, -0.7 * phi1**2 / (2 * h2), atol=1e-13)
 
 
@@ -339,6 +341,22 @@ def test_taylor_extract_solves_once_and_factors_once(exp_params):
         taylor_extract(exp_params, z)
     assert solves.call_count == 1
     assert factors.call_count == 1
+
+
+def test_build_perturbative_takes_the_kink_once(exp_params, exp_params_wide):
+    # the kink arrays pass down to every order, and the wrappers called
+    # alone still agree with the build bit for bit
+    for p in (exp_params, exp_params_wide):
+        z = kink_grid(p, n_points=801)
+        with mock.patch.object(perturbation, "sg_kink",
+                               wraps=perturbation.sg_kink) as kink:
+            sol = build_perturbative(p, z)
+        assert kink.call_count == 1
+        theta1, phi1 = order1_theta(p, z), order1_phi(p, z)
+        assert np.array_equal(sol.orders[1].theta, theta1)
+        assert np.array_equal(sol.orders[1].phi, phi1)
+        assert np.array_equal(sol.orders[2].phi,
+                              order2_phi(p, theta1, phi1, z))
 
 
 def test_build_perturbative_grid_check(exp_params):
