@@ -110,7 +110,7 @@ def order1_theta(params: ExpansionParams, z, kin=None) -> np.ndarray:
     ~1.3 nnz(A) here at a residual of the same size. The Newton matrices of
     travelwave factor faster under COLAMD and keep it.
 
-    kin, if given, is sg_kink(z, params), as in order1_phi and order2_phi.
+    kin, if given, is sg_kink(z, params), taken once by build_perturbative.
     """
     z = np.asarray(z, dtype=float)
     dz = _stencils.uniform_spacing(z)
@@ -153,12 +153,12 @@ def _phi1_coefficient(params: ExpansionParams) -> float:
     return params.A * params.Khat * params.r1 * k2 / h2
 
 
-def order1_phi(params: ExpansionParams, z, kin=None) -> np.ndarray:
+def order1_phi(params: ExpansionParams, z) -> np.ndarray:
     """Order-1 inner field by algebraic slaving: no linear solve.
 
     phi1 = (A Khat r1 / h''(0)) theta0'' = (A Khat r1 k^2 / h''(0)) sin(theta0).
     """
-    kin = sg_kink(z, params) if kin is None else kin
+    kin = sg_kink(np.asarray(z, dtype=float), params)
     return _phi1_coefficient(params) * kin.sin_theta0
 
 
@@ -174,10 +174,9 @@ def _phi2(p: ExpansionParams, kin, theta1_zz, phi1, h2, h3) -> np.ndarray:
     return num / h2
 
 
-def order2_phi(params: ExpansionParams, theta1, phi1, z,
-               kin: KinkArrays = None) -> np.ndarray:
+def order2_phi(params: ExpansionParams, theta1, phi1, z) -> np.ndarray:
     """Order-2 inner field, again purely algebraic given theta1 and phi1."""
-    kin = sg_kink(z, params) if kin is None else kin
+    kin = sg_kink(np.asarray(z, dtype=float), params)
     theta1_zz = _theta1_zz(params, kin, np.asarray(theta1, dtype=float))
     return _phi2(params, kin, theta1_zz, np.asarray(phi1, dtype=float),
                  params.h_spec.d2h(0.0), params.h_spec.d3h(0.0))
@@ -243,7 +242,7 @@ def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
     c1 = _phi1_coefficient(params)
     theta1 = order1_theta(params, z, kin)
     theta1_zz = _theta1_zz(params, kin, theta1)
-    phi1 = order1_phi(params, z, kin)
+    phi1 = c1 * kin.sin_theta0
     phi2 = _phi2(params, kin, theta1_zz, phi1, params.h_spec.d2h(0.0),
                  params.h_spec.d3h(0.0))
     zeros = np.zeros_like(z)
