@@ -32,8 +32,7 @@ _HOMES = {
     "chain": "LatticeState discrete_forces discrete_lagrangian "
              "kinetic_energy lagrangian_coordinate_gradient mass_matrix "
              "potential_energy tip_position",
-    "lattice": "SimulationReport kink_center moving_kink_state simulate "
-               "total_energy",
+    "lattice": "kink_center moving_kink_state simulate total_energy",
     "continuum": "FieldGrid PDEInstabilityError energy_total evolve "
                  "kink_field_grid pde_rhs topological_charge",
     "travelwave": "TWProfile kink_profile solve_tw_bvp tw_coefficients "

@@ -2,8 +2,9 @@
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
 that both boundary-value solvers factor, the contour rule both eps oracles
 take Taylor coefficients with, the classic RK4 step and the loop
-that drives it, the energy drift, winding number and summary both integrators
-report, and the two error classes every command maps to exit code 2.
+that drives it, the energy table, energy drift, winding number and summary
+both integrators report from their snapshots, and the two error classes every
+command maps to exit code 2.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -17,14 +18,16 @@ instead: continuum.FieldGrid builds D1, D2 and their stacked_operator once
 per grid. rk4_step advances one state array, one array operation per stage.
 
 scipy.sparse is imported inside the functions that build a matrix, so the
-lattice layer, which needs only rk4_run, energy_drift and run_summary from
-here, never loads scipy.
+lattice layer, which needs only rk4_run and export_energy_csv from here, and
+the CLI's run_summary, never load scipy.
 """
 from __future__ import annotations
 
 from math import factorial
 
 import numpy as np
+
+from ._io import write_csv
 
 
 class IntegrationError(RuntimeError):
@@ -224,13 +227,29 @@ def energy_drift(energies):
     return float(np.max(np.abs(E - E[0])) / (abs(E[0]) + 1.0))
 
 
-def run_summary(theta_first, theta_last, t_final, n_snapshots, drift):
-    """The headline numbers of a run, one set of keys for both integrators;
-    the charges are winding numbers of theta (None when ragged)."""
+def export_energy_csv(snaps, params, path, schema, energy, theta):
+    """Write t, E = energy(snap, params) and N, the winding number of
+    getattr(snap, theta) (blank when ragged), one row per snapshot, under
+    `# schema: <schema>`; return the energies. Both integrators' energy
+    tables go through here."""
+    energies = [energy(s, params) for s in snaps]
+    charges = (_winding_or_none(getattr(s, theta)) for s in snaps)
+    write_csv(path, schema, "t,E,N",
+              ((float(s.t), E, "" if q is None else q) for s, E, q
+               in zip(snaps, energies, charges)))
+    return energies
+
+
+def run_summary(theta_first, theta_last, t_final, energies):
+    """The headline numbers of a run from its snapshots, one set of keys for
+    both integrators: the charges are winding numbers of the first and last
+    theta (None when ragged), and the energies and their drift are those of
+    the snapshots (one per snapshot, as export_energy_csv returns them)."""
     return {"charge_initial": _winding_or_none(theta_first),
             "charge_final": _winding_or_none(theta_last),
-            "max_energy_drift": drift, "n_snapshots": n_snapshots,
-            "t_final": t_final}
+            "energy_initial": energies[0], "energy_final": energies[-1],
+            "max_energy_drift": energy_drift(energies),
+            "n_snapshots": len(energies), "t_final": t_final}
 
 
 def winding_number(theta):

@@ -28,7 +28,15 @@ from .config import ConfigError
 
 
 def _rel_l2(a, b):
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+    """|a - b| / |b| in the L2 norm, or None when the reference b is
+    identically zero (a vanishing order has no relative gap)."""
+    norm = np.linalg.norm(b)
+    return float(np.linalg.norm(a - b) / norm) if norm else None
+
+
+def _finite_or_none(x):
+    """x, or None when it is not finite: JSON has no NaN or Infinity."""
+    return x if np.isfinite(x) else None
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +82,12 @@ def cmd_simulate_lattice(cp, args, out):
         return
     from . import lattice
     state = lattice.moving_kink_state(params, **lat)
-    report = lattice.simulate(state, params=params, **integ)
-    lattice.export_trajectory_csv(report, out("lattice-trajectory.csv"))
-    lattice.export_energy_csv(report, out("lattice-energy.csv"))
-    return lattice.summary_dict(report)
+    snaps = lattice.simulate(state, params=params, **integ)
+    lattice.export_trajectory_csv(snaps, out("lattice-trajectory.csv"))
+    energies = lattice.export_energy_csv(snaps, params,
+                                         out("lattice-energy.csv"))
+    return _stencils.run_summary(snaps[0].theta, snaps[-1].theta,
+                                 snaps[-1].t, energies)
 
 
 def cmd_simulate_pde(cp, args, out):
@@ -104,11 +114,8 @@ def cmd_simulate_pde(cp, args, out):
     continuum.export_fields(snaps, out("pde-fields.npy"))
     energies = continuum.export_energy_csv(snaps, params,
                                            out("pde-energy.csv"))
-    results = _stencils.run_summary(snaps[0].Theta, snaps[-1].Theta,
-                                    snaps[-1].t, len(snaps),
-                                    _stencils.energy_drift(energies))
-    results.update(energy_initial=energies[0], energy_final=energies[-1])
-    return results
+    return _stencils.run_summary(snaps[0].Theta, snaps[-1].Theta,
+                                 snaps[-1].t, energies)
 
 
 def cmd_solve_tw(cp, args, out):
@@ -196,8 +203,8 @@ def cmd_verify_expansion(cp, args, out):
     report = {
         "order": order,
         "eps_list": list(eps_list),
-        "slope_res1": study.slope1,
-        "slope_res2": study.slope2,
+        "slope_res1": _finite_or_none(study.slope1),
+        "slope_res2": _finite_or_none(study.slope2),
         "theta1_rel_l2": _rel_l2(theta1_ext, o1.theta),
         "phi1_rel_l2": _rel_l2(ext.phi1, o1.phi),
         "phi2_rel_l2": _rel_l2(ext.phi2, o2.phi),

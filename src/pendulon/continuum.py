@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils, chain
-from ._io import write_csv, write_npy_record
+from ._io import write_npy_record
 from ._stencils import IntegrationError
 from ._stencils import derivative  # noqa: F401 (re-exported)
 from .chain import _mass_solve
@@ -186,9 +186,5 @@ def export_fields(snaps, path):
 
 def export_energy_csv(snaps, params: ChainParams, path):
     """Write t, total energy and charge per snapshot; return the energies."""
-    energies = [energy_total(g, params) for g in snaps]
-    charges = (_stencils._winding_or_none(g.Theta) for g in snaps)
-    write_csv(path, "pde-energy v1", "t,E,N",
-              ((float(g.t), E, "" if q is None else q) for g, E, q
-               in zip(snaps, energies, charges)))
-    return energies
+    return _stencils.export_energy_csv(snaps, params, path, "pde-energy v1",
+                                       energy_total, "Theta")

@@ -2,25 +2,18 @@
 
 The mass matrix depends on the configuration, so the Hamiltonian is not
 separable and a symplectic splitting is not available; energy drift is
-monitored instead of structurally eliminated.
+monitored instead of structurally eliminated. simulate returns its snapshots,
+as continuum.evolve does, and the energy table and the run summary are taken
+over those snapshots by the same _stencils functions for both integrators.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _stencils, chain
-from ._io import write_csv, write_snapshots_csv
+from ._io import write_snapshots_csv
 from .chain import LatticeState
 from .params import ChainParams, _moving_kink
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    trajectory: list
-    energy_series: np.ndarray  # shape (n, 2): columns t, E
-    max_energy_drift: float
 
 
 def total_energy(state: LatticeState, params: ChainParams):
@@ -30,26 +23,17 @@ def total_energy(state: LatticeState, params: ChainParams):
 
 
 def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
-             snapshot_every=1) -> SimulationReport:
-    """Evolve for a duration t_end by _stencils.rk4_run, recording the energy
-    of every step (drift: _stencils.energy_drift) and its snapshots."""
+             snapshot_every=1):
+    """Evolve for a duration t_end by _stencils.rk4_run: the initial state,
+    then one LatticeState per snapshot."""
     def rhs(y, t):
         acc = chain.discrete_forces(LatticeState(*y, t), params)
         return np.concatenate((y[2:], acc))
 
     y = np.array([initial.theta, initial.phi, initial.theta_dot,
                   initial.phi_dot])
-    energies = [(initial.t, total_energy(initial, params))]
-    traj = [initial]
-    for t, y, snap in _stencils.rk4_run(rhs, y, initial.t, t_end, dt,
-                                        snapshot_every):
-        state = LatticeState(*y, t)
-        energies.append((t, total_energy(state, params)))
-        if snap:
-            traj.append(state)
-    energies = np.array(energies)
-    return SimulationReport(traj, energies,
-                            _stencils.energy_drift(energies[:, 1]))
+    steps = _stencils.rk4_run(rhs, y, initial.t, t_end, dt, snapshot_every)
+    return [initial] + [LatticeState(*y, t) for t, y, snap in steps if snap]
 
 
 def moving_kink_state(params: ChainParams, k, v, n_sites,
@@ -79,23 +63,17 @@ def kink_center(state: LatticeState, params: ChainParams):
     return x[i] + f * params.delta
 
 
-def export_trajectory_csv(report: SimulationReport, path):
+def export_trajectory_csv(snaps, path):
     """CSV of all snapshots, one row per (t, site)."""
-    traj = report.trajectory
-    sites = [str(i) for i in range(max(st.n_sites for st in traj))]
+    sites = [str(i) for i in range(max(st.n_sites for st in snaps))]
     write_snapshots_csv(path, "lattice-trajectory v1",
                         "t,site,theta,phi,theta_dot,phi_dot",
                         ((st.t, sites, st.theta, st.phi, st.theta_dot,
-                          st.phi_dot) for st in traj))
+                          st.phi_dot) for st in snaps))
 
 
-def export_energy_csv(report: SimulationReport, path):
-    write_csv(path, "lattice-energy v1", "t,E",
-              map(tuple, report.energy_series.tolist()))
-
-
-def summary_dict(report: SimulationReport):
-    """Headline numbers of a run (_stencils.run_summary)."""
-    traj = report.trajectory
-    return _stencils.run_summary(traj[0].theta, traj[-1].theta, traj[-1].t,
-                                 len(traj), report.max_energy_drift)
+def export_energy_csv(snaps, params: ChainParams, path):
+    """Write t, total energy and charge per snapshot; return the energies."""
+    return _stencils.export_energy_csv(snaps, params, path,
+                                       "lattice-energy v2", total_energy,
+                                       "theta")

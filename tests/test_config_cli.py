@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -619,6 +620,32 @@ def test_verify_expansion_report_and_jobs_determinism(tmp_path):
                                   "verify-expansion.json"]
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_expansion_reports_null_for_a_vanishing_order(tmp_path):
+    """r1 = r2 = 0: phi1 and phi2 vanish identically and so does the second
+    residual. Their relative gaps and that slope are null, not NaN or
+    Infinity (which are not JSON), and no numpy warning is raised."""
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI.replace("r1 = 0.4", "r1 = 0.0")
+                 .replace("r2 = 0.1", "r2 = 0.0")
+                 + "\n[verify]\nn_points = 801\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify-expansion", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+    for name in ("verify-expansion.json", "summary.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=_no_constant)
+    report = json.loads((tmp_path / "verify-expansion.json").read_text())
+    assert report["phi1_rel_l2"] is None
+    assert report["phi2_rel_l2"] is None
+    assert report["slope_res2"] is None
+    assert report["slope_res1"] > 1.9
+    assert report["theta1_rel_l2"] < 1e-4
+
+
 def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     calls = {"solve_tw_bvp": 0, "order1_theta": 0}
     for module, name in ((travelwave, "solve_tw_bvp"),
@@ -737,19 +764,31 @@ def test_simulate_pde_computes_each_energy_once(tmp_path, monkeypatch):
     assert len(calls) == summary["results"]["n_snapshots"] == 6
 
 
-def test_simulate_pde_drift_is_energy_drift_of_its_energy_csv(tmp_path):
-    """The summary's max_energy_drift is _stencils.energy_drift of the E
-    column of pde-energy.csv, the drift the lattice reports too."""
-    cfg = _write(tmp_path, "pde.ini", CHAIN_INI
+@pytest.mark.parametrize("command", sorted(_SIM_SECTIONS))
+def test_simulate_drift_is_energy_drift_of_its_energy_csv(tmp_path, command):
+    """Both integrators summarise the snapshots their energy CSV lists: the
+    summary's max_energy_drift is _stencils.energy_drift of the E column,
+    energy_initial and energy_final are its first and last E, n_snapshots
+    its row count, and the charges its first and last N."""
+    cfg = _write(tmp_path, "sim.ini", CHAIN_INI
                  + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
-                 "snapshot_every = 1\n" + _SIM_SECTIONS["simulate-pde"])
-    assert cli.main(["simulate-pde", "--config", cfg,
-                     "--out", str(tmp_path)]) == 0
+                 "snapshot_every = 2\n" + _SIM_SECTIONS[command])
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    rows = (tmp_path / "pde-energy.csv").read_text().splitlines()[2:]
-    E = [float(row.split(",")[1]) for row in rows]
-    assert len(E) == 6
-    assert summary["results"]["max_energy_drift"] == _stencils.energy_drift(E)
+    results = summary["results"]
+    # the energy table is the last artifact of both commands
+    lines = (tmp_path / summary["outputs"][-1]).read_text().splitlines()
+    assert lines[1] == "t,E,N"
+    rows = [row.split(",") for row in lines[2:]]
+    E = [float(e) for _, e, _ in rows]
+    N = [int(n) if n else None for _, _, n in rows]
+    assert len(rows) == results["n_snapshots"] == 4  # steps 0, 2, 4 and 5
+    assert results["max_energy_drift"] == _stencils.energy_drift(E)
+    assert (results["energy_initial"], results["energy_final"]) == (E[0],
+                                                                    E[-1])
+    assert (results["charge_initial"], results["charge_final"]) == (N[0],
+                                                                    N[-1])
+    assert N[0] == 1
     # finite when the series starts at zero energy
     assert _stencils.energy_drift([0.0, 1e-3, -2e-3]) == 2e-3
 

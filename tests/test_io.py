@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pendulon import continuum, lattice, perturbation, reductions, travelwave
+from pendulon import (_stencils, continuum, lattice, perturbation,
+                      reductions, travelwave)
 from pendulon._io import write_npy_record
 from pendulon.chain import LatticeState
 from pendulon.params import ChainParams, ConfiningPotential
@@ -46,23 +47,28 @@ def _reference_rows(path, schema, header, rows):
             f.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _reference_trajectory(report, path):
+def _reference_trajectory(snaps, path):
     with open(path, "w") as f:
         f.write("# schema: lattice-trajectory v1\n")
         f.write("t,site,theta,phi,theta_dot,phi_dot\n")
-        for s in report.trajectory:
+        for s in snaps:
             for i in range(s.n_sites):
                 f.write(f"{float(s.t)!r},{i},{float(s.theta[i])!r},"
                         f"{float(s.phi[i])!r},{float(s.theta_dot[i])!r},"
                         f"{float(s.phi_dot[i])!r}\n")
 
 
-def _reference_lattice_energy(report, path):
+def _reference_lattice_energy(snaps, params, path):
     with open(path, "w") as f:
-        f.write("# schema: lattice-energy v1\n")
-        f.write("t,E\n")
-        for t, e in report.energy_series:
-            f.write(f"{float(t)!r},{float(e)!r}\n")
+        f.write("# schema: lattice-energy v2\n")
+        f.write("t,E,N\n")
+        for s in snaps:
+            try:
+                q = str(_stencils.winding_number(s.theta))
+            except ValueError:
+                q = ""
+            f.write(f"{float(s.t)!r},"
+                    f"{float(lattice.total_energy(s, params))!r},{q}\n")
 
 
 def _reference_pde_energy(snaps, params, path):
@@ -105,13 +111,14 @@ def test_lattice_csvs_match_reference(tmp_path_factory, seed, n, snaps):
     traj = [LatticeState(*(_snapshot_values(rng, n) for _ in range(4)),
                          t=float(_values(rng, 1)[0]))
             for _ in range(snaps)]
-    report = lattice.SimulationReport(traj, _values(rng, 2 * snaps).reshape(-1, 2),
-                                      0.0)
     tmp = tmp_path_factory.mktemp("lat")
-    _same_bytes(tmp, lambda p: lattice.export_trajectory_csv(report, p),
-                lambda p: _reference_trajectory(report, p))
-    _same_bytes(tmp, lambda p: lattice.export_energy_csv(report, p),
-                lambda p: _reference_lattice_energy(report, p))
+    _same_bytes(tmp, lambda p: lattice.export_trajectory_csv(traj, p),
+                lambda p: _reference_trajectory(traj, p))
+    # energies need physical states: O(1) angles, whole and ragged windings
+    states = [LatticeState(*rng.normal(0.0, 4.0, (4, n)),
+                           t=float(_values(rng, 1)[0])) for _ in range(snaps)]
+    _same_bytes(tmp, lambda p: lattice.export_energy_csv(states, CHAIN, p),
+                lambda p: _reference_lattice_energy(states, CHAIN, p))
 
 
 def _bits(a):

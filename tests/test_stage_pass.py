@@ -104,11 +104,11 @@ def test_lattice_step_matches_tuple_rk4():
                     g=0.9, delta=0.8)
     rng = np.random.default_rng(5)
     state = LatticeState(*rng.normal(0.0, 0.5, (4, 30)), 0.0)
-    rep = lattice.simulate(state, 5 * 0.02, 0.02, p, snapshot_every=1)
-    assert len(rep.trajectory) == 6
+    snaps = lattice.simulate(state, 5 * 0.02, 0.02, p, snapshot_every=1)
+    assert len(snaps) == 6
     rhs = _lattice_tuple_rhs(p)
     y = (state.theta, state.phi, state.theta_dot, state.phi_dot)
-    for i, got in enumerate(rep.trajectory[1:]):
+    for i, got in enumerate(snaps[1:]):
         y = _tuple_rk4(rhs, y, i * 0.02, 0.02)
         got = (got.theta, got.phi, got.theta_dot, got.phi_dot)
         assert all(np.array_equal(a, b) for a, b in zip(got, y))
