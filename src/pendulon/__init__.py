@@ -38,8 +38,8 @@ _HOMES = {
     "travelwave": "TWProfile kink_profile solve_tw_bvp tw_coefficients "
                   "tw_first_integral tw_lagrangian_density tw_residual",
     "perturbation": "PerturbativeSolution build_perturbative coefficient_B "
-                    "compose_series kink_parameter order1_phi order1_theta "
-                    "order2_phi residual_scaling sg_kink taylor_extract",
+                    "compose_series kink_parameter order1_theta "
+                    "residual_scaling sg_kink taylor_extract",
     "reductions": "SpeedSelection StiffReport compatibility_mu selected_speed "
                   "selected_speed_kink stiff_limit_experiment",
     "lagrangian_orders": "ExpandedLagrangianSample auxiliary_check "

@@ -198,7 +198,7 @@ def cmd_verify_expansion(cp, args, out):
     perturbation.export_scaling_csv(study, out("residual-scaling.csv"))
 
     ext = perturbation.taylor_extract(exp, z)
-    theta1_ext = perturbation.project_zero_mode(ext.theta1, z, exp)
+    theta1_ext = perturbation.project_zero_mode(ext.theta1, sol)
     _, o1, o2 = sol.orders
     report = {
         "order": order,

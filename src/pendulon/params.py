@@ -1,15 +1,15 @@
 """Physical parameters of the open chain, the confining-potential families,
 the constants of the eps expansion, the unit kink profile every layer seeds
-from with its slopes (_kink, _kink_slopes), and the kernels every layer
-shares: the phi-only factors (_phi_factors), the coefficient matrix C(phi)
-(_coefficients) with its quadratic form (_quadratic), the gravity term
-(_pendant) and the field equations."""
+from (_kink) and its one record of slopes (_kink_slopes, a KinkArrays), and
+the kernels every layer shares: the phi-only factors (_phi_factors), the
+coefficient matrix C(phi) (_coefficients) with its quadratic form
+(_quadratic), the gravity term (_pendant) and the field equations."""
 from __future__ import annotations
 
 import dataclasses
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -183,22 +183,24 @@ class ExpansionParams:
             raise ValueError("eps must be nonnegative")
 
     def series(self, eps: Optional[float] = None):
-        """Bare series values (r, m, K_t, K_s, v) at eps (default self.eps),
-        also at eps < 0, where no ChainParams represents them."""
+        """Bare series values (r, m, K_t, K_s, v, M, R) at eps (default
+        self.eps), with M = Mhat - m and R = A - r; also at eps < 0, where no
+        ChainParams represents them."""
         e = self.eps if eps is None else eps
         r = e * self.r1 + e * e * self.r2
         m = e * self.m1 + e * e * self.m2
         Kt = e * self.k1 + e * e * self.k2
         return (r, m, Kt, self.Khat - Kt,
-                self.v0 + e * self.v1 + e * e * self.v2)
+                self.v0 + e * self.v1 + e * e * self.v2,
+                self.Mhat - m, self.A - r)
 
     def speed(self, eps: Optional[float] = None) -> float:
         return self.series(eps)[4]
 
     def to_chain_params(self, eps: Optional[float] = None,
                         delta: float = 1.0) -> ChainParams:
-        r, m, Kt, Ks, _ = self.series(eps)
-        return ChainParams(M=self.Mhat - m, m=m, R=self.A - r, r=r,
+        r, m, Kt, Ks, _, M, R = self.series(eps)
+        return ChainParams(M=M, m=m, R=R, r=r,
                            kappa_t=Kt / delta**2, kappa_s=Ks / delta**2,
                            g=self.g, delta=delta, h_spec=self.h_spec)
 
@@ -212,15 +214,24 @@ def _kink(u):
     return np.where(u <= 0.0, half, 2.0 * np.pi - half), 2.0 * e / (1.0 + e * e)
 
 
-def _kink_slopes(z, k):
-    """(theta, theta', theta'', sech, tanh) of the kink theta(z) =
-    4 arctan(exp(k z)) by _kink, with theta' = 2 k sech(k z) and theta'' =
-    -2 k^2 sech(k z) tanh(k z): the one copy kink_profile and sg_kink build
-    from."""
+class KinkArrays(NamedTuple):
+    theta0: np.ndarray
+    theta0_z: np.ndarray
+    theta0_zz: np.ndarray
+    sin_theta0: np.ndarray
+    cos_theta0: np.ndarray
+
+
+def _kink_slopes(z, k) -> KinkArrays:
+    """KinkArrays of theta0(z) = 4 arctan(exp(k z)) by _kink: theta0' =
+    2 k sech, theta0'' = -2 k^2 sech tanh, sin theta0 = -2 tanh sech and
+    cos theta0 = 1 - 2 sech^2 at k z, with no trig of an arctan. The one copy
+    travelwave.kink_profile and perturbation.sg_kink build from."""
     u = k * z
     theta, sech = _kink(u)
     tanh = np.tanh(u)
-    return theta, 2.0 * k * sech, -2.0 * k * k * sech * tanh, sech, tanh
+    return KinkArrays(theta, 2.0 * k * sech, -2.0 * k * k * sech * tanh,
+                      -2.0 * tanh * sech, 1.0 - 2.0 * sech * sech)
 
 
 def _moving_kink(x, k, v, center=None):

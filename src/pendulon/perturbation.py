@@ -7,11 +7,11 @@ algebraic relation that slaves it to the kink fields, and this module builds
 those orders explicitly and verifies the structure against an oracle that
 differentiates the discrete BVP solution family in eps.
 
-build_perturbative builds the orders once per grid, one Order record per
-power of eps; compose_series and residual_scaling sum them with compose, the
-one eps-series sum. The oracle taylor_extract gets theta1, phi1 and phi2 by
-implicit differentiation: one BVP solve at eps = 0, one factor of its
-Jacobian, and two back-solves.
+build_perturbative is the one path to the orders, built once per grid from
+one kink record (sg_kink), one Order record per power of eps; compose_series
+and residual_scaling sum them with compose, the one eps-series sum. The
+oracle taylor_extract gets theta1, phi1 and phi2 by implicit differentiation:
+one BVP solve at eps = 0, one factor of its Jacobian, and two back-solves.
 
 Series conventions: r = eps r1 + eps^2 r2, R = A - r, m = eps m1 + eps^2 m2,
 M = Mhat - m, K_t = eps k1 + eps^2 k2, K_s = Khat - K_t,
@@ -28,16 +28,9 @@ from scipy.sparse.linalg import splu
 
 from . import _stencils, travelwave
 from ._io import write_csv, write_npy_record
-from .params import ExpansionParams, _field_equations, _kink_slopes
+from .params import (ExpansionParams, KinkArrays, _field_equations,
+                     _kink_slopes)
 from .travelwave import TWProfile
-
-
-class KinkArrays(NamedTuple):
-    theta0: np.ndarray
-    theta0_z: np.ndarray
-    theta0_zz: np.ndarray
-    sin_theta0: np.ndarray
-    cos_theta0: np.ndarray
 
 
 def mu_hat(params: ExpansionParams) -> float:
@@ -54,14 +47,9 @@ def kink_parameter(params: ExpansionParams) -> float:
 
 
 def sg_kink(z, params: ExpansionParams) -> KinkArrays:
-    """Kink closed forms: theta0 = 4 arctan(e^{kz}) together with its first
-    two derivatives and sin/cos, all evaluated without composing trig with
-    arctan (stable for arbitrarily large |kz|).
-    """
-    theta0, theta0_z, theta0_zz, sech, tanh = _kink_slopes(
-        np.asarray(z, dtype=float), kink_parameter(params))
-    return KinkArrays(theta0, theta0_z, theta0_zz, -2.0 * tanh * sech,
-                      1.0 - 2.0 * sech * sech)
+    """The kink record params._kink_slopes of theta0 = 4 arctan(e^{kz}) at
+    k = kink_parameter(params)."""
+    return _kink_slopes(np.asarray(z, dtype=float), kink_parameter(params))
 
 
 def _w1(p: ExpansionParams) -> float:
@@ -146,40 +134,21 @@ def order1_theta(params: ExpansionParams, z, kin=None) -> np.ndarray:
 
 
 def _phi1_coefficient(params: ExpansionParams) -> float:
-    h2 = params.h_spec.d2h(0.0)
-    if h2 <= 0:
-        raise ValueError("slaving requires h''(0) > 0")
+    """c1 in phi1 = (A Khat r1 / h''(0)) theta0'' = c1 sin(theta0), slaved
+    with no linear solve; h''(0) = c2 > 0 by ConfiningPotential."""
     k2 = kink_parameter(params) ** 2
-    return params.A * params.Khat * params.r1 * k2 / h2
+    return params.A * params.Khat * params.r1 * k2 / params.h_spec.d2h(0.0)
 
 
-def order1_phi(params: ExpansionParams, z) -> np.ndarray:
-    """Order-1 inner field by algebraic slaving: no linear solve.
-
-    phi1 = (A Khat r1 / h''(0)) theta0'' = (A Khat r1 k^2 / h''(0)) sin(theta0).
-    """
-    kin = sg_kink(np.asarray(z, dtype=float), params)
-    return _phi1_coefficient(params) * kin.sin_theta0
-
-
-def _phi2(p: ExpansionParams, kin, theta1_zz, phi1, h2, h3) -> np.ndarray:
-    if h2 <= 0:
-        raise ValueError("slaving requires h''(0) > 0")
+def _phi2(p: ExpansionParams, kin, theta1_zz, phi1) -> np.ndarray:
+    """Order-2 inner field, again algebraic given theta1'' and phi1."""
     mu1 = -(p.k1 + p.m1 * p.v0**2)
     num = (p.A * p.Khat * p.r1 * theta1_zz
            + p.A * (p.Khat * p.r2 + mu1 * p.r1) * kin.theta0_zz
            + p.A * p.Khat * p.r1 * phi1 * kin.theta0_z**2
            - p.g * p.m1 * p.r1 * kin.sin_theta0
-           - 0.5 * h3 * phi1**2)
-    return num / h2
-
-
-def order2_phi(params: ExpansionParams, theta1, phi1, z) -> np.ndarray:
-    """Order-2 inner field, again purely algebraic given theta1 and phi1."""
-    kin = sg_kink(np.asarray(z, dtype=float), params)
-    theta1_zz = _theta1_zz(params, kin, np.asarray(theta1, dtype=float))
-    return _phi2(params, kin, theta1_zz, np.asarray(phi1, dtype=float),
-                 params.h_spec.d2h(0.0), params.h_spec.d3h(0.0))
+           - 0.5 * p.h_spec.d3h(0.0) * phi1**2)
+    return num / p.h_spec.d2h(0.0)
 
 
 class Order(NamedTuple):
@@ -243,8 +212,7 @@ def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
     theta1 = order1_theta(params, z, kin)
     theta1_zz = _theta1_zz(params, kin, theta1)
     phi1 = c1 * kin.sin_theta0
-    phi2 = _phi2(params, kin, theta1_zz, phi1, params.h_spec.d2h(0.0),
-                 params.h_spec.d3h(0.0))
+    phi2 = _phi2(params, kin, theta1_zz, phi1)
     zeros = np.zeros_like(z)
     orders = (
         Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
@@ -280,11 +248,11 @@ def compose_series(sol: PerturbativeSolution, eps: float,
                      theta_zz=theta_zz, phi_zz=phi_zz)
 
 
-def project_zero_mode(f, z, params: ExpansionParams) -> np.ndarray:
-    """Remove the translation-mode component <f, theta0'>/<theta0', theta0'>."""
+def project_zero_mode(f, sol: PerturbativeSolution) -> np.ndarray:
+    """Remove the translation-mode component <f, theta0'>/<theta0', theta0'>
+    of f on sol.z, with theta0' = sol.orders[0].theta_z."""
     f = np.asarray(f, dtype=float)
-    kin = sg_kink(np.asarray(z, dtype=float), params)
-    mode = kin.theta0_z
+    z, mode = sol.z, sol.orders[0].theta_z
     return f - (np.trapezoid(f * mode, z) / np.trapezoid(mode * mode, z)) * mode
 
 

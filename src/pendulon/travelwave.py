@@ -129,8 +129,7 @@ def _series_values(params: ExpansionParams, eps) -> _WaveConstants:
     ExpansionParams.series: at negative or complex eps too, where no
     ChainParams represents them; at real eps >= 0 they equal _chain_values
     of to_chain_params(eps) at its speed."""
-    r, m, Kt, Ks, v = params.series(eps)
-    M, R = params.Mhat - m, params.A - r
+    r, m, Kt, Ks, v, M, R = params.series(eps)
     return _WaveConstants(*_wave_coefficients(Kt, Ks, M, m, R, v), M, m, R, r,
                           params.g, params.h_spec)
 
@@ -156,7 +155,7 @@ def kink_profile(z, k, v, pi_shift=False):
     pi_shift moves the connection to (-pi, pi) instead of (0, 2 pi).
     """
     z = np.asarray(z, dtype=float)
-    base, theta_z, theta_zz, _, _ = _kink_slopes(z, k)
+    base, theta_z, theta_zz = _kink_slopes(z, k)[:3]
     theta = base - (np.pi if pi_shift else 0.0)
     zeros = np.zeros_like(z)
     return TWProfile(z, theta, zeros, theta_z, zeros.copy(), v,

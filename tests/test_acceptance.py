@@ -99,7 +99,7 @@ def test_criterion_03_eps_oracle_matches_every_order_on_tangent_barrier(
     sol = build_perturbative(params, z)
     ext = taylor_extract(params, z)
     _, o1, o2 = sol.orders
-    rel = [_rel_l2(project_zero_mode(ext.theta1, z, params), o1.theta, z),
+    rel = [_rel_l2(project_zero_mode(ext.theta1, sol), o1.theta, z),
            _rel_l2(ext.phi1, o1.phi, z), _rel_l2(ext.phi2, o2.phi, z)]
     print("theta1 / phi1 / phi2 rel L2",
           " / ".join(f"{r:.2e}" for r in rel))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -661,6 +662,18 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
     assert cli.main(["verify-expansion", "--config", cfg,
                      "--out", str(tmp_path)]) == 0
     assert calls == {"solve_tw_bvp": 1, "order1_theta": 1}
+
+
+def test_verify_expansion_takes_the_kink_once(tmp_path):
+    """build_perturbative takes the kink, and the oracle's theta1 is
+    projected off the translation mode of that solution, not of a new kink."""
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI + "\n[verify]\nn_points = 801\n")
+    with mock.patch.object(perturbation, "sg_kink",
+                           wraps=perturbation.sg_kink) as kink:
+        assert cli.main(["verify-expansion", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+    assert kink.call_count == 1
 
 
 @pytest.mark.parametrize("command, section, line, key", [

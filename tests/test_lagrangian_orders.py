@@ -11,9 +11,8 @@ from pendulon import lagrangian_orders as lx
 from pendulon.params import ConfiningPotential, ExpansionParams
 from pendulon._stencils import derivative
 from pendulon.perturbation import (Order, _forcing_coefficient,
-                                   _phi1_coefficient, kink_grid,
-                                   kink_parameter, order1_phi, order1_theta,
-                                   order2_phi, sg_kink)
+                                   _phi1_coefficient, _phi2, kink_grid,
+                                   kink_parameter, order1_theta, sg_kink)
 
 
 _EXP = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, v1=0.1,
@@ -139,9 +138,9 @@ def _reference_expansion_sample(params, z):
     theta1 = order1_theta(params, z)
     theta1_zz = k2 * kin.cos_theta0 * theta1 \
         + _forcing_coefficient(params) * kin.sin_theta0
-    phi1 = order1_phi(params, z)
-    phi2 = order2_phi(params, theta1, phi1, z)
     c1 = _phi1_coefficient(params)
+    phi1 = c1 * kin.sin_theta0
+    phi2 = _phi2(params, kin, theta1_zz, phi1)
     zeros = np.zeros_like(z)
     return lx.ExpandedLagrangianSample(z=z, params=params, orders=(
         Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),

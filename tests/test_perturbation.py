@@ -13,10 +13,10 @@ from pendulon.continuum import kink_field_grid
 from pendulon.lattice import moving_kink_state
 from pendulon.params import ChainParams, ConfiningPotential
 from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
-                                   _phi1_coefficient, build_perturbative, coefficient_B,
+                                   _phi1_coefficient, _phi2, _theta1_zz,
+                                   build_perturbative, coefficient_B,
                                    compose_series, kink_grid, kink_parameter,
-                                   mu_hat, order1_phi, order1_theta,
-                                   order2_phi, project_zero_mode,
+                                   mu_hat, order1_theta, project_zero_mode,
                                    residual_scaling, sg_kink, taylor_extract,
                                    export_scaling_csv)
 from pendulon.travelwave import kink_profile, solve_tw_bvp, tw_residual
@@ -140,8 +140,9 @@ def test_order1_theta_grid_guards(exp_params):
 def test_order1_phi_shape_and_sign(exp_params):
     p = exp_params
     z = kink_grid(p)
-    phi1 = order1_phi(p, z)
     kin = sg_kink(z, p)
+    phi1 = _phi1_coefficient(p) * kin.sin_theta0
+    assert np.array_equal(build_perturbative(p, z).orders[1].phi, phi1)
     coeff = p.A * p.Khat * p.r1 * kink_parameter(p) ** 2 / p.h_spec.d2h(0.0)
     assert coeff > 0
     assert np.max(np.abs(phi1 - coeff * kin.sin_theta0)) < 1e-14
@@ -149,17 +150,18 @@ def test_order1_phi_shape_and_sign(exp_params):
 
 def test_order2_phi_h3_term():
     # same geometry, synthetic cubic stiffness enters as -h3 phi1^2 / (2 h2)
-    from pendulon.perturbation import _phi2
     p = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, r1=0.4,
                         h_spec=ConfiningPotential(family="quadratic", c2=2.0))
     z = kink_grid(p, n_points=1601)
-    theta1 = order1_theta(p, z)
-    phi1 = order1_phi(p, z)
     kin = sg_kink(z, p)
-    theta1_zz = perturbation._theta1_zz(p, kin, theta1)
+    theta1_zz = _theta1_zz(p, kin, order1_theta(p, z))
+    phi1 = _phi1_coefficient(p) * kin.sin_theta0
     h2 = 2.0
-    base = _phi2(p, kin, theta1_zz, phi1, h2, 0.0)
-    bent = _phi2(p, kin, theta1_zz, phi1, h2, 0.7)
+    base = _phi2(p, kin, theta1_zz, phi1)
+    with mock.patch.object(ConfiningPotential, "d3h",
+                           return_value=0.7) as h3:
+        bent = _phi2(p, kin, theta1_zz, phi1)
+    h3.assert_called_once_with(0.0)
     assert np.allclose(bent - base, -0.7 * phi1**2 / (2 * h2), atol=1e-13)
 
 
@@ -195,17 +197,18 @@ def _assembled_series(params, z, eps, order):
     if order >= 1:
         c1 = _phi1_coefficient(params)
         theta1 = order1_theta(params, z)
+        theta1_zz = (kink_parameter(params) ** 2 * kin.cos_theta0 * theta1
+                     + _forcing_coefficient(params) * kin.sin_theta0)
+        phi1 = c1 * kin.sin_theta0
         theta = theta + eps * theta1
         theta_z = theta_z + eps * derivative(theta1, dz, 1)
-        theta_zz = theta_zz + eps * (
-            kink_parameter(params) ** 2 * kin.cos_theta0 * theta1
-            + _forcing_coefficient(params) * kin.sin_theta0)
-        phi = phi + eps * order1_phi(params, z)
+        theta_zz = theta_zz + eps * theta1_zz
+        phi = phi + eps * phi1
         phi_z = phi_z + eps * (c1 * kin.cos_theta0 * kin.theta0_z)
         phi_zz = phi_zz + eps * (c1 * (kin.cos_theta0 * kin.theta0_zz
                                        - kin.sin_theta0 * kin.theta0_z**2))
     if order == 2:
-        phi2 = order2_phi(params, theta1, order1_phi(params, z), z)
+        phi2 = _phi2(params, kin, theta1_zz, phi1)
         phi = phi + eps * eps * phi2
         phi_z = phi_z + eps * eps * derivative(phi2, dz, 1)
         phi_zz = phi_zz + eps * eps * derivative(phi2, dz, 2)
@@ -280,7 +283,7 @@ def test_project_zero_mode_removes_translation(exp_params):
     z = kink_grid(p)
     kin = sg_kink(z, p)
     f = 0.3 * kin.theta0_z + 0.1 * np.tanh(z) * kin.theta0_z**2
-    g = project_zero_mode(f, z, p)
+    g = project_zero_mode(f, build_perturbative(p, z))
     overlap = np.trapezoid(g * kin.theta0_z, z)
     assert abs(overlap) < 1e-10 * np.trapezoid(kin.theta0_z**2, z)
 
@@ -344,19 +347,21 @@ def test_taylor_extract_solves_once_and_factors_once(exp_params):
 
 
 def test_build_perturbative_takes_the_kink_once(exp_params, exp_params_wide):
-    # the kink arrays pass down to every order, and the wrappers called
-    # alone still agree with the build bit for bit
+    # the kink arrays pass down to every order, and the order formulas
+    # called alone on a kink of their own agree with the build bit for bit
     for p in (exp_params, exp_params_wide):
         z = kink_grid(p, n_points=801)
         with mock.patch.object(perturbation, "sg_kink",
                                wraps=perturbation.sg_kink) as kink:
             sol = build_perturbative(p, z)
         assert kink.call_count == 1
-        theta1, phi1 = order1_theta(p, z), order1_phi(p, z)
+        kin = sg_kink(z, p)
+        theta1 = order1_theta(p, z)
+        phi1 = _phi1_coefficient(p) * kin.sin_theta0
         assert np.array_equal(sol.orders[1].theta, theta1)
         assert np.array_equal(sol.orders[1].phi, phi1)
-        assert np.array_equal(sol.orders[2].phi,
-                              order2_phi(p, theta1, phi1, z))
+        assert np.array_equal(sol.orders[2].phi, _phi2(
+            p, kin, _theta1_zz(p, kin, theta1), phi1))
 
 
 def test_build_perturbative_grid_check(exp_params):
