@@ -37,13 +37,12 @@ _HOMES = {
                  "kink_field_grid pde_rhs topological_charge",
     "travelwave": "TWProfile kink_profile solve_tw_bvp tw_coefficients "
                   "tw_first_integral tw_lagrangian_density tw_residual",
-    "perturbation": "PerturbativeSolution build_perturbative coefficient_B "
+    "perturbation": "Expansion build_perturbative coefficient_B "
                     "compose_series kink_parameter order1_theta "
                     "residual_scaling sg_kink taylor_extract",
     "reductions": "SpeedSelection StiffReport compatibility_mu selected_speed "
                   "selected_speed_kink stiff_limit_experiment",
-    "lagrangian_orders": "ExpandedLagrangianSample auxiliary_check "
-                         "el_identities eval_L0_L1_L2 expansion_sample "
+    "lagrangian_orders": "auxiliary_check el_identities eval_L0_L1_L2 "
                          "slaving_consistency smooth_sample "
                          "taylor_lagrangian_coefficients",
 }

@@ -1,7 +1,8 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
 fourth-order finite-difference stencils on uniform grids, the bordered matrix
 that both boundary-value solvers factor, the contour rule both eps oracles
-take Taylor coefficients with, the classic RK4 step and the loop
+take Taylor coefficients with, the complex step of the two complex-step
+derivatives, the classic RK4 step and the loop
 that drives it, the energy table, energy drift, winding number and summary
 both integrators report from their snapshots, and the two error classes every
 command maps to exit code 2.
@@ -176,6 +177,9 @@ def derivative(f, h, deriv):
 
 CONTOUR_RADIUS = 0.05
 CONTOUR_NODES = 12
+# h of the complex step Im f(x + i h) / h (Squire and Trapp): no difference
+# cancels, so h sits far below every scale, and a power of two divides exactly
+COMPLEX_STEP = 2.0**-100
 
 
 def cauchy_coefficients(f):

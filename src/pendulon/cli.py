@@ -169,8 +169,8 @@ def cmd_build_perturbative(cp, args, out):
     res1, res2, _ = travelwave.export_profile(prof, chain,
                                               out("tw-profile.npy"))
     return {
-        "k": sol.k,
-        "B": sol.B,
+        "k": perturbation.kink_parameter(exp),
+        "B": perturbation.coefficient_B(exp),
         "eps": eps,
         "order": order,
         "v": exp.speed(eps),

@@ -2,8 +2,9 @@
 
 Fields Theta(x, t), Phi(x, t) obey M(Phi) (Theta_tt, Phi_tt) = (S1, S2), with
 the 2x2 kinetic matrix M of the discrete chain (chain.mass_matrix) and the
-sources stated in params._field_equations, where K_s = kappa_s delta^2 and
-K_t = kappa_t delta^2; the energy density shares the chain's kinetic and
+sources stated in params._field_equations at ChainParams.wave_constants(0.0),
+whose coefficients are K_t = kappa_t delta^2 and K_s = kappa_s delta^2; the
+energy density shares the chain's kinetic and
 gravity energies and the params kernels.
 Spatial derivatives are 4th-order finite differences; evolve() clamps the two
 boundary nodes (Dirichlet far-field values).
@@ -87,7 +88,7 @@ def pde_rhs(grid: FieldGrid, params: ChainParams):
         grid._DD @ np.concatenate([grid.Theta, grid.Phi])).reshape(4, -1)
     factors = _phi_factors(grid.Phi, params.r, params.R)
     S1, S2 = _field_equations(grid.Theta, grid.Phi, Theta_x, Phi_x, Theta_xx,
-                              Phi_xx, params.Kt, params.Ks, params, factors)
+                              Phi_xx, params.wave_constants(0.0), factors)
     Theta_t, Phi_t = grid.Theta_t, grid.Phi_t
     centripetal = params.m * params.r * params.R * factors.sin
     return _mass_solve(factors,

@@ -15,9 +15,9 @@ facts verified numerically in this module:
 Every formula here is cross-checked against an eps-Taylor extraction of the
 full density, which is the only defense against transcription slips in
 expressions this dense; it and field_derivative are analytic rules, exact to
-rounding on the complex-analytic density kernels. A sample holds one
-perturbation.Order per expansion order, and expansion_sample takes them from
-perturbation.build_perturbative.
+rounding on the complex-analytic density kernels. A sample is a
+perturbation.Expansion, one perturbation.Order per expansion order: the one
+perturbation.build_perturbative returns, or random ones from smooth_samples.
 
 Every function here takes one sample, whose field arrays have shape
 (n_points,), or a batch of samples stacked along leading axes, shape
@@ -27,34 +27,18 @@ random samples a block at a time instead of one call per sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, NamedTuple, Tuple
+from dataclasses import replace
+from typing import Dict, NamedTuple
 
 import numpy as np
 
 from . import _stencils, perturbation
 from .params import ExpansionParams
-from .perturbation import Order
-from .travelwave import _density_raw, _series_values
+from .perturbation import Expansion, Order
+from .travelwave import _density_raw
 
 
-@dataclass(frozen=True)
-class ExpandedLagrangianSample:
-    """Field and derivative samples on a z-grid: orders[k] is the
-    perturbation.Order of eps^k, k = 0, 1, 2, with phi0 free.
-
-    z has shape (n_points,). Every field array has shape (..., n_points):
-    (n_points,) for one sample, (n_samples, n_points) for a batch made by
-    smooth_samples.
-    """
-
-    z: np.ndarray
-    params: ExpansionParams
-    orders: Tuple[Order, ...]
-
-
-def smooth_samples(params: ExpansionParams, z,
-                   seeds) -> ExpandedLagrangianSample:
+def smooth_samples(params: ExpansionParams, z, seeds) -> Expansion:
     """Random smooth decaying fields, one row per seed, with analytically
     consistent derivatives: three Gaussian bumps of height at most 0.8 per
     field (0.35 phi0 of the confinement for phi0). Each seed's generator
@@ -75,27 +59,19 @@ def smooth_samples(params: ExpansionParams, z,
         f += e
         fp += -u / w * e
         fpp += (u * u - 1.0) / (w * w) * e
-    return ExpandedLagrangianSample(z, params, tuple(
+    return Expansion(z, params, tuple(
         Order(f[k], f[3 + k], fp[k], fp[3 + k], fpp[k], fpp[3 + k])
         for k in range(3)))
 
 
-def smooth_sample(params: ExpansionParams, z,
-                  seed: int = 0) -> ExpandedLagrangianSample:
+def smooth_sample(params: ExpansionParams, z, seed: int = 0) -> Expansion:
     """The one sample of smooth_samples(params, z, [seed])."""
     batch = smooth_samples(params, z, [seed])
     return replace(batch, orders=tuple(
         Order(*(field[0] for field in order)) for order in batch.orders))
 
 
-def expansion_sample(params: ExpansionParams, z) -> ExpandedLagrangianSample:
-    """Sample of the orders of build_perturbative (phi0 = 0 branch, kink at
-    order 0, no order-2 outer correction)."""
-    sol = perturbation.build_perturbative(params, z)
-    return ExpandedLagrangianSample(sol.z, params, sol.orders)
-
-
-def eval_L0_L1_L2(sample: ExpandedLagrangianSample, through: int = 2):
+def eval_L0_L1_L2(sample: Expansion, through: int = 2):
     """The first three eps-orders of the travelling-wave density, phi0 free:
     L0 to L_through, each order computed only when it is returned."""
     p = sample.params
@@ -168,14 +144,15 @@ def eval_L0_L1_L2(sample: ExpandedLagrangianSample, through: int = 2):
     return L0, L1, L2
 
 
-def _series_density(sample: ExpandedLagrangianSample, e):
+def _series_density(sample: Expansion, e):
     """The full density along the sampled expansion at eps = e, at the
-    travelwave._series_values constants, so e may be negative or complex."""
+    constants of ExpansionParams.wave_constants, so e may be negative or
+    complex."""
     fields = perturbation.compose([o[:4] for o in sample.orders], e)
-    return _density_raw(*fields, *_series_values(sample.params, e))
+    return _density_raw(*fields, sample.params.wave_constants(e))
 
 
-def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):
+def taylor_lagrangian_coefficients(sample: Expansion):
     """eps-Taylor coefficients 0..2 of the full density along the sampled
     expansion: the density at eps = 0, then the Cauchy integrals of
     _stencils.cauchy_coefficients."""
@@ -184,15 +161,15 @@ def taylor_lagrangian_coefficients(sample: ExpandedLagrangianSample):
                 lambda e: _series_density(sample, e)))
 
 
-def field_derivative(sample: ExpandedLagrangianSample, k: int, j: int,
+def field_derivative(sample: Expansion, k: int, j: int,
                      name: str) -> np.ndarray:
     """Pointwise dL_k/d(sample.orders[j].<name>) by complex step,
-    Im L_k(f + i h) / h with h = 2**-100 (Squire and Trapp): eval_L0_L1_L2
-    is complex-analytic in every field, so no difference cancels and no step
-    needs choosing."""
+    Im L_k(f + i h) / h with h = _stencils.COMPLEX_STEP (Squire and Trapp):
+    eval_L0_L1_L2 is complex-analytic in every field, so no difference
+    cancels and no step needs choosing."""
     if k not in (0, 1, 2):
         raise ValueError("order k must be 0, 1 or 2")
-    h = 2.0**-100
+    h = _stencils.COMPLEX_STEP
     orders = list(sample.orders)
     orders[j] = orders[j]._replace(
         **{name: getattr(orders[j], name) + 1j * h})
@@ -200,14 +177,14 @@ def field_derivative(sample: ExpandedLagrangianSample, k: int, j: int,
     return np.imag(eval_L0_L1_L2(stepped, through=k)[k]) / h
 
 
-def auxiliary_check(sample: ExpandedLagrangianSample, k: int):
+def auxiliary_check(sample: Expansion, k: int):
     """max |dL_k/dphi_k'| per sample: one value for a single sample, one per
     row for a batch. Structural zero at every order: the density order never
     sees the derivative of its own-order inner angle."""
     return np.max(np.abs(field_derivative(sample, k, k, "phi_z")), axis=-1)
 
 
-def el_identities(sample: ExpandedLagrangianSample):
+def el_identities(sample: Expansion):
     """The three informative Euler-Lagrange combinations E10, E21, E20.
 
     E10: order-1 density varied in phi0. E21: order-2 density varied in phi1,
@@ -259,7 +236,7 @@ def slaving_consistency(params: ExpansionParams, z) -> Dict[str, object]:
     formulas. Returns a JSON-ready dictionary of max deviations.
     """
     z = np.asarray(z, dtype=float)
-    sample = expansion_sample(params, z)
+    sample = perturbation.build_perturbative(params, z)
     o0, o1, o2 = sample.orders
     zeros = np.zeros_like(z)
     h2_at0 = float(params.h_spec.d2h(0.0))

@@ -3,7 +3,8 @@ the constants of the eps expansion, the unit kink profile every layer seeds
 from (_kink) and its one record of slopes (_kink_slopes, a KinkArrays), and
 the kernels every layer shares: the phi-only factors (_phi_factors), the
 coefficient matrix C(phi) (_coefficients) with its quadratic form
-(_quadratic), the gravity term (_pendant) and the field equations."""
+(_quadratic), the gravity term (_pendant) and the field equations, which
+read one record of constants (WaveConstants of _wave_constants)."""
 from __future__ import annotations
 
 import dataclasses
@@ -100,10 +101,6 @@ class ConfiningPotential:
             2 * t * inner + (1 + t**2) * (ddP * (1 + t**2) + 4 * t * dP + 2 * P)
         )
 
-    def with_stiffness(self, c2):
-        """Same family and range, different curvature at the origin."""
-        return dataclasses.replace(self, c2=float(c2))
-
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -147,6 +144,12 @@ class ChainParams:
     @property
     def Kt(self):
         return self.kappa_t * self.delta**2
+
+    def wave_constants(self, v) -> WaveConstants:
+        """The constants of _field_equations for a wave of speed v; at
+        v = 0.0 its coefficients are (K_t, K_s) bit for bit, the PDE's."""
+        return _wave_constants(v, self.Kt, self.Ks, self.M, self.m, self.R,
+                               self.r, self.g, self.h_spec)
 
     def require_dynamic(self):
         """Raise unless the configuration supports full 2-angle dynamics."""
@@ -197,12 +200,31 @@ class ExpansionParams:
     def speed(self, eps: Optional[float] = None) -> float:
         return self.series(eps)[4]
 
+    def wave_constants(self, eps) -> WaveConstants:
+        """The constants of _field_equations at eps, also complex or < 0; at
+        real eps >= 0, to_chain_params(eps).wave_constants(speed(eps))."""
+        r, m, Kt, Ks, v, M, R = self.series(eps)
+        return _wave_constants(v, Kt, Ks, M, m, R, r, self.g, self.h_spec)
+
     def to_chain_params(self, eps: Optional[float] = None,
                         delta: float = 1.0) -> ChainParams:
         r, m, Kt, Ks, _, M, R = self.series(eps)
         return ChainParams(M=M, m=m, R=R, r=r,
                            kappa_t=Kt / delta**2, kappa_s=Ks / delta**2,
                            g=self.g, delta=delta, h_spec=self.h_spec)
+
+
+# The constants _field_equations reads: the coefficients (c_outer, c_inner)
+# of C(phi), the chain's masses, lengths and gravity, and its confinement;
+# bare numbers, complex where the eps expansion continues them.
+WaveConstants = namedtuple("WaveConstants", "c_outer c_inner M m R r g h_spec")
+
+
+def _wave_constants(v, Kt, Ks, M, m, R, r, g, h_spec) -> WaveConstants:
+    """WaveConstants of a wave of speed v: (c_outer, c_inner) = (K_t - M R^2
+    v^2, mu = K_s - m v^2); the PDE is v = 0."""
+    return WaveConstants(Kt - M * R**2 * v**2, Ks - m * v * v, M, m, R, r, g,
+                         h_spec)
 
 
 def _kink(u):
@@ -264,7 +286,7 @@ def _coefficients(c_outer, c_inner, phi, r, R):
     """(c11, c12, c22) = (c_outer + c_inner r^2 beta, c_inner r^2 alpha,
     c_inner r^2), the symmetric matrix C(c_outer, c_inner; phi) of the chain
     with the products of _inertia, or of phi if it is _phi_factors. M R^2, m
-    give the mass matrix, K_t, K_s the gradient stiffness, tw_coefficients
+    give the mass matrix, K_t, K_s the gradient stiffness, WaveConstants
     the travelling-wave operator; bare, so eps < 0 needs no ChainParams."""
     r2a, r2b = phi[1:] if isinstance(phi, _PhiFactors) else _inertia(phi, r, R)
     return c_outer + c_inner * r2b, c_inner * r2a, c_inner * r * r
@@ -284,7 +306,7 @@ def _pendant(theta, phi, M, m, R, r, g):
 
 
 def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
-                     c_outer, c_inner, params: ChainParams, factors=None):
+                     c: WaveConstants, factors=None):
     """The chain's two field equations, the one copy every layer calls.
 
     With ' the caller's spatial derivative and c11, c12, c22 the entries of
@@ -294,23 +316,23 @@ def _field_equations(theta, phi, theta_d, phi_d, theta_dd, phi_dd,
              - g (R (M + m) sin(theta) + m r sin(phi + theta))
         F2 = c22 phi'' + c12 theta'' - h'(phi)
              + c_inner r R theta'^2 sin(phi) - m g r sin(phi + theta)
-    The PDE (' = d/dx) takes (c_outer, c_inner) = (K_t, K_s) and reads
-    M(Phi) (Theta_tt, Phi_tt) = (F1, F2) + m r R sin(Phi) (Phi_t (Phi_t +
-    2 Theta_t), -Theta_t^2). The travelling wave (z = x - v t, ' = d/dz,
-    d/dt = -v d/dz) takes travelwave.tw_coefficients (K_t - M R^2 v^2, mu =
-    K_s - m v^2) and solves F1 = F2 = 0; the frozen limit is that at phi = 0.
+    The PDE (' = d/dx) takes c = ChainParams.wave_constants(0.0), (K_t, K_s),
+    and reads M(Phi) (Theta_tt, Phi_tt) = (F1, F2) + m r R sin(Phi) (Phi_t
+    (Phi_t + 2 Theta_t), -Theta_t^2). The travelling wave (z = x - v t,
+    ' = d/dz, d/dt = -v d/dz) takes wave_constants(v) and solves F1 = F2 = 0;
+    the frozen limit is that at phi = 0.
 
     Every term is complex-analytic in the six fields: no float cast, abs or
-    comparison touches them, so travelwave._jacobian_blocks differentiates
-    this function by complex step, Im F(u + i h e_k) / h with h = 2**-100.
+    comparison touches them, so travelwave._jacobian_blocks takes its
+    complex step Im F(u + i h e_k) / h, h = _stencils.COMPLEX_STEP.
     """
-    M, m, R, r, g = params.M, params.m, params.R, params.r, params.g
+    c_outer, c_inner, M, m, R, r, g = c[:7]
     factors = _phi_factors(phi, r, R) if factors is None else factors
     s, spt = factors.sin, np.sin(phi + theta)
     c11, c12, c22 = _coefficients(c_outer, c_inner, factors, r, R)
     F1 = (c12 * phi_dd + c11 * theta_dd
           - c_inner * r * R * phi_d * (phi_d + 2 * theta_d) * s
           - g * (R * (M + m) * np.sin(theta) + m * r * spt))
-    F2 = (c22 * phi_dd + c12 * theta_dd - params.h_spec.dh(phi)
+    F2 = (c22 * phi_dd + c12 * theta_dd - c.h_spec.dh(phi)
           + c_inner * r * R * theta_d**2 * s - m * g * r * spt)
     return F1, F2

@@ -8,8 +8,9 @@ those orders explicitly and verifies the structure against an oracle that
 differentiates the discrete BVP solution family in eps.
 
 build_perturbative is the one path to the orders, built once per grid from
-one kink record (sg_kink), one Order record per power of eps; compose_series
-and residual_scaling sum them with compose, the one eps-series sum. The
+one kink record (sg_kink), one Order record per power of eps, in the one
+record of eps-orders on a grid (Expansion); compose_series and
+residual_scaling sum them with compose, the one eps-series sum. The
 oracle taylor_extract gets theta1, phi1 and phi2 by implicit differentiation:
 one BVP solve at eps = 0, one factor of its Jacobian, and two back-solves.
 
@@ -178,14 +179,13 @@ def compose(orders, e) -> tuple:
 
 
 @dataclass(frozen=True)
-class PerturbativeSolution:
-    """Sampled expansion on a fixed uniform z-grid: orders[k] is the eps^k
-    Order of (theta, phi). Order 0 is the kink with phi = 0, and order 2 has
-    no outer correction (theta2 = 0)."""
+class Expansion:
+    """orders[k] is the eps^k Order of (theta, phi), k = 0, 1, 2, on the
+    uniform grid z, (n_points,); each field is (n_points,), or (..., n_points)
+    for a batch. From build_perturbative, order 0 is the kink with phi = 0 and
+    theta2 = 0; lagrangian_orders.smooth_samples draws them with phi0 free."""
 
     z: np.ndarray
-    k: float
-    B: float
     params: ExpansionParams
     orders: Tuple[Order, ...]
 
@@ -198,7 +198,7 @@ def kink_grid(params: ExpansionParams, n_points: int = 4001,
     return np.linspace(-L, L, n_points)
 
 
-def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
+def build_perturbative(params: ExpansionParams, z=None) -> Expansion:
     """The orders 0, 1 and 2 on z (default kink_grid), each slope and
     curvature taken once: closed forms for the kink (one sg_kink) and phi1,
     theta1'' in ODE form (_theta1_zz), and stencil derivatives of theta1' and
@@ -222,12 +222,10 @@ def build_perturbative(params: ExpansionParams, z=None) -> PerturbativeSolution:
                     - kin.sin_theta0 * kin.theta0_z**2)),
         Order(zeros, phi2, zeros, _stencils.derivative(phi2, dz, 1), zeros,
               _stencils.derivative(phi2, dz, 2)))
-    return PerturbativeSolution(z=z, k=kink_parameter(params),
-                                B=coefficient_B(params), params=params,
-                                orders=orders)
+    return Expansion(z, params, orders)
 
 
-def compose_series(sol: PerturbativeSolution, eps: float,
+def compose_series(sol: Expansion, eps: float,
                    order: int) -> TWProfile:
     """Assemble theta = theta0 + eps theta1, phi = eps phi1 + eps^2 phi2, the
     compose of sol.orders[:order + 1], as a travelling-wave profile at the
@@ -248,7 +246,7 @@ def compose_series(sol: PerturbativeSolution, eps: float,
                      theta_zz=theta_zz, phi_zz=phi_zz)
 
 
-def project_zero_mode(f, sol: PerturbativeSolution) -> np.ndarray:
+def project_zero_mode(f, sol: Expansion) -> np.ndarray:
     """Remove the translation-mode component <f, theta0'>/<theta0', theta0'>
     of f on sol.z, with theta0' = sol.orders[0].theta_z."""
     f = np.asarray(f, dtype=float)
@@ -272,7 +270,7 @@ def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
     J0 u1 = -[eps] F(u0; eps) and J0 u2 = -[eps^2] F(u0 + eps u1; eps). Both
     right-hand sides are Cauchy coefficients (_stencils.cauchy_coefficients)
     of the field-equation kernel at the complex-eps constants of
-    travelwave._series_values. Their Dirichlet and pin rows are zero, since
+    ExpansionParams.wave_constants. Their Dirichlet and pin rows are zero, as
     every member of the family has the same end values and pinned midpoint;
     so theta1 vanishes at the midpoint, where build_perturbative's theta1 is
     orthogonal to the translation mode instead (see project_zero_mode).
@@ -284,14 +282,13 @@ def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
     system = travelwave.TWSystem(base)
     u0 = (base.theta, base.phi, base.theta_z, base.phi_z, base.theta_zz,
           base.phi_zz)
-    lu = splu(system.jacobian(u0, travelwave._series_values(params, 0.0)))
+    lu = splu(system.jacobian(u0, params.wave_constants(0.0)))
 
     def back_solve(k, u1):
         """-J0^-1 [eps^k] F(u0 + eps u1; eps), as (theta, phi)."""
         def F(e):
-            c = travelwave._series_values(params, e)
-            return _field_equations(*compose((u0, u1), e), c.c_outer,
-                                    c.c_inner, c)
+            return _field_equations(*compose((u0, u1), e),
+                                    params.wave_constants(e))
         sol = lu.solve(-system.pack(*_stencils.cauchy_coefficients(F)[k - 1]))
         return sol[0:-1:2], sol[1:-1:2]
 
@@ -309,7 +306,7 @@ class ScalingStudy:
     slope2: float
 
 
-def residual_scaling(sol: PerturbativeSolution, eps_list,
+def residual_scaling(sol: Expansion, eps_list,
                      order: int) -> ScalingStudy:
     """L2 norms of both profile-equation residuals for the order-truncated
     composition of sol, over a sweep of eps, with fitted log-log slopes.
@@ -347,7 +344,7 @@ def export_scaling_csv(study: ScalingStudy, path) -> None:
                   study.res2_l2.tolist()))
 
 
-def export_orders(sol: PerturbativeSolution, path) -> None:
+def export_orders(sol: Expansion, path) -> None:
     """Write perturbative-orders.npy, one .npy record (_io.write_npy_record)
     of the (n,) fields z, theta0, theta1, phi1 and phi2."""
     o0, o1, o2 = sol.orders

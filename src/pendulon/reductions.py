@@ -65,7 +65,7 @@ def reduced_equations_residual(theta, z, params: ChainParams, v: float):
     theta = np.asarray(theta, dtype=float)
     theta_zz = _stencils.derivative(theta, _stencils.uniform_spacing(z), 2)
     return _field_equations(theta, 0.0, 0.0, 0.0, theta_zz, 0.0,
-                            *travelwave.tw_coefficients(v, params), params)
+                            params.wave_constants(v))
 
 
 def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
@@ -83,7 +83,7 @@ def reduced_proportionality_gap(theta, z, params: ChainParams, v: float):
         raise ValueError("second equation loses its curvature term (mu = 0)")
     # the curvature coefficients: the field equations at unit theta'' alone
     c1, c2 = _field_equations(0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
-                              *travelwave.tw_coefficients(v, params), params)
+                              params.wave_constants(v))
     scale = params.g * (params.m * params.r + (params.M + params.m) * params.R)
     return float(np.max(np.abs(res1 - (c1 / c2) * res2)) / scale)
 
@@ -160,7 +160,7 @@ def stiff_limit_experiment(params: ChainParams,
 
     cells = []
     for h2 in ladder:
-        stiff = replace(params, h_spec=params.h_spec.with_stiffness(h2))
+        stiff = replace(params, h_spec=replace(params.h_spec, c2=h2))
         for v in v_probe:
             guess = travelwave.kink_profile(z, kappa, v, pi_shift=True)
             try:

@@ -4,13 +4,13 @@ the bordered collocation system of the two-point boundary-value problem
 its Newton solver.
 
 A wave is fixed by the chain and its speed v: with z = x - v t the profile
-equations are params._field_equations with the coefficients of
-tw_coefficients; their complex step gives the Newton Jacobian but for its
-curvature entries, C(phi) of params._coefficients, as is the slope energy.
+equations are params._field_equations at the params.WaveConstants of
+ChainParams.wave_constants(v); their complex step gives the Newton Jacobian
+but for its curvature entries, C(phi) of params._coefficients, as is the
+slope energy.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,20 +20,14 @@ from scipy.sparse.linalg import splu
 from . import _stencils
 from ._io import write_npy_record
 from ._stencils import TWSolveError
-from .params import (ChainParams, ExpansionParams, _coefficients,
+from .params import (ChainParams, WaveConstants, _coefficients,
                      _field_equations, _kink_slopes, _pendant, _quadratic)
 
 
 def tw_coefficients(v, params: ChainParams):
     """(c_outer, c_inner) = (K_t - M R^2 v^2, mu = K_s - m v^2) of
     params._field_equations for a wave of speed v."""
-    return _wave_coefficients(params.Kt, params.Ks, params.M, params.m,
-                              params.R, v)
-
-
-def _wave_coefficients(Kt, Ks, M, m, R, v):
-    """tw_coefficients from bare constants, which may be complex."""
-    return Kt - M * R**2 * v**2, Ks - m * v * v
+    return params.wave_constants(v)[:2]
 
 
 def _on_sonic_line(v, params: ChainParams):
@@ -81,7 +75,7 @@ def tw_residual(profile: TWProfile, params: ChainParams):
         pzz = _stencils.derivative(profile.phi, dz, 2)
     return _field_equations(profile.theta, profile.phi, profile.theta_z,
                             profile.phi_z, tzz, pzz,
-                            *tw_coefficients(profile.v, params), params)
+                            params.wave_constants(profile.v))
 
 
 def residual_linf(res):
@@ -93,58 +87,32 @@ def residual_linf(res):
     return float(np.max(np.abs(res[1:-1])))
 
 
-def _density_parts(theta, phi, theta_z, phi_z, c_outer, c_inner, M, m, R, r,
-                   g, h_spec):
-    """(Q, G, H) of the travelling-wave density L = Q + G - H at the
-    (c_outer, c_inner) of tw_coefficients: Q = -params._quadratic in the
-    slopes, = T(-v theta', -v phi') - U_grad; G = params._pendant; H = h(phi).
-    Takes bare coefficient values: callers may pass continuations that no
-    valid ChainParams represents."""
-    return (-_quadratic(c_outer, c_inner, phi, r, R, theta_z, phi_z),
-            _pendant(theta, phi, M, m, R, r, g), h_spec.h(phi))
+def _density_parts(theta, phi, theta_z, phi_z, c: WaveConstants):
+    """(Q, G, H) of the travelling-wave density L = Q + G - H at the wave
+    constants c: Q = -params._quadratic in the slopes, = T(-v theta', -v
+    phi') - U_grad; G = params._pendant; H = h(phi). c may hold
+    continuations that no valid ChainParams represents."""
+    return (-_quadratic(c.c_outer, c.c_inner, phi, c.r, c.R, theta_z, phi_z),
+            _pendant(theta, phi, c.M, c.m, c.R, c.r, c.g), c.h_spec.h(phi))
 
 
-def _density_raw(*args):
-    """L = Q + G - H, with the arguments of _density_parts."""
-    Q, G, H = _density_parts(*args)
+def _density_raw(theta, phi, theta_z, phi_z, c: WaveConstants):
+    """L = Q + G - H of _density_parts."""
+    Q, G, H = _density_parts(theta, phi, theta_z, phi_z, c)
     return Q + G - H
-
-
-# The bare constants of a travelling wave, which may be complex: the
-# coefficient arguments of _density_parts, in order, and a stand-in for the
-# ChainParams of params._field_equations, which reads only M, m, R, r, g and
-# h_spec.
-_WaveConstants = namedtuple("_WaveConstants",
-                            "c_outer c_inner M m R r g h_spec")
-
-
-def _chain_values(v, params: ChainParams) -> _WaveConstants:
-    """The wave constants of a chain at speed v."""
-    return _WaveConstants(*tw_coefficients(v, params), params.M, params.m,
-                          params.R, params.r, params.g, params.h_spec)
-
-
-def _series_values(params: ExpansionParams, eps) -> _WaveConstants:
-    """The wave constants of the eps expansion at eps, from
-    ExpansionParams.series: at negative or complex eps too, where no
-    ChainParams represents them; at real eps >= 0 they equal _chain_values
-    of to_chain_params(eps) at its speed."""
-    r, m, Kt, Ks, v, M, R = params.series(eps)
-    return _WaveConstants(*_wave_coefficients(Kt, Ks, M, m, R, v), M, m, R, r,
-                          params.g, params.h_spec)
 
 
 def tw_lagrangian_density(theta, phi, theta_z, phi_z, v, params: ChainParams):
     """The density L = Q + G - H of _density_parts at speed v, whose
     Euler-Lagrange equations are the profile equations."""
-    return _density_raw(theta, phi, theta_z, phi_z, *_chain_values(v, params))
+    return _density_raw(theta, phi, theta_z, phi_z, params.wave_constants(v))
 
 
 def tw_first_integral(profile: TWProfile, params: ChainParams):
     """E = theta' dL/dtheta' + phi' dL/dphi' - L = Q - G + H, since Q is
     quadratic in the slopes; constant on exact solutions."""
     Q, G, H = _density_parts(profile.theta, profile.phi, profile.theta_z,
-                             profile.phi_z, *_chain_values(profile.v, params))
+                             profile.phi_z, params.wave_constants(profile.v))
     return Q - G + H
 
 
@@ -163,23 +131,22 @@ def kink_profile(z, k, v, pi_shift=False):
 
 
 def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
-                     c_outer, c_inner, params: ChainParams):
+                     c: WaveConstants):
     """Pointwise d(res)/d(field, field', field'') coefficients of
     params._field_equations. The curvature entries are its C(phi); the others
     are its complex step Im F(u + i h e_k) / h, one call per direction u_k in
     (theta, phi, theta', phi'), exact to rounding since the kernel is
-    complex-analytic and h = 2**-100 is a power of two."""
-    h = 2.0**-100
+    complex-analytic and h = _stencils.COMPLEX_STEP is a power of two."""
+    h = _stencils.COMPLEX_STEP
     fields = [theta, phi, theta_z, phi_z]
     j = {}
     for k, key in enumerate(("t0", "p0", "t1", "p1")):
         shifted = list(fields)
         shifted[k] = fields[k] + 1j * h
-        F1, F2 = _field_equations(*shifted, theta_zz, phi_zz,
-                                  c_outer, c_inner, params)
+        F1, F2 = _field_equations(*shifted, theta_zz, phi_zz, c)
         j[f"r1_{key}"] = np.imag(F1) / h
         j[f"r2_{key}"] = np.imag(F2) / h
-    c11, c12, c22 = _coefficients(c_outer, c_inner, phi, params.r, params.R)
+    c11, c12, c22 = _coefficients(c.c_outer, c.c_inner, phi, c.r, c.R)
     j["r1_t2"], j["r1_p2"], j["r2_t2"] = c11, c12, c12
     j["r2_p2"] = np.full_like(theta, c22)
     return j
@@ -192,7 +159,7 @@ class TWSystem:
     is the pinning row theta(z_mid) = mean of the theta end values, with the
     translation mode (theta', phi') as its column. Fields pass as the six
     arguments u = (theta, phi, theta', phi', theta'', phi'') of
-    params._field_equations, and chain constants as _WaveConstants."""
+    params._field_equations, and chain constants as params.WaveConstants."""
 
     def __init__(self, profile: TWProfile):
         n = profile.z.shape[0]
@@ -223,19 +190,19 @@ class TWSystem:
         F[self.fixed] = 0.0
         return F
 
-    def residual(self, u, c: _WaveConstants):
+    def residual(self, u, c: WaveConstants):
         """The bordered residual at u: the collocation equations, with the
         boundary rows replacing the outermost ones, and the pin."""
         theta, phi = u[0], u[1]
-        F = self.pack(*_field_equations(*u, c.c_outer, c.c_inner, c))
+        F = self.pack(*_field_equations(*u, c))
         F[self.fixed] = (theta[0] - self.ends[0], phi[0] - self.ends[1],
                          theta[-1] - self.ends[2], phi[-1] - self.ends[3])
         F[2 * self.n] = theta[self.mid] - self.pin_target
         return F
 
-    def jacobian(self, u, c: _WaveConstants):
+    def jacobian(self, u, c: WaveConstants):
         """The bordered Jacobian at u as CSC (_stencils.bordered_matrix)."""
-        jb = _jacobian_blocks(*u, c.c_outer, c.c_inner, c)
+        jb = _jacobian_blocks(*u, c)
         # block (equation, field) is jb["r<equation>_<t|p><derivative>"]
         blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
                   for eq in "12"]
@@ -263,7 +230,7 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
     and on the sonic line (_on_sonic_line).
     """
     params.require_dynamic()
-    c = _chain_values(guess.v, params)
+    c = params.wave_constants(guess.v)
     if _on_sonic_line(guess.v, params):
         raise TWSolveError(f"mu = 0 to rounding ({c.c_inner:.3e} at v = "
                            f"{guess.v!r}): profile equations are degenerate")

@@ -298,8 +298,7 @@ def test_criterion_10_first_integral_is_flat_on_every_converged_solve(exp_params
         worst = max(worst, rel_var(prof, chain))
 
     # the pi-shifted branch at the selected speed, under stiff confinement
-    stiff = replace(STAR_CHAIN,
-                    h_spec=STAR_CHAIN.h_spec.with_stiffness(400.0))
+    stiff = replace(STAR_CHAIN, h_spec=replace(STAR_CHAIN.h_spec, c2=400.0))
     kappa = selected_kink_width(stiff)
     v_star = selected_speed(stiff).v_star
     zs = np.linspace(-20.0 / kappa, 20.0 / kappa, 2001)

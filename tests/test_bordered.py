@@ -16,7 +16,7 @@ from pendulon.params import ChainParams, ConfiningPotential
 from pendulon.perturbation import (ExpansionParams, kink_grid,
                                    kink_parameter, order1_theta, sg_kink)
 from pendulon.travelwave import (TWProfile, _jacobian_blocks, _on_sonic_line,
-                                 kink_profile, solve_tw_bvp, tw_coefficients)
+                                 kink_profile, solve_tw_bvp)
 
 CHAIN = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
                     kappa_s=0.985, g=1.0, delta=1.0,
@@ -110,7 +110,7 @@ def _newton_case(theta, phi, v, half_width=8.0):
     D1, D2 = derivative_matrix(n, guess.dz, 1), derivative_matrix(n, guess.dz, 2)
     tz, pz = D1 @ theta, D1 @ phi
     jb = _jacobian_blocks(theta, phi, tz, pz, D2 @ theta, D2 @ phi,
-                          *tw_coefficients(v, CHAIN), CHAIN)
+                          CHAIN.wave_constants(v))
     _assert_same_csc(got, _reference_newton_matrix(D1, D2, jb, tz, pz, n // 2))
 
 

@@ -568,6 +568,23 @@ def test_build_perturbative_eps0_matches_kink(tmp_path):
     assert summary["outputs"] == ["perturbative-orders.npy", "tw-profile.npy"]
 
 
+@pytest.mark.parametrize("A", ["1.0", "1.3"])
+def test_build_perturbative_summary_reads_k_and_B(tmp_path, A):
+    """The summary's k and B are kink_parameter and coefficient_B of the
+    [expansion] constants, exactly."""
+    cfg = _write(tmp_path, "exp.ini",
+                 EXPANSION_INI.replace("A = 1.0", f"A = {A}")
+                 + "\n[grid]\nn_points = 201\n")
+    out = tmp_path / "out"
+    assert cli.main(["build-perturbative", "--config", cfg,
+                     "--out", str(out)]) == 0
+    exp = expansion_from_config(load_config(cfg))
+    assert exp.A == float(A)
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["k"] == perturbation.kink_parameter(exp)
+    assert results["B"] == perturbation.coefficient_B(exp)
+
+
 @pytest.mark.parametrize("command, section", [
     ("solve-tw", CHAIN_INI + "\n[tw]\nv = 0.305\nk = 1.05\n"
      "\n[domain]\nn_points = 1201\n"),

@@ -9,7 +9,8 @@ from pendulon.chain import _mass_solve, external_potential, kinetic_energy_site
 from pendulon.continuum import (FieldGrid, PDEInstabilityError,
                                 energy_total, evolve, kink_field_grid,
                                 max_wave_speed, pde_rhs, topological_charge)
-from pendulon.params import ChainParams, _field_equations, _quadratic
+from pendulon.params import (ChainParams, WaveConstants, _field_equations,
+                             _quadratic)
 from pendulon._stencils import derivative, derivative_matrix
 
 
@@ -112,8 +113,10 @@ def test_rhs_matches_travelling_residual(generic_chain, rng):
     m22 = p.m * p.r**2
     lhs1 = m11 * (acc_th - v**2 * Theta_xx) + m12 * (acc_ph - v**2 * Phi_xx)
     lhs2 = m12 * (acc_th - v**2 * Theta_xx) + m22 * (acc_ph - v**2 * Phi_xx)
+    c = WaveConstants(p.Kt - p.M * p.R**2 * v**2, mu, p.M, p.m, p.R, p.r,
+                      p.g, p.h_spec)
     res1, res2 = _field_equations(Theta, Phi, Theta_x, Phi_x, Theta_xx,
-                                  Phi_xx, p.Kt - p.M * p.R**2 * v**2, mu, p)
+                                  Phi_xx, c)
     scale = np.max(np.abs(res1)) + np.max(np.abs(res2)) + 1.0
     assert np.max(np.abs(lhs1 - res1)) / scale < 1e-11
     assert np.max(np.abs(lhs2 - res2)) / scale < 1e-11
@@ -159,8 +162,10 @@ def _reference_pde_rhs(grid, params):
     Phi_x = derivative(grid.Phi, dx, 1)
     Theta_xx = derivative(grid.Theta, dx, 2)
     Phi_xx = derivative(grid.Phi, dx, 2)
+    c = WaveConstants(params.Kt, params.Ks, params.M, params.m, params.R,
+                      params.r, params.g, params.h_spec)
     S1, S2 = _field_equations(grid.Theta, grid.Phi, Theta_x, Phi_x, Theta_xx,
-                              Phi_xx, params.Kt, params.Ks, params)
+                              Phi_xx, c)
     Theta_t, Phi_t = grid.Theta_t, grid.Phi_t
     centripetal = params.m * params.r * params.R * np.sin(grid.Phi)
     S1 = S1 + centripetal * Phi_t * (Phi_t + 2 * Theta_t)

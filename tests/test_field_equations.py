@@ -12,17 +12,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pendulon import _stencils, continuum
 from pendulon.chain import external_potential, kinetic_energy_site, mass_matrix
 from pendulon.continuum import FieldGrid
 from pendulon.params import (ChainParams, ConfiningPotential,
-                             _field_equations, _inertia)
+                             ExpansionParams, _field_equations, _inertia)
 from pendulon.reductions import reduced_equations_residual
-from pendulon.travelwave import (TWProfile, _chain_values, _density_parts,
-                                 tw_coefficients, tw_first_integral,
-                                 tw_lagrangian_density, tw_residual)
+from pendulon.travelwave import (TWProfile, _density_parts, tw_coefficients,
+                                 tw_first_integral, tw_lagrangian_density,
+                                 tw_residual)
 
 # the constants of _field_equations a complex eps reaches
 _CONSTANTS = ("M", "m", "R", "r", "g", "c_outer", "c_inner")
@@ -166,7 +166,8 @@ def test_travelling_wave_layer_is_bit_identical(p, ratio, seed, n):
                      theta_zz=thzz, phi_zz=phzz)
     ref = _residual_reference(theta, phi, thz, phz, thzz, phzz, coef[1], v, p)
     for got in (tw_residual(prof, p),
-                _field_equations(theta, phi, thz, phz, thzz, phzz, *coef, p)):
+                _field_equations(theta, phi, thz, phz, thzz, phzz,
+                                 p.wave_constants(v))):
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
     assert np.array_equal(
@@ -213,6 +214,54 @@ def test_frozen_residual_agrees_within_ulps(p, ratio, seed, n):
     _assert_within_ulps(got, _frozen_reference(theta_zz, theta, p, v),
                         *tw_coefficients(v, p), p,
                         np.abs(theta_zz), zero, zero)
+
+
+# ------------------------------------------------------- wave constants ---
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(chains(kappa_t=0.0), chains()))
+def test_pde_wave_constants_are_the_gradient_stiffness(p):
+    """ChainParams.wave_constants(0.0), the constants pde_rhs hands the
+    kernel, has the coefficients (K_t, K_s) bit for bit, and the chain's
+    own masses, lengths, gravity and confinement."""
+    c = p.wave_constants(0.0)
+    assert _bits(c[:2]) == _bits((p.Kt, p.Ks))
+    assert c[2:] == (p.M, p.m, p.R, p.r, p.g, p.h_spec)
+
+
+@st.composite
+def expansions(draw):
+    """Expansion constants under either confinement family: first-order
+    coefficients nonnegative, second-order ones and the speeds of both
+    signs."""
+    first, second = st.floats(0.0, 1.0), st.floats(-1.0, 1.0)
+    return ExpansionParams(
+        A=draw(st.floats(0.2, 2.0)), Mhat=draw(st.floats(0.5, 3.0)),
+        Khat=draw(st.floats(0.1, 3.0)), g=draw(st.floats(0.5, 2.0)),
+        **{name: draw(first) for name in ("r1", "m1", "k1")},
+        **{name: draw(second) for name in ("r2", "m2", "k2", "v0", "v1",
+                                           "v2")},
+        h_spec=draw(chains()).h_spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp=expansions(), eps=st.floats(0.0, 1.0))
+def test_series_wave_constants_are_those_of_the_composed_chain(exp, eps):
+    """At real eps >= 0 where the series composes a valid chain,
+    ExpansionParams.wave_constants(eps) is that chain's wave_constants at
+    the series speed, field by field, bit for bit."""
+    try:
+        chain = exp.to_chain_params(eps)
+    except ValueError:
+        assume(False)
+    got = exp.wave_constants(eps)
+    want = chain.wave_constants(exp.speed(eps))
+    assert _bits(got[:-1]) == _bits(want[:-1])
+    assert got.h_spec is want.h_spec
 
 
 # --------------------------------------- coefficient-matrix energy kernels ---
@@ -324,7 +373,7 @@ def test_slope_energy_is_kinetic_minus_gradient_energy(p, ratio, seed, n):
     zero = np.zeros(n)
     grid = FieldGrid(np.linspace(-3.0, 3.0, n), theta, phi, zero, zero)
     thz, phz = grid._D[0] @ theta, grid._D[0] @ phi
-    Q = _density_parts(theta, phi, thz, phz, *_chain_values(v, p))[0]
+    Q = _density_parts(theta, phi, thz, phz, p.wave_constants(v))[0]
     T = kinetic_energy_site(-v * thz, phi, -v * phz, p)
     U_grad = (continuum.energy_density(grid, p)
               - external_potential(theta, phi, p) - p.h_spec.h(phi))
@@ -376,7 +425,7 @@ def test_field_equations_are_complex_analytic(p, ratio, seed, n):
     The Newton Jacobian and the eps oracles take complex steps through this
     kernel; an abs, a comparison or a real part inside it would give no
     ComplexWarning but a wrong step, and fail here."""
-    c = _chain_values(_speed(p, ratio), p)
+    c = p.wave_constants(_speed(p, ratio))
     theta, theta_z, phi_z, theta_zz, phi_zz, phi = _fields(p, seed, n, 5)
     fields = (theta, phi, theta_z, phi_z, theta_zz, phi_zz)
 
@@ -385,9 +434,8 @@ def test_field_equations_are_complex_analytic(p, ratio, seed, n):
         set to x."""
         if isinstance(k, int):
             u = fields[:k] + (x,) + fields[k + 1:]
-            return np.array(_field_equations(*u, c.c_outer, c.c_inner, c))
-        cc = c._replace(**{k: x})
-        return np.array(_field_equations(*fields, cc.c_outer, cc.c_inner, cc))
+            return np.array(_field_equations(*u, c))
+        return np.array(_field_equations(*fields, c._replace(**{k: x})))
 
     h, d = 2.0**-100, 1e-3
     for k in (*range(6), *_CONSTANTS):

@@ -273,8 +273,8 @@ def test_perturbative_orders_npy_round_trips_every_bit(tmp_path_factory,
     columns = {name: _snapshot_values(rng, n)
                for name in ("z", "theta0", "theta1", "phi1", "phi2")}
     none = (None,) * 4
-    sol = perturbation.PerturbativeSolution(
-        z=columns["z"], k=1.0, B=0.0, params=None, orders=(
+    sol = perturbation.Expansion(
+        z=columns["z"], params=None, orders=(
             perturbation.Order(columns["theta0"], None, *none),
             perturbation.Order(columns["theta1"], columns["phi1"], *none),
             perturbation.Order(None, columns["phi2"], *none)))

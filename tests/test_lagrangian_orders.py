@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from pendulon import lagrangian_orders as lx
 from pendulon.params import ConfiningPotential, ExpansionParams
 from pendulon._stencils import derivative
-from pendulon.perturbation import (Order, _forcing_coefficient,
-                                   _phi1_coefficient, _phi2, kink_grid,
+from pendulon.perturbation import (Expansion, Order, _forcing_coefficient,
+                                   _phi1_coefficient, _phi2,
+                                   build_perturbative, kink_grid,
                                    kink_parameter, order1_theta, sg_kink)
 
 
@@ -98,8 +99,7 @@ def test_slaving_consistency_on_kink(exp_params):
 def test_zero_fields_base_value(exp_params, zgrid):
     p = exp_params
     zero = np.zeros_like(zgrid)
-    sample = lx.ExpandedLagrangianSample(
-        z=zgrid, params=p, orders=(Order(*[zero] * 6),) * 3)
+    sample = Expansion(z=zgrid, params=p, orders=(Order(*[zero] * 6),) * 3)
     L0, L1, L2 = lx.eval_L0_L1_L2(sample)
     assert np.allclose(L0, p.g * p.A * p.Mhat, atol=1e-14)
     assert np.allclose(L1, -p.g * p.Mhat * p.r1, atol=1e-14)
@@ -129,9 +129,9 @@ def test_smooth_sample_is_seeded(exp_params, zgrid):
     assert not np.array_equal(a.orders[1].theta, c.orders[1].theta)
 
 
-def _reference_expansion_sample(params, z):
-    """expansion_sample as it was before it took its fields from
-    build_perturbative: every field assembled in place."""
+def _reference_expansion(params, z):
+    """The orders of build_perturbative as the Lagrangian layer once built
+    them for itself: every field assembled in place."""
     dz = float(z[1] - z[0])
     kin = sg_kink(z, params)
     k2 = kink_parameter(params) ** 2
@@ -142,7 +142,7 @@ def _reference_expansion_sample(params, z):
     phi1 = c1 * kin.sin_theta0
     phi2 = _phi2(params, kin, theta1_zz, phi1)
     zeros = np.zeros_like(z)
-    return lx.ExpandedLagrangianSample(z=z, params=params, orders=(
+    return Expansion(z=z, params=params, orders=(
         Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
         Order(theta1, phi1, derivative(theta1, dz, 1),
               c1 * kin.cos_theta0 * kin.theta0_z, theta1_zz,
@@ -152,11 +152,11 @@ def _reference_expansion_sample(params, z):
               derivative(phi2, dz, 2))))
 
 
-def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
+def test_perturbative_orders_match_reference(exp_params, exp_params_wide):
     for p in (exp_params, exp_params_wide):
         z = kink_grid(p, n_points=1201)
-        got = lx.expansion_sample(p, z)
-        ref = _reference_expansion_sample(p, z)
+        got = build_perturbative(p, z)
+        ref = _reference_expansion(p, z)
         assert got.params == ref.params
         assert np.array_equal(got.z, ref.z)
         assert len(got.orders) == len(ref.orders) == 3
@@ -166,9 +166,9 @@ def test_expansion_sample_matches_reference(exp_params, exp_params_wide):
                     (k, name)
 
 
-def test_expansion_sample_identities(exp_params):
+def test_perturbative_orders_identities(exp_params):
     z = kink_grid(exp_params, n_points=2001)
-    sample = lx.expansion_sample(exp_params, z)
+    sample = build_perturbative(exp_params, z)
     e10, e21, e20 = lx.el_identities(sample)
     assert np.max(np.abs(e10 - e21)) < 1e-14
     # built from the slaving formulas, so the first-order equation holds
@@ -205,7 +205,7 @@ def _reference_smooth_sample(params, z, seed):
     phis = [_reference_gauss_mix(rng, z,
                                  0.35 * params.h_spec.phi0 if k == 0 else 0.8)
             for k in range(3)]
-    return lx.ExpandedLagrangianSample(z, params, tuple(
+    return Expansion(z, params, tuple(
         Order(t, p, tz, pz, tzz, pzz)
         for (t, tz, tzz), (p, pz, pzz) in zip(thetas, phis)))
 

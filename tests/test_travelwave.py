@@ -6,8 +6,7 @@ import pytest
 from pendulon._stencils import derivative
 from pendulon.params import ChainParams, ConfiningPotential, _field_equations
 from pendulon.travelwave import (TWProfile, TWSolveError, _jacobian_blocks,
-                                 export_profile, kink_profile,
-                                 solve_tw_bvp, tw_coefficients,
+                                 export_profile, kink_profile, solve_tw_bvp,
                                  tw_first_integral, tw_lagrangian_density,
                                  tw_residual)
 
@@ -64,13 +63,13 @@ def test_jacobian_matches_finite_differences(rng, family, v):
     h = ConfiningPotential(family=family, c2=2.0,
                            b=0.3 if family == "tangent-barrier" else 0.0)
     p = dataclasses.replace(_coupled_chain(), h_spec=h)
-    coef = tw_coefficients(v, p)
+    c = p.wave_constants(v)
     n = 40
     fields = {name: rng.normal(0, 0.5, n)
               for name in ("theta", "theta_z", "phi_z", "theta_zz", "phi_zz")}
     fields["phi"] = rng.uniform(-0.5 * h.phi0, 0.5 * h.phi0, n)
     order = ("theta", "phi", "theta_z", "phi_z", "theta_zz", "phi_zz")
-    blocks = _jacobian_blocks(*(fields[a] for a in order), *coef, p)
+    blocks = _jacobian_blocks(*(fields[a] for a in order), c)
     eps = 1e-7
     worst = 0.0
     for arg, tag in (("theta", "0"), ("theta_z", "1"), ("theta_zz", "2"),
@@ -79,8 +78,8 @@ def test_jacobian_matches_finite_differences(rng, family, v):
         dn = dict(fields)
         up[arg] = fields[arg] + eps
         dn[arg] = fields[arg] - eps
-        rp = _field_equations(*(up[a] for a in order), *coef, p)
-        rm = _field_equations(*(dn[a] for a in order), *coef, p)
+        rp = _field_equations(*(up[a] for a in order), c)
+        rm = _field_equations(*(dn[a] for a in order), c)
         fd1 = (rp[0] - rm[0]) / (2 * eps)
         fd2 = (rp[1] - rm[1]) / (2 * eps)
         key = "t" if arg.startswith("theta") else "p"
