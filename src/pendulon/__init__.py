@@ -8,7 +8,8 @@ Layers, from discrete to asymptotic:
 - ``travelwave``: co-moving reduction to a second-order ODE system and a
   collocation solver for travelling profiles.
 - ``perturbation``: expansion of the travelling-wave problem around the
-  single-angle kink in the small tip-pendulum limit.
+  single-angle kink in the small tip-pendulum limit, each order in closed
+  form, and an oracle that differentiates the discrete solutions in eps.
 - ``lagrangian_orders``: order-by-order effective Lagrangians and the
   identities that make the tip angle an auxiliary field.
 - ``reductions``: the torsion-free compatibility constraint that selects
@@ -18,8 +19,8 @@ Layers, from discrete to asymptotic:
 ``import pendulon`` is lazy: each name of ``__all__`` is imported from its
 home module on first access (PEP 562), so a program loads only the layers it
 uses. scipy is imported only where a matrix is built or factored:
-``_stencils.derivative_matrix`` / ``bordered_matrix`` and the two Newton
-layers, ``travelwave`` and ``perturbation``.
+``_stencils.derivative_matrix`` / ``bordered_matrix``, the Newton solve
+of ``travelwave`` and the eps oracle of ``perturbation``.
 """
 
 import importlib
@@ -38,8 +39,8 @@ _HOMES = {
     "travelwave": "TWProfile kink_profile solve_tw_bvp tw_coefficients "
                   "tw_first_integral tw_lagrangian_density tw_residual",
     "perturbation": "Expansion build_perturbative coefficient_B "
-                    "compose_series kink_parameter order1_theta "
-                    "residual_scaling sg_kink taylor_extract",
+                    "compose_series kink_parameter residual_scaling "
+                    "sg_kink taylor_extract",
     "reductions": "SpeedSelection StiffReport compatibility_mu selected_speed "
                   "selected_speed_kink stiff_limit_experiment",
     "lagrangian_orders": "auxiliary_check el_identities eval_L0_L1_L2 "

@@ -64,7 +64,7 @@ def fd_weights(offsets, deriv):
 
 
 MIN_NODES = 6  # the shortest grid the stencils of derivative_matrix fit
-MIN_EXPANSION_NODES = 8  # the shortest grid perturbation.order1_theta solves on
+MIN_EXPANSION_NODES = 8  # the fewest nodes [grid] / [verify] n_points takes
 
 _CENTER_OFFSETS = np.arange(-2, 3)
 
@@ -126,10 +126,9 @@ def bordered_matrix(D1, D2, blocks, fixed, column, row):
     J couples m fields on the n nodes of D2 = derivative_matrix(n, h, 2),
     interleaved: unknown m j + b is field b at node j. Block (a, b) of J is
     (c0 I + c1 D1) + c2 D2 for blocks[a][b] = (c0, c1, c2), each a length-n
-    array or a scalar; D1 may be None when every c1 is 0. The rows in `fixed`
-    become unit rows (Dirichlet conditions), `column` is zeroed there, and
-    exact zeros are dropped, so the arrays equal those of the same sum of
-    sparse products.
+    array or a scalar. The rows in `fixed` become unit rows (Dirichlet
+    conditions), `column` is zeroed there, and exact zeros are dropped, so the
+    arrays equal those of the same sum of sparse products.
     """
     import scipy.sparse as sp
     n, m = D2.shape[0], len(blocks)
@@ -139,9 +138,8 @@ def bordered_matrix(D1, D2, blocks, fixed, column, row):
     I, W1, W2 = np.zeros((3, n, w))
     I[np.arange(n), np.arange(n) - first] = 1.0
     for W, D in ((W1, D1), (W2, D2)):
-        if D is not None:
-            node = np.repeat(np.arange(n), np.diff(D.indptr))
-            W[node, D.indices - first[node]] = D.data
+        node = np.repeat(np.arange(n), np.diff(D.indptr))
+        W[node, D.indices - first[node]] = D.data
     core = np.zeros((n, m, w, m))  # row (node i, field a), entry (slot, b)
     for a, block_row in enumerate(blocks):
         for b, coeffs in enumerate(block_row):

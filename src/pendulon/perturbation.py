@@ -9,10 +9,13 @@ differentiates the discrete BVP solution family in eps.
 
 build_perturbative is the one path to the orders, built once per grid from
 one kink record (sg_kink), one Order record per power of eps, in the one
-record of eps-orders on a grid (Expansion); compose_series and
-residual_scaling sum them with compose, the one eps-series sum. The
-oracle taylor_extract gets theta1, phi1 and phi2 by implicit differentiation:
-one BVP solve at eps = 0, one factor of its Jacobian, and two back-solves.
+record of eps-orders on a grid (Expansion). Every order is in closed form
+there: theta1 is a multiple of the kink's derivative in k, and phi1 and phi2
+are slaved algebraically; only the slope and curvature of phi2 are stencils.
+compose_series and residual_scaling sum the orders with compose, the one
+eps-series sum. The oracle taylor_extract gets theta1, phi1 and phi2 by
+implicit differentiation: one BVP solve at eps = 0, one factor of its
+Jacobian, and two back-solves.
 
 Series conventions: r = eps r1 + eps^2 r2, R = A - r, m = eps m1 + eps^2 m2,
 M = Mhat - m, K_t = eps k1 + eps^2 k2, K_s = Khat - K_t,
@@ -67,7 +70,8 @@ def coefficient_B(params: ExpansionParams) -> float:
 
 
 def _forcing_coefficient(params: ExpansionParams) -> float:
-    """C_f in theta1'' - k^2 cos(theta0) theta1 = C_f sin(theta0)."""
+    """C_f in theta1'' - k^2 cos(theta0) theta1 = C_f sin(theta0), the
+    order-1 outer problem with theta1(+-inf) = 0."""
     p = params
     k2 = kink_parameter(p) ** 2
     return (_w1(p) * k2 + p.Mhat * p.g * p.r1) / (p.A**2 * mu_hat(p))
@@ -78,60 +82,6 @@ def _theta1_zz(params: ExpansionParams, kin: KinkArrays, theta1):
     sin(theta0): exact given theta1, with no differentiation of samples."""
     return (kink_parameter(params) ** 2 * kin.cos_theta0 * theta1
             + _forcing_coefficient(params) * kin.sin_theta0)
-
-
-def order1_theta(params: ExpansionParams, z, kin=None) -> np.ndarray:
-    """Order-1 outer correction from the linear two-point problem
-
-        theta1'' - k^2 cos(theta0) theta1 = C_f sin(theta0),
-        theta1(+-z_max) = 0,  <theta1, theta0'> = 0.
-
-    The homogeneous operator annihilates the translation mode theta0', so the
-    system is solved in bordered form, assembled in one pass by
-    _stencils.bordered_matrix; the constraint picks the member of the
-    solution family orthogonal to that mode. The forcing is odd while the mode
-    is even, hence the solvability integral vanishes and is checked, not
-    assumed.
-
-    The factorisation orders the columns by minimum degree on A^T + A. The
-    border row w theta0' is dense, and under splu's default COLAMD order
-    (or the natural one) L + U fills to ~49 nnz(A) at n = 4001, against
-    ~1.3 nnz(A) here at a residual of the same size. The Newton matrices of
-    travelwave factor faster under COLAMD and keep it.
-
-    kin, if given, is sg_kink(z, params), taken once by build_perturbative.
-    """
-    z = np.asarray(z, dtype=float)
-    dz = _stencils.uniform_spacing(z)
-    n = z.shape[0]
-    if n < _stencils.MIN_EXPANSION_NODES:
-        raise ValueError("need a uniform grid with at least "
-                         f"{_stencils.MIN_EXPANSION_NODES} points")
-    k = kink_parameter(params)
-    kin = sg_kink(z, params) if kin is None else kin
-    Cf = _forcing_coefficient(params)
-    f = Cf * kin.sin_theta0
-
-    tail = max(abs(f[0]), abs(f[-1]))
-    if tail > 1e-10:
-        raise ValueError(
-            f"grid too short: forcing still {tail:.2e} at the ends")
-    overlap = np.trapezoid(f * kin.theta0_z, z)
-    scale = np.trapezoid(np.abs(f * kin.theta0_z), z) + 1.0
-    if abs(overlap) > 1e-8 * scale:
-        raise RuntimeError("solvability integral unexpectedly nonzero")
-
-    rhs = f.copy()
-    rhs[0] = rhs[-1] = 0.0
-    w = np.full(n, dz)  # trapezoid weights of <., theta0'>
-    w[0] = w[-1] = 0.5 * dz
-    A = _stencils.bordered_matrix(
-        None, _stencils.derivative_matrix(n, dz, 2),
-        [[(-(k * k * kin.cos_theta0), 0.0, 1.0)]], [0, n - 1],
-        kin.theta0_z, w * kin.theta0_z)
-    sol = splu(A, permc_spec="MMD_AT_PLUS_A").solve(
-        np.concatenate([rhs, [0.0]]))
-    return sol[:n]
 
 
 def _phi1_coefficient(params: ExpansionParams) -> float:
@@ -193,30 +143,38 @@ class Expansion:
 def kink_grid(params: ExpansionParams, n_points: int = 4001,
               half_width_factor: float = 25.0) -> np.ndarray:
     """Uniform grid of n_points nodes on |z| <= half_width_factor / k, k the
-    kink_parameter: wide enough for all order-1 tail checks."""
+    kink_parameter: at the ends, where taylor_extract pins them, the kink and
+    theta1 have decayed to order e^{-half_width_factor}."""
     L = half_width_factor / kink_parameter(params)
     return np.linspace(-L, L, n_points)
 
 
 def build_perturbative(params: ExpansionParams, z=None) -> Expansion:
     """The orders 0, 1 and 2 on z (default kink_grid), each slope and
-    curvature taken once: closed forms for the kink (one sg_kink) and phi1,
-    theta1'' in ODE form (_theta1_zz), and stencil derivatives of theta1' and
-    of phi2."""
+    curvature taken once: closed forms for the kink (one sg_kink), theta1,
+    theta1' and phi1, theta1'' in ODE form (_theta1_zz), and stencil
+    derivatives of phi2.
+
+    theta1 = (C_f / (2 k^2)) z theta0' = (C_f / k) z sech(kz): differentiating
+    theta0'' = k^2 sin(theta0) in k shows that z theta0' / k solves the
+    order-1 problem with forcing 2k sin(theta0). It is odd, so it is
+    orthogonal to the even translation mode theta0' and vanishes at z = 0.
+    """
     if z is None:
         z = kink_grid(params)
     z = np.asarray(z, dtype=float)
     dz = _stencils.uniform_spacing(z)
     kin = sg_kink(z, params)
     c1 = _phi1_coefficient(params)
-    theta1 = order1_theta(params, z, kin)
+    b = _forcing_coefficient(params) / (2 * kink_parameter(params) ** 2)
+    theta1 = b * z * kin.theta0_z
     theta1_zz = _theta1_zz(params, kin, theta1)
     phi1 = c1 * kin.sin_theta0
     phi2 = _phi2(params, kin, theta1_zz, phi1)
     zeros = np.zeros_like(z)
     orders = (
         Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
-        Order(theta1, phi1, _stencils.derivative(theta1, dz, 1),
+        Order(theta1, phi1, b * (kin.theta0_z + z * kin.theta0_zz),
               c1 * kin.cos_theta0 * kin.theta0_z, theta1_zz,
               c1 * (kin.cos_theta0 * kin.theta0_zz
                     - kin.sin_theta0 * kin.theta0_z**2)),
@@ -231,10 +189,10 @@ def compose_series(sol: Expansion, eps: float,
     compose of sol.orders[:order + 1], as a travelling-wave profile at the
     reconstructed chain parameters and speed.
 
-    The curvature comes from the orders (ODE form for theta1), so the
-    residual of the composition measures the expansion error rather than any
-    finite-difference floor. order=0 keeps the bare kink; there is no order-2
-    outer correction by construction.
+    Slopes and curvatures come from the orders, in closed form except phi2's
+    stencil derivatives, so the residual of the composition measures the
+    expansion error. order=0 keeps the bare kink; there is no order-2 outer
+    correction by construction.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -244,14 +202,6 @@ def compose_series(sol: Expansion, eps: float,
         sol.orders[:order + 1], eps)
     return TWProfile(sol.z, theta, phi, theta_z, phi_z, sol.params.speed(eps),
                      theta_zz=theta_zz, phi_zz=phi_zz)
-
-
-def project_zero_mode(f, sol: Expansion) -> np.ndarray:
-    """Remove the translation-mode component <f, theta0'>/<theta0', theta0'>
-    of f on sol.z, with theta0' = sol.orders[0].theta_z."""
-    f = np.asarray(f, dtype=float)
-    z, mode = sol.z, sol.orders[0].theta_z
-    return f - (np.trapezoid(f * mode, z) / np.trapezoid(mode * mode, z)) * mode
 
 
 class TaylorCoefficients(NamedTuple):
@@ -272,8 +222,9 @@ def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
     of the field-equation kernel at the complex-eps constants of
     ExpansionParams.wave_constants. Their Dirichlet and pin rows are zero, as
     every member of the family has the same end values and pinned midpoint;
-    so theta1 vanishes at the midpoint, where build_perturbative's theta1 is
-    orthogonal to the translation mode instead (see project_zero_mode).
+    so theta1 vanishes at the midpoint. build_perturbative's closed-form
+    theta1 is odd: it vanishes there too and is orthogonal to the translation
+    mode, so the two compare with no projection.
     """
     z = np.asarray(z, dtype=float)
     guess = travelwave.kink_profile(z, kink_parameter(params),

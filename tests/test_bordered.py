@@ -1,8 +1,8 @@
-"""The bordered matrices that solve_tw_bvp and order1_theta factor, caught at
-their splu call, against the sparse-algebra pipeline they were built with
-before: diags products, bmat, an interleaving permutation and LIL row
-patching, kept here as the reference. Equality is bit for bit in the CSC
-indptr, indices and data."""
+"""The bordered Newton matrix that solve_tw_bvp factors, caught at its splu
+call, against the sparse-algebra pipeline it was built with before: diags
+products, bmat, an interleaving permutation and LIL row patching, kept here
+as the reference. Equality is bit for bit in the CSC indptr, indices and
+data."""
 from unittest import mock
 
 import numpy as np
@@ -10,11 +10,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from pendulon import perturbation, travelwave
+from pendulon import travelwave
 from pendulon._stencils import derivative_matrix
 from pendulon.params import ChainParams, ConfiningPotential
-from pendulon.perturbation import (ExpansionParams, kink_grid,
-                                   kink_parameter, order1_theta, sg_kink)
 from pendulon.travelwave import (TWProfile, _jacobian_blocks, _on_sonic_line,
                                  kink_profile, solve_tw_bvp)
 
@@ -52,20 +50,6 @@ def _reference_newton_matrix(D1, D2, jb, tz, pz, mid):
     pin_row[2 * mid] = 1.0
     return sp.bmat([[J.tocsr(), tangent[:, None]], [pin_row[None, :], None]],
                    format="csc")
-
-
-def _reference_order1_matrix(D2, k, kin, dz):
-    n = D2.shape[0]
-    L = (D2 - sp.diags(k * k * kin.cos_theta0)).tolil()
-    for row in (0, n - 1):
-        L.rows[row] = [row]
-        L.data[row] = [1.0]
-    mode = kin.theta0_z.copy()
-    mode[0] = mode[-1] = 0.0
-    w = np.full(n, dz)
-    w[0] = w[-1] = 0.5 * dz
-    return sp.bmat([[L.tocsr(), mode[:, None]],
-                    [(w * kin.theta0_z)[None, :], None]], format="csc")
 
 
 def _assert_same_csc(got, ref):
@@ -132,22 +116,3 @@ def test_newton_matrix_on_a_kink_guess():
     z = np.linspace(-20.0, 20.0, 2001)
     guess = kink_profile(z, 1.05, 0.305)
     _newton_case(guess.theta, guess.phi, 0.305, half_width=20.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(8, 400), A=st.floats(0.5, 2.0), Mhat=st.floats(0.5, 2.0),
-       Khat=st.floats(0.5, 2.0), v0=st.floats(0.0, 0.4),
-       r1=st.floats(-1.0, 1.0), k1=st.floats(-1.0, 1.0),
-       v1=st.floats(-1.0, 1.0))
-def test_order1_matrix_matches_sparse_pipeline(n, A, Mhat, Khat, v0, r1, k1,
-                                               v1):
-    params = ExpansionParams(A=A, Mhat=Mhat, Khat=Khat, g=1.0, v0=v0, r1=r1,
-                             k1=k1, v1=v1)
-    z = kink_grid(params, n_points=n, half_width_factor=35.0)
-    got = _matrix_factored_by(perturbation,
-                              lambda: order1_theta(params, z))
-    dz = float(z[1] - z[0])
-    ref = _reference_order1_matrix(derivative_matrix(n, dz, 2),
-                                   kink_parameter(params),
-                                   sg_kink(z, params), dz)
-    _assert_same_csc(got, ref)

@@ -665,9 +665,11 @@ def test_verify_expansion_reports_null_for_a_vanishing_order(tmp_path):
 
 
 def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
-    calls = {"solve_tw_bvp": 0, "order1_theta": 0}
+    """One Newton solve and one factor, both the oracle's: build_perturbative
+    writes every order in closed form."""
+    calls = {"solve_tw_bvp": 0, "splu": 0}
     for module, name in ((travelwave, "solve_tw_bvp"),
-                         (perturbation, "order1_theta")):
+                         (perturbation, "splu")):
         real = getattr(module, name)
 
         def counting(*a, _real=real, _name=name, **kw):
@@ -678,12 +680,12 @@ def test_verify_expansion_solves_each_eps_sample_once(tmp_path, monkeypatch):
                  EXPANSION_INI + "\n[verify]\nn_points = 801\n")
     assert cli.main(["verify-expansion", "--config", cfg,
                      "--out", str(tmp_path)]) == 0
-    assert calls == {"solve_tw_bvp": 1, "order1_theta": 1}
+    assert calls == {"solve_tw_bvp": 1, "splu": 1}
 
 
 def test_verify_expansion_takes_the_kink_once(tmp_path):
-    """build_perturbative takes the kink, and the oracle's theta1 is
-    projected off the translation mode of that solution, not of a new kink."""
+    """build_perturbative takes the kink once, and the oracle's theta1 is
+    compared with its order 1 directly, with no kink of its own."""
     cfg = _write(tmp_path, "exp.ini",
                  EXPANSION_INI + "\n[verify]\nn_points = 801\n")
     with mock.patch.object(perturbation, "sg_kink",

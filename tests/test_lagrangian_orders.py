@@ -13,7 +13,7 @@ from pendulon._stencils import derivative
 from pendulon.perturbation import (Expansion, Order, _forcing_coefficient,
                                    _phi1_coefficient, _phi2,
                                    build_perturbative, kink_grid,
-                                   kink_parameter, order1_theta, sg_kink)
+                                   kink_parameter, sg_kink)
 
 
 _EXP = ExpansionParams(A=1.0, Mhat=1.0, Khat=1.0, g=1.0, v0=0.3, v1=0.1,
@@ -135,7 +135,8 @@ def _reference_expansion(params, z):
     dz = float(z[1] - z[0])
     kin = sg_kink(z, params)
     k2 = kink_parameter(params) ** 2
-    theta1 = order1_theta(params, z)
+    b = _forcing_coefficient(params) / (2 * k2)
+    theta1 = b * z * kin.theta0_z
     theta1_zz = k2 * kin.cos_theta0 * theta1 \
         + _forcing_coefficient(params) * kin.sin_theta0
     c1 = _phi1_coefficient(params)
@@ -144,7 +145,7 @@ def _reference_expansion(params, z):
     zeros = np.zeros_like(z)
     return Expansion(z=z, params=params, orders=(
         Order(kin.theta0, zeros, kin.theta0_z, zeros, kin.theta0_zz, zeros),
-        Order(theta1, phi1, derivative(theta1, dz, 1),
+        Order(theta1, phi1, b * (kin.theta0_z + z * kin.theta0_zz),
               c1 * kin.cos_theta0 * kin.theta0_z, theta1_zz,
               c1 * (kin.cos_theta0 * kin.theta0_zz
                     - kin.sin_theta0 * kin.theta0_z**2)),

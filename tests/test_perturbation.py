@@ -1,5 +1,5 @@
-"""Small tip-pendulum expansion: closed-form oracles for the first-order
-outer correction, slaving formulas for the tip angle, series reconstruction
+"""Small tip-pendulum expansion: the closed-form first-order outer
+correction, slaving formulas for the tip angle, series reconstruction
 invariants, and the numerical order-extraction machinery."""
 import dataclasses
 from unittest import mock
@@ -16,9 +16,8 @@ from pendulon.perturbation import (ExpansionParams, _forcing_coefficient,
                                    _phi1_coefficient, _phi2, _theta1_zz,
                                    build_perturbative, coefficient_B,
                                    compose_series, kink_grid, kink_parameter,
-                                   mu_hat, order1_theta, project_zero_mode,
-                                   residual_scaling, sg_kink, taylor_extract,
-                                   export_scaling_csv)
+                                   mu_hat, residual_scaling, sg_kink,
+                                   taylor_extract, export_scaling_csv)
 from pendulon.travelwave import kink_profile, solve_tw_bvp, tw_residual
 from pendulon._stencils import derivative
 
@@ -76,65 +75,96 @@ def test_sg_kink_tails_keep_relative_accuracy(exp_params):
                                                  rel=1e-8)
 
 
-def test_order1_theta_closed_form(exp_params, exp_params_wide):
-    # the forced linearization has the exact odd solution (C_f/k) z sech(kz)
+def _theta1(params, z, kin):
+    """theta1 as build_perturbative writes it, (C_f / (2 k^2)) z theta0'."""
+    b = _forcing_coefficient(params) / (2 * kink_parameter(params) ** 2)
+    return b * z * kin.theta0_z
+
+
+def _theta1_exact(params, z):
+    """(C_f/k) z sech(kz) and its slope, from the transcendentals direct."""
+    k = kink_parameter(params)
+    c = _forcing_coefficient(params) / k
+    sech = 1.0 / np.cosh(k * z)
+    return c * z * sech, c * sech * (1.0 - k * z * np.tanh(k * z))
+
+
+def test_build_perturbative_theta1_closed_form(exp_params, exp_params_wide):
+    # the forced linearization has the exact odd solution (C_f/k) z sech(kz);
+    # theta1 and theta1' agree with it to rounding (4 ulps seen)
     for p in (exp_params, exp_params_wide):
-        k = kink_parameter(p)
         z = kink_grid(p)
-        theta1 = order1_theta(p, z)
-        exact = (_forcing_coefficient(p) / k) * z / np.cosh(k * z)
-        assert np.max(np.abs(theta1 - exact)) < 1e-8
+        o1 = build_perturbative(p, z).orders[1]
+        exact, exact_z = _theta1_exact(p, z)
+        ulp = np.spacing(np.max(np.abs(o1.theta)))
+        assert np.max(np.abs(o1.theta - exact)) <= 8 * ulp
+        assert np.max(np.abs(o1.theta_z - exact_z)) <= 8 * ulp
 
 
-def test_order1_theta_is_odd_and_mode_free(exp_params):
+def test_build_perturbative_theta1_is_odd_and_mode_free(exp_params,
+                                                        exp_params_wide):
+    for p in (exp_params, exp_params_wide):
+        z = kink_grid(p)
+        theta1 = build_perturbative(p, z).orders[1].theta
+        assert np.max(np.abs(theta1 + theta1[::-1])) < 1e-8
+        kin = sg_kink(z, p)
+        overlap = np.trapezoid(theta1 * kin.theta0_z, z) \
+            / np.trapezoid(kin.theta0_z**2, z)
+        assert abs(overlap) < 1e-10
+
+
+def test_build_perturbative_theta1_zz_closed_form(exp_params,
+                                                  exp_params_wide):
+    # the ODE form k^2 cos(theta0) theta1 + C_f sin(theta0) against the
+    # second derivative of (C_f/k) z sech(kz) itself (2 and 6 ulps seen)
+    for p in (exp_params, exp_params_wide):
+        z = kink_grid(p)
+        o1 = build_perturbative(p, z).orders[1]
+        k = kink_parameter(p)
+        c = _forcing_coefficient(p) / k
+        sech, tanh = 1.0 / np.cosh(k * z), np.tanh(k * z)
+        exact_zz = c * k * sech * (-2.0 * tanh
+                                   + k * z * (tanh**2 - sech**2))
+        ulp = np.spacing(np.max(np.abs(o1.theta_zz)))
+        assert np.max(np.abs(o1.theta_zz - exact_zz)) <= 16 * ulp
+
+
+def test_build_perturbative_factors_nothing(exp_params, exp_params_wide):
+    # every order is closed form or algebraic: no linear solve is left
+    with mock.patch.object(perturbation, "splu",
+                           side_effect=AssertionError("splu called")):
+        for p in (exp_params, exp_params_wide):
+            build_perturbative(p, kink_grid(p))
+
+
+def test_taylor_extract_theta1_is_odd_and_mode_free(exp_params,
+                                                    exp_params_wide):
+    """The oracle's theta1 carries no translation mode, so it is compared
+    with the closed form directly, with no projection (odd part 2.8e-12 and
+    overlap 4.7e-13 seen at n = 4001)."""
+    for p in (exp_params, exp_params_wide):
+        z = kink_grid(p)
+        theta1 = taylor_extract(p, z).theta1
+        assert np.max(np.abs(theta1 + theta1[::-1])) < 1e-10
+        kin = sg_kink(z, p)
+        overlap = np.trapezoid(theta1 * kin.theta0_z, z) \
+            / np.trapezoid(kin.theta0_z**2, z)
+        assert abs(overlap) < 1e-10
+
+
+def test_taylor_extract_theta1_is_fourth_order(exp_params):
+    """The oracle's own error: the collocation theta1 against the closed form
+    converges at order 4 in dz (3.84e-7, 2.40e-8 and 1.60e-9 seen at
+    n = 1001, 2001 and 4001, ratios 16.0 and 15.0)."""
     p = exp_params
-    z = kink_grid(p)
-    theta1 = order1_theta(p, z)
-    assert np.max(np.abs(theta1 + theta1[::-1])) < 1e-8
-    kin = sg_kink(z, p)
-    overlap = np.trapezoid(theta1 * kin.theta0_z, z) \
-        / np.trapezoid(kin.theta0_z**2, z)
-    assert abs(overlap) < 1e-10
-
-
-class _FactorSpy:
-    """Stands in for splu: factors A with the caller's options and keeps A,
-    the factors and each right-hand side with its solution."""
-
-    def __init__(self, A, **options):
-        self.A, self.lu, self.solves = A, splu(A, **options), []
-
-    def solve(self, b):
-        x = self.lu.solve(b)
-        self.solves.append((b, x))
-        return x
-
-
-def test_order1_theta_factors_without_fill_in(exp_params):
-    # the dense border row used to fill L + U to ~49 nnz(A) at n = 4001
-    spies = []
-
-    def factor(A, **options):
-        spies.append(_FactorSpy(A, **options))
-        return spies[-1]
-
-    with mock.patch.object(perturbation, "splu", factor):
-        order1_theta(exp_params, kink_grid(exp_params, n_points=4001))
-    (spy,) = spies
-    assert spy.lu.L.nnz + spy.lu.U.nnz <= 2 * spy.A.nnz
-    ((b, x),) = spy.solves
-    assert np.max(np.abs(spy.A @ x - b)) <= 1e-11
-
-
-def test_order1_theta_grid_guards(exp_params):
-    p = exp_params
-    k = kink_parameter(p)
-    with pytest.raises(ValueError, match="grid too short"):
-        order1_theta(p, np.linspace(-5.0 / k, 5.0 / k, 500))
-    uneven = np.concatenate([np.linspace(-30 / k, 0, 200),
-                             np.linspace(0.01, 30 / k, 300)])
-    with pytest.raises(ValueError):
-        order1_theta(p, uneven)
+    gaps = []
+    for n, bound in ((1001, 6e-7), (2001, 4e-8), (4001, 3e-9)):
+        z = kink_grid(p, n_points=n)
+        exact = _theta1_exact(p, z)[0]
+        got = taylor_extract(p, z).theta1
+        gaps.append(np.linalg.norm(got - exact) / np.linalg.norm(exact))
+        assert gaps[-1] < bound, (n, gaps[-1])
+    assert gaps[0] / gaps[1] > 12.0 and gaps[1] / gaps[2] > 12.0, gaps
 
 
 def test_order1_phi_shape_and_sign(exp_params):
@@ -154,7 +184,7 @@ def test_order2_phi_h3_term():
                         h_spec=ConfiningPotential(family="quadratic", c2=2.0))
     z = kink_grid(p, n_points=1601)
     kin = sg_kink(z, p)
-    theta1_zz = _theta1_zz(p, kin, order1_theta(p, z))
+    theta1_zz = _theta1_zz(p, kin, _theta1(p, z, kin))
     phi1 = _phi1_coefficient(p) * kin.sin_theta0
     h2 = 2.0
     base = _phi2(p, kin, theta1_zz, phi1)
@@ -196,12 +226,13 @@ def _assembled_series(params, z, eps, order):
     phi, phi_z, phi_zz = np.zeros((3, z.size))
     if order >= 1:
         c1 = _phi1_coefficient(params)
-        theta1 = order1_theta(params, z)
+        b = _forcing_coefficient(params) / (2 * kink_parameter(params) ** 2)
+        theta1 = b * z * kin.theta0_z
         theta1_zz = (kink_parameter(params) ** 2 * kin.cos_theta0 * theta1
                      + _forcing_coefficient(params) * kin.sin_theta0)
         phi1 = c1 * kin.sin_theta0
         theta = theta + eps * theta1
-        theta_z = theta_z + eps * derivative(theta1, dz, 1)
+        theta_z = theta_z + eps * (b * (kin.theta0_z + z * kin.theta0_zz))
         theta_zz = theta_zz + eps * theta1_zz
         phi = phi + eps * phi1
         phi_z = phi_z + eps * (c1 * kin.cos_theta0 * kin.theta0_z)
@@ -278,16 +309,6 @@ def test_coefficient_B_special_zero():
     assert coefficient_B(p) == 0.0
 
 
-def test_project_zero_mode_removes_translation(exp_params):
-    p = exp_params
-    z = kink_grid(p)
-    kin = sg_kink(z, p)
-    f = 0.3 * kin.theta0_z + 0.1 * np.tanh(z) * kin.theta0_z**2
-    g = project_zero_mode(f, build_perturbative(p, z))
-    overlap = np.trapezoid(g * kin.theta0_z, z)
-    assert abs(overlap) < 1e-10 * np.trapezoid(kin.theta0_z**2, z)
-
-
 def _reference_extract(params, order, field, z):
     """An independent extraction of the same discrete family: 6 BVP solves
     at eps = 0, 0.02, ..., 0.1 and a degree-5 Vandermonde fit per node."""
@@ -356,7 +377,7 @@ def test_build_perturbative_takes_the_kink_once(exp_params, exp_params_wide):
             sol = build_perturbative(p, z)
         assert kink.call_count == 1
         kin = sg_kink(z, p)
-        theta1 = order1_theta(p, z)
+        theta1 = _theta1(p, z, kin)
         phi1 = _phi1_coefficient(p) * kin.sin_theta0
         assert np.array_equal(sol.orders[1].theta, theta1)
         assert np.array_equal(sol.orders[1].phi, phi1)
@@ -370,8 +391,12 @@ def test_build_perturbative_grid_check(exp_params):
     assert sol.orders[1].theta.shape == (32001,)
     z = kink_grid(p, n_points=2001)
     stepped = np.concatenate([z[:1000], z[1001:] + 0.5 * (z[1] - z[0])])
-    with pytest.raises(ValueError, match="grid must be uniform"):
-        build_perturbative(p, stepped)
+    k = kink_parameter(p)
+    uneven = np.concatenate([np.linspace(-30 / k, 0, 200),
+                             np.linspace(0.01, 30 / k, 300)])
+    for bad in (stepped, uneven):
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            build_perturbative(p, bad)
 
 
 def test_residual_scaling_requires_positive_eps(exp_params):
