@@ -3,7 +3,8 @@
 - write_csv: a schema-tagged CSV, row by row (the energy series, the
   residual-scaling and stiff-limit tables);
 - write_snapshots_csv: a schema-tagged CSV, column-wise per snapshot (the
-  lattice trajectory);
+  lattice trajectory), formatted in a forked child process while the caller
+  produces the next snapshot;
 - write_npy_record: named float64 arrays as one lossless .npy record (the
   PDE field history, the travelling-wave profile, the perturbative orders);
 - write_json: key-sorted JSON (summaries and reports).
@@ -11,6 +12,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -35,13 +37,72 @@ def write_snapshots_csv(path, schema, header, snapshots):
     and then element k of each column. keys are strings; t and the columns
     are written as repr of Python floats, the same bytes as write_csv. The
     columns of a snapshot share one length; _snapshot_rows formats each
-    distinct value once. Each block goes out in one write, so only one
-    snapshot's text is held at a time.
+    distinct value once.
+
+    A forked child process formats and writes each block while the caller
+    produces the next snapshot, so a lazy stream of snapshots runs on two
+    cores. The child is joined before this returns. If the stream raises,
+    the child is stopped, the partial file removed and the exception
+    re-raised; if the child fails, the file is removed and OSError names
+    the path.
     """
+    import multiprocessing
     with open(path, "w") as f:
         f.write(f"# schema: {schema}\n{header}\n")
-        for t, keys, *columns in snapshots:
-            lead = f"{float(t)!r},"
+    fork = multiprocessing.get_context("fork")
+    inbox, outbox = fork.Pipe(duplex=False)
+    child = fork.Process(target=_format_snapshots, args=(inbox, outbox, path),
+                         daemon=True)
+    try:
+        child.start()
+        inbox.close()  # so a child that stops reading breaks the pipe
+        try:
+            _send_snapshots(outbox, snapshots)
+        except BrokenPipeError:
+            pass  # the child stopped reading; its exit code says why
+        child.join()
+        if child.exitcode != 0:
+            raise OSError(f"writing {path} failed: the snapshot formatter "
+                          f"exited with code {child.exitcode}")
+    except BaseException:
+        if child.is_alive():
+            child.terminate()
+            child.join()
+        os.remove(path)
+        raise
+    finally:
+        outbox.close()
+
+
+def _send_snapshots(outbox, snapshots):
+    """Send each snapshot as (t, shape, keys) and its columns as raw float64
+    bytes, then None; keys is None while the snapshots carry the same keys
+    object."""
+    keys = None
+    for t, new_keys, *columns in snapshots:
+        block = np.array(columns, dtype=np.float64)
+        outbox.send((float(t), block.shape,
+                     None if new_keys is keys else list(new_keys)))
+        outbox.send_bytes(block)
+        keys = new_keys
+    outbox.send(None)
+
+
+def _format_snapshots(inbox, outbox, path):
+    """The child: append what _send_snapshots sends to path, one write per
+    block, so only one snapshot's text is held at a time. SIGINT is left to
+    the parent, which terminates the child."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    outbox.close()  # so a parent that dies unannounced ends recv with EOF
+    keys = None
+    with open(path, "a") as f:
+        while (head := inbox.recv()) is not None:
+            t, shape, new_keys = head
+            keys = keys if new_keys is None else new_keys
+            columns = np.frombuffer(inbox.recv_bytes(),
+                                    dtype=np.float64).reshape(shape)
+            lead = f"{t!r},"
             f.write("".join([lead + row + "\n"
                              for row in _snapshot_rows(keys, columns)]))
 

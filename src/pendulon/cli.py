@@ -82,8 +82,11 @@ def cmd_simulate_lattice(cp, args, out):
         return
     from . import lattice
     state = lattice.moving_kink_state(params, **lat)
-    snaps = lattice.simulate(state, params=params, **integ)
-    lattice.export_trajectory_csv(snaps, out("lattice-trajectory.csv"))
+    # the trajectory is formatted in a forked process while the chain
+    # integrates; the states come back for the energy table and summary
+    snaps = lattice.export_trajectory_csv(
+        lattice.snapshots(state, params=params, **integ),
+        out("lattice-trajectory.csv"))
     energies = lattice.export_energy_csv(snaps, params,
                                          out("lattice-energy.csv"))
     return _stencils.run_summary(snaps[0].theta, snaps[-1].theta,

@@ -5,6 +5,9 @@ separable and a symplectic splitting is not available; energy drift is
 monitored instead of structurally eliminated. simulate returns its snapshots,
 as continuum.evolve does, and the energy table and the run summary are taken
 over those snapshots by the same _stencils functions for both integrators.
+snapshots yields the same states as the integrator reaches them, and
+export_trajectory_csv formats each in a forked process while the chain
+integrates toward the next.
 """
 from __future__ import annotations
 
@@ -26,14 +29,24 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
              snapshot_every=1):
     """Evolve for a duration t_end by _stencils.rk4_run: the initial state,
     then one LatticeState per snapshot."""
+    return list(snapshots(initial, t_end, dt, params, snapshot_every))
+
+
+def snapshots(initial: LatticeState, t_end, dt, params: ChainParams,
+              snapshot_every=1):
+    """simulate's states as a generator: each is yielded as soon as the
+    integrator reaches it, and the next is computed on demand."""
     def rhs(y, t):
         acc = chain.discrete_forces(LatticeState(*y, t), params)
         return np.concatenate((y[2:], acc))
 
     y = np.array([initial.theta, initial.phi, initial.theta_dot,
                   initial.phi_dot])
-    steps = _stencils.rk4_run(rhs, y, initial.t, t_end, dt, snapshot_every)
-    return [initial] + [LatticeState(*y, t) for t, y, snap in steps if snap]
+    yield initial
+    for t, y, snap in _stencils.rk4_run(rhs, y, initial.t, t_end, dt,
+                                        snapshot_every):
+        if snap:
+            yield LatticeState(*y, t)
 
 
 def moving_kink_state(params: ChainParams, k, v, n_sites,
@@ -64,12 +77,25 @@ def kink_center(state: LatticeState, params: ChainParams):
 
 
 def export_trajectory_csv(snaps, path):
-    """CSV of all snapshots, one row per (t, site)."""
-    sites = [str(i) for i in range(max(st.n_sites for st in snaps))]
+    """CSV of all snapshots, one row per (t, site); return them as a list.
+
+    snaps may be a lazy stream such as snapshots(): _io.write_snapshots_csv
+    formats each state in a forked process while the next is computed, and
+    if the stream raises, leaves no file and re-raises.
+    """
+    kept = []
+
+    def blocks():
+        sites = []
+        for st in snaps:
+            kept.append(st)
+            if len(sites) != st.n_sites:
+                sites = [str(i) for i in range(st.n_sites)]
+            yield st.t, sites, st.theta, st.phi, st.theta_dot, st.phi_dot
+
     write_snapshots_csv(path, "lattice-trajectory v1",
-                        "t,site,theta,phi,theta_dot,phi_dot",
-                        ((st.t, sites, st.theta, st.phi, st.theta_dot,
-                          st.phi_dot) for st in snaps))
+                        "t,site,theta,phi,theta_dot,phi_dot", blocks())
+    return kept
 
 
 def export_energy_csv(snaps, params: ChainParams, path):

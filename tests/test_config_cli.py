@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 from pendulon import (_stencils, cli, continuum, lagrangian_orders,
-                      perturbation, travelwave)
+                      lattice, perturbation, travelwave)
 from pendulon.config import (ConfigError, chain_from_config,
                              expansion_from_config, load_config, parse_bool,
                              parse_eps_list, parse_floats, parse_int_at_least,
                              parse_ladder, parse_order, parse_positive_float,
                              parse_positive_int, read_section)
 from pendulon.params import ChainParams, ConfiningPotential, ExpansionParams
+from test_io import _reference_trajectory
 
 CHAIN_INI = """\
 [chain]
@@ -841,6 +843,48 @@ def test_simulate_pde_reruns_are_byte_identical(tmp_path):
     assert digests[0] == digests[1]
     fields = np.load(tmp_path / "a" / "pde-fields.npy", allow_pickle=False)
     assert fields["Theta"].shape == (4, 101)
+
+
+def test_simulate_lattice_reruns_are_byte_identical(tmp_path):
+    """The CLI streams the integrator's states to the forked formatter; its
+    trajectory is byte for byte the reference writer's on simulate's
+    states of the same config, and no child outlives the call."""
+    cfg = _write(tmp_path, "lat.ini", CHAIN_INI
+                 + "\n[integration]\ndt = 0.002\nt_end = 0.01\n"
+                 "snapshot_every = 2\n" + _SIM_SECTIONS["simulate-lattice"])
+    digests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["simulate-lattice", "--config", cfg,
+                         "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.iterdir()})
+    assert sorted(digests[0]) == ["lattice-energy.csv",
+                                  "lattice-trajectory.csv", "summary.json"]
+    assert digests[0] == digests[1]
+    params = chain_from_config(load_config(cfg))
+    snaps = lattice.simulate(lattice.moving_kink_state(params, 1.0, 0.4, 20),
+                             0.01, 0.002, params, snapshot_every=2)
+    _reference_trajectory(snaps, tmp_path / "reference.csv")
+    assert ((tmp_path / "a" / "lattice-trajectory.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_lattice_blowup_leaves_no_trajectory_and_no_child(
+        tmp_path, capsys):
+    """dt = 0.05 blows the README chain up at t = 0.2, after four states
+    went to the formatter: exit 2, no trajectory file, no child left."""
+    cfg = _write(tmp_path, "lat.ini", CHAIN_INI
+                 + "\n[integration]\ndt = 0.05\nt_end = 5.0\n"
+                 + _SIM_SECTIONS["simulate-lattice"])
+    out = tmp_path / "out"
+    assert cli.main(["simulate-lattice", "--config", cfg,
+                     "--out", str(out)]) == 2
+    assert "non-finite state" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_lagrangian_reproducible(tmp_path):

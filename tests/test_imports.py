@@ -62,3 +62,18 @@ def test_no_module_binds_another_layers_public_function():
                 found.append(f"{info.name}.{attr} is {obj.__module__}."
                              f"{obj.__name__}")
     assert found == []
+
+
+def test_no_module_imports_multiprocessing():
+    """The trajectory writer imports multiprocessing when it forks its
+    formatter; loading every module, as a dry run does, does not."""
+    code = ("import pkgutil, sys, pendulon; "
+            "[__import__(f'pendulon.{m.name}') "
+            "for m in pkgutil.iter_modules(pendulon.__path__)]; "
+            "print('multiprocessing' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(pendulon.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

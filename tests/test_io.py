@@ -1,14 +1,19 @@
 """Artifact writers: every CSV exporter against the per-row f-string writer it
 replaced, kept here as the reference, byte for byte on small random reports;
 the PDE field history, the travelling-wave profile and the perturbative
-orders as exact .npy round trips with a pinned header; and the one .npy
-record writer on every float64 bit pattern."""
+orders as exact .npy round trips with a pinned header; the one .npy
+record writer on every float64 bit pattern; and the forked trajectory
+writer's failure paths, each of which leaves no file and no child process."""
+import errno
+import multiprocessing
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pendulon import (_stencils, continuum, lattice, perturbation,
-                      reductions, travelwave)
+from pendulon import (IntegrationError, _io, _stencils, continuum, lattice,
+                      perturbation, reductions, travelwave)
 from pendulon._io import write_npy_record
 from pendulon.chain import LatticeState
 from pendulon.params import ChainParams, ConfiningPotential
@@ -119,6 +124,58 @@ def test_lattice_csvs_match_reference(tmp_path_factory, seed, n, snaps):
                            t=float(_values(rng, 1)[0])) for _ in range(snaps)]
     _same_bytes(tmp, lambda p: lattice.export_energy_csv(states, CHAIN, p),
                 lambda p: _reference_lattice_energy(states, CHAIN, p))
+
+
+def _states(k, n, seed=7):
+    """k snapshots of n sites; 3000 sites fill more than a 64 KiB pipe."""
+    rng = np.random.default_rng(seed)
+    return [LatticeState(*(_snapshot_values(rng, n) for _ in range(4)),
+                         t=0.5 * j) for j in range(k)]
+
+
+@pytest.mark.parametrize("k, n", [(0, 5), (3, 5), (3, 3000)])
+@pytest.mark.parametrize("exc", [
+    IntegrationError("non-finite state after step", 1.5),
+    KeyboardInterrupt()])
+def test_trajectory_stream_that_raises_leaves_no_file_and_no_child(
+        tmp_path, k, n, exc):
+    """A stream that stops after k snapshots and raises in the parent: the
+    writer re-raises that same exception, removes the partial file and
+    leaves no child, whether the child is idle or behind a full pipe."""
+    def stream():
+        yield from _states(k, n)
+        raise exc
+
+    path = tmp_path / "traj.csv"
+    with pytest.raises(type(exc)) as info:
+        lattice.export_trajectory_csv(stream(), path)
+    assert info.value is exc
+    assert not path.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_trajectory_into_missing_directory_is_oserror_naming_path(tmp_path):
+    path = tmp_path / "missing" / "traj.csv"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        lattice.export_trajectory_csv(_states(2, 5), path)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (40, 3000)])
+def test_formatter_failure_is_oserror_naming_path(tmp_path, monkeypatch, k,
+                                                  n):
+    """The forked child inherits the patched _snapshot_rows and fails on
+    its first block. With small snapshots the parent sends all of them and
+    learns of it from the exit code; with large ones the pipe breaks."""
+    def full(keys, columns):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(_io, "_snapshot_rows", full)
+    path = tmp_path / "traj.csv"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        lattice.export_trajectory_csv(_states(k, n), path)
+    assert not path.exists()
+    assert multiprocessing.active_children() == []
 
 
 def _bits(a):

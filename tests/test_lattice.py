@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -114,6 +115,36 @@ def test_unstable_step_raises(generic_chain, rng):
     st = _smooth_state(rng, 8, amp=3.0)
     with pytest.raises(IntegrationError):
         simulate(st, 2000.0, 9.0, generic_chain)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unstable_streamed_run_leaves_no_trajectory(tmp_path, generic_chain,
+                                                    rng):
+    """The same blow-up while the states stream to the trajectory writer:
+    the IntegrationError propagates, no file and no child are left."""
+    st = _smooth_state(rng, 8, amp=3.0)
+    path = tmp_path / "traj.csv"
+    with pytest.raises(IntegrationError):
+        lattice.export_trajectory_csv(
+            lattice.snapshots(st, 2000.0, 9.0, generic_chain), path)
+    assert not path.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_streamed_export_returns_the_states_simulate_returns(
+        tmp_path, generic_chain, rng):
+    st = _smooth_state(rng, 6)
+    kept = lattice.export_trajectory_csv(
+        lattice.snapshots(st, 0.05, 1e-2, generic_chain, snapshot_every=2),
+        tmp_path / "streamed.csv")
+    snaps = simulate(st, 0.05, 1e-2, generic_chain, snapshot_every=2)
+    assert [s.t for s in kept] == [s.t for s in snaps]
+    assert np.array_equal(
+        [(s.theta, s.phi, s.theta_dot, s.phi_dot) for s in kept],
+        [(s.theta, s.phi, s.theta_dot, s.phi_dot) for s in snaps])
+    lattice.export_trajectory_csv(snaps, tmp_path / "listed.csv")
+    assert ((tmp_path / "streamed.csv").read_bytes()
+            == (tmp_path / "listed.csv").read_bytes())
 
 
 def test_summary_charges(generic_chain):
