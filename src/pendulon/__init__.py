@@ -6,7 +6,7 @@ Layers, from discrete to asymptotic:
   of the discrete chain.
 - ``continuum``: the two-field long-wavelength PDE and its integrator.
 - ``travelwave``: co-moving reduction to a second-order ODE system and a
-  collocation solver for travelling profiles.
+  collocation solver for travelling profiles on the half line.
 - ``perturbation``: expansion of the travelling-wave problem around the
   single-angle kink in the small tip-pendulum limit, each order in closed
   form, and an oracle that differentiates the discrete solutions in eps.
@@ -19,8 +19,8 @@ Layers, from discrete to asymptotic:
 ``import pendulon`` is lazy: each name of ``__all__`` is imported from its
 home module on first access (PEP 562), so a program loads only the layers it
 uses. scipy is imported only where a matrix is built or factored:
-``_stencils.derivative_matrix`` / ``bordered_matrix``, the Newton solve
-of ``travelwave`` and the eps oracle of ``perturbation``.
+``_stencils.derivative_matrix`` / ``collocation_matrix``, the half-line
+Newton solve of ``travelwave`` and the eps oracle of ``perturbation``.
 """
 
 import importlib

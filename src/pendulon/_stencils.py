@@ -1,11 +1,11 @@
 """Numerical kernels shared by the layers: the uniform-grid check,
-fourth-order finite-difference stencils on uniform grids, the bordered matrix
-that both boundary-value solvers factor, the contour rule both eps oracles
-take Taylor coefficients with, the complex step of the two complex-step
-derivatives, the classic RK4 step and the loop
-that drives it, the energy table, energy drift, winding number and summary
-both integrators report from their snapshots, and the two error classes every
-command maps to exit code 2.
+fourth-order finite-difference stencils on uniform grids, the banded
+collocation matrix of the travelling-wave Newton solve, the contour rule both
+eps oracles take Taylor coefficients with, the complex step of the two
+complex-step derivatives, the classic RK4 step and the loop that drives it,
+the energy table, energy drift, winding number and summary both integrators
+report from their snapshots, and the two error classes every command maps to
+exit code 2.
 
 Interior points use centered 5-point formulas; the two points nearest each
 boundary fall back to biased stencils of the same order. Weights are generated
@@ -120,15 +120,13 @@ def stacked_operator(D1, D2):
     return sp.vstack([sp.block_diag((D, D)) for D in (D1, D2)], format="csr")
 
 
-def bordered_matrix(D1, D2, blocks, fixed, column, row):
-    """CSC matrix of the bordered collocation system [[J, column], [row, 0]].
-
-    J couples m fields on the n nodes of D2 = derivative_matrix(n, h, 2),
-    interleaved: unknown m j + b is field b at node j. Block (a, b) of J is
+def collocation_matrix(D1, D2, blocks, fixed):
+    """CSC Newton matrix of travelwave.TWSystem: m fields on the n nodes of
+    the square banded CSR operators D1 and D2 (sorted indices), interleaved,
+    unknown m j + b being field b at node j. Block (a, b) is
     (c0 I + c1 D1) + c2 D2 for blocks[a][b] = (c0, c1, c2), each a length-n
-    array or a scalar. The rows in `fixed` become unit rows (Dirichlet
-    conditions), `column` is zeroed there, and exact zeros are dropped, so the
-    arrays equal those of the same sum of sparse products.
+    array or a scalar. The rows in `fixed` become unit rows, and exact zeros
+    are dropped, so the arrays equal those of the same sparse products.
     """
     import scipy.sparse as sp
     n, m = D2.shape[0], len(blocks)
@@ -146,21 +144,16 @@ def bordered_matrix(D1, D2, blocks, fixed, column, row):
             c0, c1, c2 = (np.reshape(c, (-1, 1)) for c in coeffs)
             core[:, a, :, b] = (c0 * I + c1 * W1) + c2 * W2
     cols = m * (first[:, None, None, None] + np.arange(w)[:, None]) + np.arange(m)
-    data = np.column_stack([core.reshape(m * n, m * w), column])
-    indices = np.column_stack([
-        np.broadcast_to(cols, core.shape).reshape(m * n, m * w),
-        np.full(m * n, m * n)])
+    data = core.reshape(m * n, m * w)
+    indices = np.broadcast_to(cols, core.shape).reshape(m * n, m * w)
     i, a = np.divmod(fixed, m)
     data[fixed] = 0.0
     data[fixed, m * (i - first[i]) + a] = 1.0
 
-    counts = np.append(np.count_nonzero(data, axis=1), np.count_nonzero(row))
-    data = np.append(data, row)
     keep = data != 0
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix(
-        (data[keep], np.append(indices, np.arange(m * n))[keep], indptr),
-        shape=(m * n + 1, m * n + 1)).tocsc()
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sp.csr_matrix((data[keep], indices[keep], indptr),
+                         shape=(m * n, m * n)).tocsc()
 
 
 def derivative(f, h, deriv):
@@ -207,19 +200,22 @@ def rk4_step(rhs, y, t, dt):
 
 
 def rk4_run(rhs, y, t0, t_end, dt, snapshot_every=None):
-    """rk4_step from (y, t0), n = max(1, round(t_end / dt)) times: yields
-    (t0 + i dt, y, snap) after step i, snap true every snapshot_every-th step
-    and at the last (None: the last only). y is (4, n), rows q1, q2, q1', q2'
-    in both integrators. Checks its arguments before any rhs call."""
+    """rk4_step from (y, t0), n = max(1, round(t_end / dt)) times, as a
+    generator of (t0 + i dt, y, snap) after step i, snap true every
+    snapshot_every-th step and at the last (None: the last only). y is (4, n),
+    rows q1, q2, q1', q2'. The arguments are checked at the call."""
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
     if snapshot_every is not None and snapshot_every < 1:
         raise ValueError("snapshot_every must be a positive integer")
     n = max(1, round(t_end / dt))
     every = n if snapshot_every is None else snapshot_every
-    for i in range(1, n + 1):
-        y = rk4_step(rhs, y, t0 + (i - 1) * dt, dt)
-        yield t0 + i * dt, y, i % every == 0 or i == n
+
+    def steps(y):
+        for i in range(1, n + 1):
+            y = rk4_step(rhs, y, t0 + (i - 1) * dt, dt)
+            yield t0 + i * dt, y, i % every == 0 or i == n
+    return steps(y)
 
 
 def energy_drift(energies):

@@ -11,6 +11,8 @@ integrates toward the next.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import _stencils, chain
@@ -34,19 +36,17 @@ def simulate(initial: LatticeState, t_end, dt, params: ChainParams,
 
 def snapshots(initial: LatticeState, t_end, dt, params: ChainParams,
               snapshot_every=1):
-    """simulate's states as a generator: each is yielded as soon as the
-    integrator reaches it, and the next is computed on demand."""
+    """simulate's states as an iterator: each is yielded as soon as the
+    integrator reaches it, the next computed on demand; checks at the call."""
     def rhs(y, t):
         acc = chain.discrete_forces(LatticeState(*y, t), params)
         return np.concatenate((y[2:], acc))
 
     y = np.array([initial.theta, initial.phi, initial.theta_dot,
                   initial.phi_dot])
-    yield initial
-    for t, y, snap in _stencils.rk4_run(rhs, y, initial.t, t_end, dt,
-                                        snapshot_every):
-        if snap:
-            yield LatticeState(*y, t)
+    run = _stencils.rk4_run(rhs, y, initial.t, t_end, dt, snapshot_every)
+    return itertools.chain([initial], (LatticeState(*y, t)
+                                       for t, y, snap in run if snap))
 
 
 def moving_kink_state(params: ChainParams, k, v, n_sites,

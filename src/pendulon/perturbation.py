@@ -212,19 +212,17 @@ class TaylorCoefficients(NamedTuple):
 
 def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
     """Coefficients theta1, phi1 and phi2 of the discrete travelling-wave
-    family u(eps) on the grid z, by implicit differentiation of its bordered
-    collocation system F(u; eps) = 0 (travelwave.TWSystem).
+    family u(eps) on the grid z, by implicit differentiation of its
+    half-line collocation system F(u; eps) = 0 (travelwave.TWSystem).
 
-    One Newton solve at eps = 0 gives u0, and one factor of the bordered
-    Jacobian J0 there gives each next order by a back-solve:
-    J0 u1 = -[eps] F(u0; eps) and J0 u2 = -[eps^2] F(u0 + eps u1; eps). Both
-    right-hand sides are Cauchy coefficients (_stencils.cauchy_coefficients)
-    of the field-equation kernel at the complex-eps constants of
-    ExpansionParams.wave_constants. Their Dirichlet and pin rows are zero, as
-    every member of the family has the same end values and pinned midpoint;
-    so theta1 vanishes at the midpoint. build_perturbative's closed-form
-    theta1 is odd: it vanishes there too and is orthogonal to the translation
-    mode, so the two compare with no projection.
+    One Newton solve at eps = 0 gives u0, and one factor of the Newton
+    matrix J0 there gives each next order by a back-solve:
+    J0 u1 = -[eps] F(u0; eps) and J0 u2 = -[eps^2] F(u0 + eps u1; eps), of
+    Cauchy coefficients (_stencils.cauchy_coefficients) of the field
+    equations at the complex-eps constants of ExpansionParams.wave_constants.
+    Their unit rows are zero, as the family shares its ends and centre, so
+    each order unfolds as odd: like build_perturbative's closed-form theta1
+    it has no translation mode, and the two compare with no projection.
     """
     z = np.asarray(z, dtype=float)
     guess = travelwave.kink_profile(z, kink_parameter(params),
@@ -236,16 +234,15 @@ def taylor_extract(params: ExpansionParams, z) -> TaylorCoefficients:
     lu = splu(system.jacobian(u0, params.wave_constants(0.0)))
 
     def back_solve(k, u1):
-        """-J0^-1 [eps^k] F(u0 + eps u1; eps), as (theta, phi)."""
+        """-J0^-1 [eps^k] F(u0 + eps u1; eps) as odd full-grid fields."""
         def F(e):
-            return _field_equations(*compose((u0, u1), e),
-                                    params.wave_constants(e))
+            return _field_equations(*(f[system.K:] for f in compose(
+                (u0, u1), e)), params.wave_constants(e))
         sol = lu.solve(-system.pack(*_stencils.cauchy_coefficients(F)[k - 1]))
-        return sol[0:-1:2], sol[1:-1:2]
+        return system.fields(sol[0::2], sol[1::2], center=0.0)
 
-    theta1, phi1 = back_solve(1, (0.0,) * 6)
-    phi2 = back_solve(2, system.fields(theta1, phi1))[1]
-    return TaylorCoefficients(theta1, phi1, phi2)
+    u1 = back_solve(1, (0.0,) * 6)
+    return TaylorCoefficients(u1[0], u1[1], back_solve(2, u1)[1])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Travelling-wave reduction: residuals, Lagrangian density, first integral,
-the bordered collocation system of the two-point boundary-value problem
-(TWSystem, shared by the Newton solver and perturbation's eps oracle), and
-its Newton solver.
+the collocation system of the two-point boundary-value problem folded onto
+the half line by the kink's reflection symmetry (TWSystem, shared by the
+Newton solver and perturbation's eps oracle), and its Newton solver.
 
 A wave is fixed by the chain and its speed v: with z = x - v t the profile
 equations are params._field_equations at the params.WaveConstants of
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import _stencils
@@ -79,11 +80,10 @@ def tw_residual(profile: TWProfile, params: ChainParams):
 
 
 def residual_linf(res):
-    """max |res| over nodes 1..n-2 of one tw_residual array: the collocation
-    equations of TWSystem. Its end nodes hold Dirichlet rows instead, which
-    leave the equations there unsolved, so on a solve_tw_bvp solution this is
-    at most the final residual, below tol. The res1 and res2 fields of
-    tw-profile.npy (export_profile) keep every node, the end nodes too."""
+    """max |res| over nodes 1..n-2 of one tw_residual array: TWSystem holds
+    the right end by unit rows and the left end mirrors it, so on a
+    solve_tw_bvp solution this is the final residual to the stencils'
+    rounding. tw-profile.npy (export_profile) keeps every node."""
     return float(np.max(np.abs(res[1:-1])))
 
 
@@ -153,62 +153,70 @@ def _jacobian_blocks(theta, phi, theta_z, phi_z, theta_zz, phi_zz,
 
 
 class TWSystem:
-    """The bordered collocation system of solve_tw_bvp on the grid of a
-    profile: the unknowns interleave theta and phi node by node, the four end
-    rows are Dirichlet conditions at the profile's end values, and the border
-    is the pinning row theta(z_mid) = mean of the theta end values, with the
-    translation mode (theta', phi') as its column. Fields pass as the six
-    arguments u = (theta, phi, theta', phi', theta'', phi'') of
-    params._field_equations, and chain constants as params.WaveConstants."""
+    """The collocation system of solve_tw_bvp on a profile's grid, folded
+    onto nodes K = n//2 .. n-1 by the reflection z -> -z, theta -> 2 theta_c
+    - theta, phi -> -phi that flips the sign of both profile equations: node
+    j < K mirrors node n-1-j (about a half node for even n). The unknowns
+    interleave theta and phi; unit rows fix the right end at the profile's
+    and, for odd n, the centre at theta_c (mean of the end thetas) and phi =
+    0, so no translation mode is left. Fields u = (theta, phi, theta', phi',
+    theta'', phi'') of params._field_equations are full-grid. Only the
+    profile's right half is read; ValueError unless phi[0] = -phi[-1]."""
 
     def __init__(self, profile: TWProfile):
-        n = profile.z.shape[0]
-        dz = profile.dz
-        self.n = n
-        self.D1 = _stencils.derivative_matrix(n, dz, 1)
-        self.D2 = _stencils.derivative_matrix(n, dz, 2)
-        self.ends = (profile.theta[0], profile.phi[0], profile.theta[-1],
-                     profile.phi[-1])
-        self.fixed = [0, 1, 2 * n - 2, 2 * n - 1]
-        self.mid = n // 2
-        self.pin_target = 0.5 * (self.ends[0] + self.ends[2])
-        self.pin_row = np.zeros(2 * n)
-        self.pin_row[2 * self.mid] = 1.0
+        if profile.phi[0] != -profile.phi[-1]:
+            raise ValueError("the reflection z -> -z needs phi[0] = -phi[-1]"
+                             f", got {float(profile.phi[0])!r} and "
+                             f"{float(profile.phi[-1])!r}")
+        n, dz = profile.z.shape[0], profile.dz
+        self.K, m = n // 2, n - n // 2
+        self.D1, self.D2 = (_stencils.derivative_matrix(n, dz, d)
+                            for d in (1, 2))
+        # the fold: column j is node K + j, and node n-1-K-j with sign -1
+        node = np.arange(n)
+        fold = sp.csr_matrix(
+            (np.where(node < self.K, -1.0, 1.0),
+             np.maximum(node, n - 1 - node) - self.K,
+             np.arange(n + 1)), shape=(n, m))
+        self.D1h, self.D2h = ((D[self.K:] @ fold).sorted_indices()
+                              for D in (self.D1, self.D2))
+        self.center = 0.5 * (profile.theta[0] + profile.theta[-1])
+        self.fixed = [2 * m - 2, 2 * m - 1] + ([0, 1] if n % 2 else [])
+        self.targets = np.array([profile.theta[-1], profile.phi[-1],
+                                 self.center, 0.0])[:len(self.fixed)]
 
-    def fields(self, theta, phi):
-        """u of theta and phi, with their D1 and D2 products."""
+    def fields(self, theta, phi, center=None):
+        """u of the full-grid reflection of theta, phi on nodes K..n-1, theta
+        about center (default theta_c), with their D1 and D2 products."""
+        c = self.center if center is None else center
+        theta = np.concatenate([2 * c - theta[::-1][:self.K], theta])
+        phi = np.concatenate([-phi[::-1][:self.K], phi])
         return (theta, phi, self.D1 @ theta, self.D1 @ phi, self.D2 @ theta,
                 self.D2 @ phi)
 
     def pack(self, r1, r2):
-        """The bordered vector of the collocation values r1, r2 of the two
-        equations, with its Dirichlet and pin rows zero."""
-        n = self.n
-        F = np.zeros(2 * n + 1)
-        F[0:2 * n:2] = r1
-        F[1:2 * n:2] = r2
+        """The Newton vector of the collocation values r1, r2 of the two
+        equations on nodes K..n-1, with its unit rows zero."""
+        F = np.column_stack([r1, r2]).ravel()
         F[self.fixed] = 0.0
         return F
 
     def residual(self, u, c: WaveConstants):
-        """The bordered residual at u: the collocation equations, with the
-        boundary rows replacing the outermost ones, and the pin."""
-        theta, phi = u[0], u[1]
-        F = self.pack(*_field_equations(*u, c))
-        F[self.fixed] = (theta[0] - self.ends[0], phi[0] - self.ends[1],
-                         theta[-1] - self.ends[2], phi[-1] - self.ends[3])
-        F[2 * self.n] = theta[self.mid] - self.pin_target
+        """The Newton residual at u: the collocation equations on nodes
+        K..n-1, with the unit rows replacing the end and centre ones."""
+        half = [f[self.K:] for f in u]
+        F = self.pack(*_field_equations(*half, c))
+        F[self.fixed] = np.ravel(half[:2], "F")[self.fixed] - self.targets
         return F
 
     def jacobian(self, u, c: WaveConstants):
-        """The bordered Jacobian at u as CSC (_stencils.bordered_matrix)."""
-        jb = _jacobian_blocks(*u, c)
+        """The Newton matrix at u as CSC (_stencils.collocation_matrix)."""
+        jb = _jacobian_blocks(*(f[self.K:] for f in u), c)
         # block (equation, field) is jb["r<equation>_<t|p><derivative>"]
         blocks = [[tuple(jb[f"r{eq}_{f}{d}"] for d in "012") for f in "tp"]
                   for eq in "12"]
-        return _stencils.bordered_matrix(
-            self.D1, self.D2, blocks, self.fixed,
-            np.column_stack([u[2], u[3]]).ravel(), self.pin_row)
+        return _stencils.collocation_matrix(self.D1h, self.D2h, blocks,
+                                            self.fixed)
 
 
 MAX_ITER = 60  # Newton iterations of solve_tw_bvp
@@ -218,14 +226,14 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
                  tol=1e-10) -> TWProfile:
     """Damped Newton on the 4th-order collocation system at the guess's speed.
 
-    The system is the TWSystem of the guess: Dirichlet values are taken from
-    the ends of the guess (so 0 -> 2 pi N and pi-shifted connections are both
-    supported), and the translation zero mode is removed by its pinning row.
-    Each iteration assembles the bordered Jacobian in one pass, straight into
-    CSC arrays (_stencils.bordered_matrix), and factors it with splu; the
-    factors are dropped after their solve, so no two are held at once. The
-    solution carries the D1 and D2 products of its last residual as its
-    slopes and curvature; the guess's curvature is never read.
+    The system is the TWSystem of the guess: its right end values and centre
+    theta_c come from the guess's ends, so 0 -> 2 pi N and pi-shifted
+    connections are both supported. Each iteration assembles the square
+    banded Jacobian in one pass, straight into CSC arrays
+    (_stencils.collocation_matrix), and factors it with splu; the factors
+    are dropped after their solve, so no two are held at once. The solution
+    is full-length, reflected from its right half, and carries the D1 and D2
+    products of its last residual as its slopes and curvature.
     Raises TWSolveError on non-convergence, with the final residual attached,
     and on the sonic line (_on_sonic_line).
     """
@@ -235,12 +243,11 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
         raise TWSolveError(f"mu = 0 to rounding ({c.c_inner:.3e} at v = "
                            f"{guess.v!r}): profile equations are degenerate")
     system = TWSystem(guess)
-    n = system.n
 
     def norm(F):
         return float(np.max(np.abs(F)))
 
-    u = system.fields(guess.theta.copy(), guess.phi.copy())
+    u = system.fields(guess.theta[system.K:], guess.phi[system.K:])
     F = system.residual(u, c)
     best = norm(F)
 
@@ -260,8 +267,8 @@ def solve_tw_bvp(guess: TWProfile, params: ChainParams,
 
         lam = 1.0
         while lam >= 1e-3:
-            u_new = system.fields(u[0] + lam * delta[0:2 * n:2],
-                                  u[1] + lam * delta[1:2 * n:2])
+            u_new = system.fields(u[0][system.K:] + lam * delta[0::2],
+                                  u[1][system.K:] + lam * delta[1::2])
             Fn = system.residual(u_new, c)
             if norm(Fn) < best:
                 u, F, best = u_new, Fn, norm(Fn)

@@ -1,8 +1,9 @@
-"""The bordered Newton matrix that solve_tw_bvp factors, caught at its splu
-call, against the sparse-algebra pipeline it was built with before: diags
-products, bmat, an interleaving permutation and LIL row patching, kept here
-as the reference. Equality is bit for bit in the CSC indptr, indices and
-data."""
+"""The half-line Newton matrix that solve_tw_bvp factors, caught at its splu
+call, against a sparse-algebra pipeline kept here as the reference: the
+full-grid stencil rows of the right half, their columns folded onto the
+right half with sign -1 for mirrored nodes, diags products, bmat, an
+interleaving permutation and LIL row patching for the unit rows. Equality is
+bit for bit in the CSC indptr, indices and data."""
 from unittest import mock
 
 import numpy as np
@@ -21,35 +22,52 @@ CHAIN = ChainParams(M=1.0, m=0.05, R=0.96, r=0.04, kappa_t=0.015,
                     h_spec=ConfiningPotential(family="quadratic", c2=2.0))
 
 
-def _reference_newton_matrix(D1, D2, jb, tz, pz, mid):
+def _fold(n):
+    """Node j -> unknown max(j, n-1-j) - n//2 of the right half, sign -1
+    left of the centre."""
+    K = n // 2
+    P = sp.lil_matrix((n, n - K))
+    for j in range(n):
+        P[j, max(j, n - 1 - j) - K] = -1.0 if j < K else 1.0
+    return P.tocsr()
+
+
+def _reflect(theta, phi):
+    """The full-grid fields the solver builds from the guess's right half:
+    theta about the mean of its end values, phi odd."""
+    n = theta.shape[0]
+    left = np.arange(n) < n // 2
+    center = 0.5 * (theta[0] + theta[-1])
+    return (np.where(left, 2 * center - theta[::-1], theta),
+            np.where(left, -phi[::-1], phi))
+
+
+def _reference_newton_matrix(D1, D2, jb):
     n = D2.shape[0]
-    eye = sp.identity(n, format="csr")
+    K, m = n // 2, n - n // 2
+    P = _fold(n)
+    D1h, D2h = D1[K:] @ P, D2[K:] @ P
+    eye = sp.identity(m, format="csr")
 
     def block(c0, c1, c2):
-        return (sp.diags(c0) @ eye + sp.diags(c1) @ D1 + sp.diags(c2) @ D2)
+        return (sp.diags(c0) @ eye + sp.diags(c1) @ D1h + sp.diags(c2) @ D2h)
 
     J11 = block(jb["r1_t0"], jb["r1_t1"], jb["r1_t2"])
     J12 = block(jb["r1_p0"], jb["r1_p1"], jb["r1_p2"])
     J21 = block(jb["r2_t0"], jb["r2_t1"], jb["r2_t2"])
     J22 = block(jb["r2_p0"], jb["r2_p1"], jb["r2_p2"])
-    perm = np.empty(2 * n, dtype=int)
-    perm[0:2 * n:2] = np.arange(n)
-    perm[1:2 * n:2] = np.arange(n) + n
+    perm = np.empty(2 * m, dtype=int)
+    perm[0::2] = np.arange(m)
+    perm[1::2] = np.arange(m) + m
     J = sp.bmat([[J11, J12], [J21, J22]], format="csr")
-    P = sp.csr_matrix((np.ones(2 * n), (np.arange(2 * n), perm)),
-                      shape=(2 * n, 2 * n))
-    J = (P @ J @ P.T).tolil()
-    for row in (0, 1, 2 * n - 2, 2 * n - 1):
+    Q = sp.csr_matrix((np.ones(2 * m), (np.arange(2 * m), perm)),
+                      shape=(2 * m, 2 * m))
+    J = (Q @ J @ Q.T).tolil()
+    # the right end, and for odd n the centre node
+    for row in [2 * m - 2, 2 * m - 1] + ([0, 1] if n % 2 else []):
         J.rows[row] = [row]
         J.data[row] = [1.0]
-    tangent = np.zeros(2 * n)
-    tangent[0:2 * n:2] = tz
-    tangent[1:2 * n:2] = pz
-    tangent[[0, 1, 2 * n - 2, 2 * n - 1]] = 0.0
-    pin_row = np.zeros(2 * n)
-    pin_row[2 * mid] = 1.0
-    return sp.bmat([[J.tocsr(), tangent[:, None]], [pin_row[None, :], None]],
-                   format="csc")
+    return J.tocsc()
 
 
 def _assert_same_csc(got, ref):
@@ -92,10 +110,12 @@ def _newton_case(theta, phi, v, half_width=8.0):
     got = _matrix_factored_by(
         travelwave, lambda: solve_tw_bvp(guess, CHAIN, tol=0.0))
     D1, D2 = derivative_matrix(n, guess.dz, 1), derivative_matrix(n, guess.dz, 2)
-    tz, pz = D1 @ theta, D1 @ phi
-    jb = _jacobian_blocks(theta, phi, tz, pz, D2 @ theta, D2 @ phi,
+    th, ph = _reflect(theta, phi)
+    K = n // 2
+    jb = _jacobian_blocks(*(f[K:] for f in (th, ph, D1 @ th, D1 @ ph,
+                                              D2 @ th, D2 @ ph)),
                           CHAIN.wave_constants(v))
-    _assert_same_csc(got, _reference_newton_matrix(D1, D2, jb, tz, pz, n // 2))
+    _assert_same_csc(got, _reference_newton_matrix(D1, D2, jb))
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,11 +123,13 @@ def _newton_case(theta, phi, v, half_width=8.0):
        v=st.floats(-6.0, 6.0), flat_phi=st.booleans(),
        zeros=st.floats(0.0, 1.0))
 def test_newton_matrix_matches_sparse_pipeline(n, seed, v, flat_phi, zeros):
-    """Over drawn grids, fields and speeds; mu = K_s - m v^2 takes both signs.
-    The kink guess has phi = 0, which zeroes whole Jacobian blocks."""
+    """Over drawn grids of both parities, fields and speeds; mu = K_s - m v^2
+    takes both signs. The kink guess has phi = 0, which zeroes whole
+    Jacobian blocks. Only the guess's right half is read."""
     assume(not _on_sonic_line(v, CHAIN))
     rng = np.random.default_rng(seed)
     phi = np.zeros(n) if flat_phi else _fields(rng, n, zeros)
+    phi[0] = -phi[-1]  # the reflection's condition on the guess
     _newton_case(_fields(rng, n, zeros), phi, v)
 
 

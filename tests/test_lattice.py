@@ -131,6 +131,17 @@ def test_unstable_streamed_run_leaves_no_trajectory(tmp_path, generic_chain,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("t_end, dt, every", [(1.0, -0.1, 1), (0.0, 0.1, 1),
+                                             (1.0, 0.1, 0)])
+def test_snapshots_checks_its_arguments_at_the_call(generic_chain, rng,
+                                                    t_end, dt, every):
+    """A bad t_end, dt or snapshot_every raises at the call itself, before
+    the initial state is handed to a consumer such as the CSV writer."""
+    st = _smooth_state(rng, 6)
+    with pytest.raises(ValueError):
+        lattice.snapshots(st, t_end, dt, generic_chain, snapshot_every=every)
+
+
 def test_streamed_export_returns_the_states_simulate_returns(
         tmp_path, generic_chain, rng):
     st = _smooth_state(rng, 6)

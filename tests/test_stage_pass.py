@@ -147,6 +147,15 @@ def test_rk4_run_owns_steps_stamps_and_snapshots():
     assert stages == []
 
 
+def test_rk4_run_checks_its_arguments_at_the_call():
+    """The ValueError comes from the call, not from the first next()."""
+    def rhs(y, t):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="positive"):
+        _stencils.rk4_run(rhs, np.zeros(2), 0.0, 1.0, -0.1)
+
+
 def test_rk4_step_matches_tuple_form_on_any_rhs():
     """The array step against the tuple step on a nonlinear, time-dependent
     right-hand side of three fields."""

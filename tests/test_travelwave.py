@@ -1,14 +1,16 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pendulon import travelwave
 from pendulon._stencils import derivative
 from pendulon.params import ChainParams, ConfiningPotential, _field_equations
 from pendulon.travelwave import (TWProfile, TWSolveError, _jacobian_blocks,
-                                 export_profile, kink_profile, solve_tw_bvp,
-                                 tw_first_integral, tw_lagrangian_density,
-                                 tw_residual)
+                                 export_profile, kink_profile, residual_linf,
+                                 solve_tw_bvp, tw_first_integral,
+                                 tw_lagrangian_density, tw_residual)
 
 
 def _single_angle_chain():
@@ -138,6 +140,68 @@ def test_solved_profile_carries_its_stencil_derivatives(chain, v, k,
         assert np.array_equal(d2, derivative(field, prof.dz, 2))
 
 
+@pytest.mark.parametrize("chain, v, k, pi_shift", [
+    (_coupled_chain(), 0.305, 1.05, False),  # the README chain, theta_c = pi
+    (_star_chain(), 2.2, 1.0 / np.sqrt(12.0), True),  # theta_c = 0
+])
+def test_solved_profiles_are_reflection_symmetric(chain, v, k, pi_shift):
+    """On an odd grid theta + theta[::-1] = 2 theta_c and phi + phi[::-1] = 0
+    hold exactly off the centre node, which carries the LU's rounding."""
+    n = 2001
+    z = np.linspace(-20.0 / k, 20.0 / k, n)
+    prof = solve_tw_bvp(kink_profile(z, k, v, pi_shift=pi_shift), chain)
+    two_c = prof.theta[0] + prof.theta[-1]  # theta_c of the guess's ends
+    assert two_c == pytest.approx(0.0 if pi_shift else 2 * np.pi, abs=1e-15)
+    theta_sum = prof.theta + prof.theta[::-1]
+    phi_sum = prof.phi + prof.phi[::-1]
+    off = np.arange(n) != n // 2
+    assert np.array_equal(theta_sum[off], np.full(n - 1, two_c))
+    assert np.array_equal(phi_sum[off], np.zeros(n - 1))
+    assert abs(theta_sum[n // 2] - two_c) <= 1e-18
+    assert abs(phi_sum[n // 2]) <= 1e-18
+
+
+def test_even_grid_reflects_about_the_half_node():
+    """With n even the centre is the half node between n/2 - 1 and n/2, so
+    there is no centre unknown and the symmetry is exact at every node."""
+    p = _coupled_chain()
+    z = np.linspace(-20 / 1.05, 20 / 1.05, 2000)
+    prof = solve_tw_bvp(kink_profile(z, 1.05, 0.305), p)
+    assert np.array_equal(prof.theta + prof.theta[::-1],
+                          np.full(2000, 2 * np.pi))
+    assert np.array_equal(prof.phi + prof.phi[::-1], np.zeros(2000))
+    assert max(residual_linf(r) for r in tw_residual(prof, p)) < 1e-10
+
+
+def test_guess_without_odd_phi_ends_is_refused_before_factoring():
+    p = _coupled_chain()
+    guess = kink_profile(np.linspace(-10, 10, 301), 1.0, 0.305)
+    phi = guess.phi.copy()
+    phi[0] = 0.25
+    never = mock.Mock(side_effect=AssertionError("factored"))
+    with mock.patch.object(travelwave, "splu", never):
+        with pytest.raises(ValueError, match=r"got 0\.25 and 0\.0$"):
+            solve_tw_bvp(dataclasses.replace(guess, phi=phi), p)
+    never.assert_not_called()
+
+
+@pytest.mark.parametrize("n", [1201, 1200])
+def test_only_the_right_half_of_the_guess_is_read(n):
+    """Left of the centre only the end values theta[0] (through theta_c)
+    and phi[0] (checked against phi[-1]) are read."""
+    p = _coupled_chain()
+    z = np.linspace(-20 / 1.05, 20 / 1.05, n)
+    guess = kink_profile(z, 1.05, 0.305)
+    left = slice(1, n // 2)
+    theta, phi = guess.theta.copy(), guess.phi.copy()
+    theta[left] = 7.0
+    phi[left] = -3.0
+    moved = solve_tw_bvp(dataclasses.replace(guess, theta=theta, phi=phi), p)
+    ref = solve_tw_bvp(guess, p)
+    assert np.array_equal(moved.theta, ref.theta)
+    assert np.array_equal(moved.phi, ref.phi)
+
+
 def test_first_integral_is_legendre_transform(rng):
     """E = theta' dL/dtheta' + phi' dL/dphi' - L, with the derivatives taken
     numerically from the density. Second route to the conserved quantity."""
@@ -176,6 +240,15 @@ def test_nonconvergence_reports_residual():
     with pytest.raises(TWSolveError) as info:
         solve_tw_bvp(guess, p)
     assert info.value.residual is not None
+
+
+def test_known_bad_benchmark_operation_still_stalls():
+    """The README chain at v = 40 on perfbench's solve-tw grid (n = 301 on
+    |z| <= 20 / 1.05): the benchmark counts this solve as its known-bad
+    operation, so a change that makes it converge shows here first."""
+    z = np.linspace(-20 / 1.05, 20 / 1.05, 301)
+    with pytest.raises(TWSolveError, match="stalled"):
+        solve_tw_bvp(kink_profile(z, 1.05, 40.0), _coupled_chain())
 
 
 def test_pi_shift_and_winding():
